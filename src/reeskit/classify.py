@@ -11,8 +11,9 @@ The ladder, applied in order:
 3. Every component has at most five vertices: relation type at most 3.
 4. Otherwise unknown, with a suggested oracle invocation attached.
 
-cross_validate runs the layered membership oracle next to the classifier
-and raises Inconsistency when the two disagree.
+Every reported witness is confirmed by the exact membership oracle.
+cross_validate runs the layered oracle next to the classifier and raises
+Inconsistency when the two disagree.
 """
 
 from __future__ import annotations
@@ -30,7 +31,12 @@ from .graphs import (
     even_closed_walk,
 )
 from .monomials import SquareFreeIdeal
-from .oracle import RtReport, relation_type_estimate
+from .oracle import (
+    RtReport,
+    default_s_max,
+    member_lower,
+    relation_type_estimate,
+)
 from .reduction import IrredundancyWitness, irredundancy_witness
 from .taylor import ReesBinomial, taylor_binomial
 
@@ -80,8 +86,9 @@ def nonlinear_witnesses(ideal: SquareFreeIdeal) -> tuple[NonlinearEvidence, ...]
     """
     n = ideal.n
     comps = components(build_graph(ideal))
-    assert n <= 5 or all(len(c) <= 5 for c in comps), \
-        "witness search requires at most five generators or small components"
+    if n > 5 and any(len(c) > 5 for c in comps):
+        raise ValueError("witness search requires at most five generators "
+                         "or small components")
     top = n - 2 if n <= 5 else min(3, n - 2)
     found = []
     seen = set()
@@ -160,7 +167,6 @@ def classify(ideal: SquareFreeIdeal) -> ClassificationReport:
         )
         return ClassificationReport("rt_at_most", 3, just, classes, witnesses)
 
-    hint_smax = max(2, min(n - 1, 6))
     just = (
         ("out-of-scope",
          "some component has more than five vertices and carries an even "
@@ -168,7 +174,7 @@ def classify(ideal: SquareFreeIdeal) -> ClassificationReport:
     )
     return ClassificationReport(
         "unknown", None, just, classes,
-        oracle_hint=f"reeskit rt <idealfile> --s-max {hint_smax}")
+        oracle_hint=f"reeskit rt <idealfile> --s-max {default_s_max(n)}")
 
 
 @dataclass
@@ -177,14 +183,21 @@ class CrossReport:
     rt_report: RtReport
 
 
-def cross_validate(ideal: SquareFreeIdeal, s_max: Optional[int] = None,
-                   cap: Optional[int] = None) -> CrossReport:
+def cross_validate(ideal: SquareFreeIdeal,
+                   s_max: Optional[int] = None) -> CrossReport:
     """Run the classifier and the layered oracle side by side; raise
-    Inconsistency when a verdict contradicts a certified lower bound."""
+    Inconsistency when a verdict contradicts a certified lower bound or a
+    reported witness reduces modulo lower layers."""
     report = classify(ideal)
     if s_max is None:
-        s_max = max(2, min(ideal.n - 1, 6))
-    rt = relation_type_estimate(ideal, s_max, cap)
+        s_max = default_s_max(ideal.n)
+    rt = relation_type_estimate(ideal, s_max)
+    for ev in report.witnesses:
+        b = ev.binomial
+        if member_lower(ideal, b, b.degree - 1).is_yes:
+            raise Inconsistency(
+                f"reported witness {b.alpha}|{b.beta} reduces modulo lower "
+                f"layers", report, rt)
     if report.verdict_kind == "linear_type" and rt.certified_lower > 1:
         raise Inconsistency(
             f"classified linear type but the oracle certified a degree-"

@@ -8,16 +8,15 @@ Subcommands:
   demo      built-in worked examples: villarreal, pentagon, family --n
   random    seed-deterministic random ideal in the file format
 
-Exit codes: 0 success, 2 unreadable or invalid input, 3 classifier verdict
-contradicted by the oracle.  The degree cap for oracle searches can be set
-per call with --cap or globally with the REES_KIT_CAP environment variable.
+Exit codes: 0 success, 2 unreadable or invalid input (one line on stderr,
+never a traceback), 3 classifier verdict contradicted by the oracle.  Every
+oracle answer is exact, so no search limit can be set.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
@@ -30,17 +29,29 @@ from .demos import (
     random_shape_ideal,
     villarreal_ideal,
 )
-from .graphs import build_graph, classify_component, components, to_dot
+from .graphs import (
+    build_graph,
+    classify_component,
+    components,
+    even_closed_walk,
+    to_dot,
+)
 from .ideal_io import IdealParseError, load_ideal, render_ideal
 from .monomials import IdealValidationError, SquareFreeIdeal, render_monomial
 from .oracle import (
     RtReport,
+    default_s_max,
     fiber_witness,
     member_lower,
     minimal_linear_generators,
     relation_type_estimate,
 )
-from .reduction import Certificate, reduce_to_normal, irredundancy_witness
+from .reduction import (
+    Certificate,
+    IrredundancyWitness,
+    irredundancy_witness,
+    reduce_to_normal,
+)
 from .taylor import (
     render_binomial,
     render_tpart,
@@ -51,26 +62,31 @@ from .taylor import (
 )
 
 
-def _cap_value(args) -> Optional[int]:
-    if getattr(args, "cap", None) is not None:
-        return args.cap
-    env = os.environ.get("REES_KIT_CAP")
-    return int(env) if env else None
-
-
-def _default_s_max(ideal: SquareFreeIdeal) -> int:
-    return max(1, min(ideal.n - 1, 6))
+class BadInput(Exception):
+    """Malformed input: main prints it as one line and exits 2."""
 
 
 def _load(path: str) -> SquareFreeIdeal:
-    return load_ideal(path)
+    try:
+        return load_ideal(path)
+    except (IdealParseError, IdealValidationError, OSError) as exc:
+        raise BadInput(exc) from None
+
+
+def _s_max(args, ideal: SquareFreeIdeal) -> int:
+    if args.s_max is None:
+        return default_s_max(ideal.n)
+    if args.s_max < 2:
+        raise BadInput(f"--s-max must be at least 2, got {args.s_max}")
+    return args.s_max
 
 
 def _parse_row(text: str) -> tuple[int, ...]:
     try:
         return tuple(sorted(int(p) for p in text.split(",") if p.strip()))
     except ValueError:
-        raise SystemExit(f"cannot parse index row {text!r}; expected e.g. 1,1,4")
+        raise BadInput(
+            f"cannot parse index row {text!r}; expected e.g. 1,1,4") from None
 
 
 def _json_report(ideal: SquareFreeIdeal, report: ClassificationReport,
@@ -109,7 +125,7 @@ def _json_report(ideal: SquareFreeIdeal, report: ClassificationReport,
             for ev in report.witnesses
         ],
         "oracle": None,
-        "versions": {"format": 1},
+        "versions": {"format": 2},
     }
     if rt is not None:
         out["oracle"] = {
@@ -117,10 +133,9 @@ def _json_report(ideal: SquareFreeIdeal, report: ClassificationReport,
             "witness": (render_binomial(ideal, rt.witness)
                         if rt.witness else None),
             "verified_upper_through": rt.verified_upper_through,
-            "unknown_count": rt.unknown_count,
             "layers": {
-                str(s): {"yes": y, "no": no, "unknown": u}
-                for s, (y, no, u) in sorted(rt.layer_tallies.items())
+                str(s): {"yes": y, "no": no}
+                for s, (y, no) in sorted(rt.layer_tallies.items())
             },
         }
     if report.oracle_hint:
@@ -129,28 +144,32 @@ def _json_report(ideal: SquareFreeIdeal, report: ClassificationReport,
 
 
 def _print_rt(ideal: SquareFreeIdeal, rt: RtReport) -> None:
-    for s, (y, no, u) in sorted(rt.layer_tallies.items()):
-        print(f"layer {s}: {y} reduce, {no} new, {u} unknown")
+    for s, (y, no) in sorted(rt.layer_tallies.items()):
+        print(f"layer {s}: {y} reduce, {no} new")
     print(f"certified lower bound: {rt.certified_lower}")
     if rt.witness is not None:
         print(f"witness: {render_binomial(ideal, rt.witness)}")
     print(f"verified upper through: {rt.verified_upper_through}")
-    if rt.unknown_count:
-        print(f"unknown verdicts: {rt.unknown_count}")
+
+
+def _print_witness(ideal: SquareFreeIdeal, w: IrredundancyWitness) -> None:
+    names = ideal.table.names
+    print(f"irredundancy witness: distinct row ({','.join(map(str, w.avec))}), "
+          f"b1={w.b1}, b2={w.b2}")
+    print("  separating x-vars: " + " ".join(names[v] for v in w.xvars))
+    print("  separating z-vars: " + " ".join(names[v] for v in w.zvars))
+    walk = even_closed_walk(ideal, w)
+    print(f"  closed even walk (length {walk.length}): "
+          + "-".join(map(str, walk.vertices)))
 
 
 def cmd_classify(args) -> int:
-    try:
-        ideal = _load(args.ideal)
-    except (IdealParseError, IdealValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    ideal = _load(args.ideal)
     report = classify(ideal)
     rt = None
     if args.oracle:
-        s_max = args.s_max if args.s_max else _default_s_max(ideal)
         try:
-            rt = cross_validate(ideal, s_max, _cap_value(args)).rt_report
+            rt = cross_validate(ideal, _s_max(args, ideal)).rt_report
         except Inconsistency as exc:
             print(f"INCONSISTENT: {exc}", file=sys.stderr)
             print(f"verdict: {exc.classification.verdict}", file=sys.stderr)
@@ -158,8 +177,11 @@ def cmd_classify(args) -> int:
                   file=sys.stderr)
             return 3
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(to_dot(build_graph(ideal)))
+        try:
+            with open(args.dot, "w") as fh:
+                fh.write(to_dot(build_graph(ideal)))
+        except OSError as exc:
+            raise BadInput(exc) from None
     if args.json:
         print(json.dumps(_json_report(ideal, report, rt), indent=2))
         return 0
@@ -185,12 +207,11 @@ def cmd_classify(args) -> int:
 
 
 def cmd_taylor(args) -> int:
+    ideal = _load(args.ideal)
     try:
-        ideal = _load(args.ideal)
-    except (IdealParseError, IdealValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    layer = taylor_layer(ideal, args.degree)
+        layer = taylor_layer(ideal, args.degree)
+    except ValueError as exc:
+        raise BadInput(exc) from None
     if args.json:
         print(json.dumps([
             {"alpha": list(b.alpha), "beta": list(b.beta),
@@ -220,18 +241,13 @@ def _print_certificate(ideal: SquareFreeIdeal, idx: int, cert: Certificate) -> N
 
 
 def cmd_reduce(args) -> int:
-    try:
-        ideal = _load(args.ideal)
-    except (IdealParseError, IdealValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    ideal = _load(args.ideal)
     alpha = _parse_row(args.alpha)
     beta = _parse_row(args.beta)
     try:
         outcome = reduce_to_normal(ideal, alpha, beta)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise BadInput(exc) from None
     if outcome.status == "reduced":
         print(f"reduced in {len(outcome.chain)} step(s); "
               f"terminal degree {outcome.terminal_degree}")
@@ -241,38 +257,23 @@ def cmd_reduce(args) -> int:
     pa, pb = outcome.stuck_pair
     print(f"stuck at ({','.join(map(str, pa))})|({','.join(map(str, pb))}): "
           "no rule applies")
-    w = outcome.witness
-    if w is None:
+    if outcome.witness is None:
         print("no irredundancy witness found; the pair may or may not reduce")
         return 0
-    from .graphs import even_closed_walk
-
-    names = ideal.table.names
-    print(f"irredundancy witness: distinct row ({','.join(map(str, w.avec))}), "
-          f"b1={w.b1}, b2={w.b2}")
-    print("  separating x-vars: " + " ".join(names[v] for v in w.xvars))
-    print("  separating z-vars: " + " ".join(names[v] for v in w.zvars))
-    walk = even_closed_walk(ideal, w)
-    print(f"  closed even walk (length {walk.length}): "
-          + "-".join(map(str, walk.vertices)))
+    _print_witness(ideal, outcome.witness)
     return 0
 
 
 def cmd_rt(args) -> int:
-    try:
-        ideal = _load(args.ideal)
-    except (IdealParseError, IdealValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    s_max = args.s_max if args.s_max else _default_s_max(ideal)
-    rt = relation_type_estimate(ideal, s_max, _cap_value(args))
+    ideal = _load(args.ideal)
+    s_max = _s_max(args, ideal)
+    rt = relation_type_estimate(ideal, s_max)
     print(f"layers tested: 2..{s_max}")
     _print_rt(ideal, rt)
     return 0
 
 
 def cmd_demo(args) -> int:
-    cap = _cap_value(args)
     if args.name == "villarreal":
         ideal = villarreal_ideal()
         print(render_ideal(ideal), end="")
@@ -281,11 +282,11 @@ def cmd_demo(args) -> int:
             c = classify_component(graph, comp)
             cyc = f", cycle {'-'.join(map(str, c.cycle))}" if c.cycle else ""
             print(f"component {'-'.join(map(str, c.vertices))}: {c.kind}{cyc}")
-        mins = minimal_linear_generators(ideal, cap)
+        mins = minimal_linear_generators(ideal)
         print(f"minimal linear generators ({len(mins)}):")
         for b in mins:
             print(f"  {render_binomial(ideal, b)}")
-        rt = relation_type_estimate(ideal, 3, cap)
+        rt = relation_type_estimate(ideal, 3)
         if rt.witness is not None:
             print(f"degree-{rt.witness.degree} generator: "
                   f"{render_binomial(ideal, rt.witness)}")
@@ -299,40 +300,24 @@ def cmd_demo(args) -> int:
         b = taylor_binomial(ideal, alpha, beta)
         print(f"distinguished pair: {render_binomial(ideal, b)}")
         print(f"  (negated: {render_binomial(ideal, swap_binomial(b))})")
-        w = irredundancy_witness(ideal, alpha, beta)
-        assert w is not None
-        from .graphs import even_closed_walk
-
-        names = ideal.table.names
-        print(f"irredundancy witness: distinct row "
-              f"({','.join(map(str, w.avec))}), b1={w.b1}, b2={w.b2}")
-        print("  separating x-vars: " + " ".join(names[v] for v in w.xvars))
-        print("  separating z-vars: " + " ".join(names[v] for v in w.zvars))
-        walk = even_closed_walk(ideal, w)
-        print(f"  closed even walk (length {walk.length}): "
-              + "-".join(map(str, walk.vertices)))
-        verdict = member_lower(ideal, b, 2, cap)
+        _print_witness(ideal, irredundancy_witness(ideal, alpha, beta))
+        verdict = member_lower(ideal, b, 2)
         print(f"reduces modulo layers <= 2: {verdict.status}")
-        rt = relation_type_estimate(ideal, 3, cap)
+        rt = relation_type_estimate(ideal, 3)
         print(f"certified relation type lower bound: {rt.certified_lower}; "
               f"verified upper through: {rt.verified_upper_through}")
         return 0
     # family
     n = args.n
     if n < 5:
-        print("error: the family needs --n at least 5", file=sys.stderr)
-        return 2
+        raise BadInput("the family needs --n at least 5")
     ideal = family_ideal(n)
     print(render_ideal(ideal), end="")
     f_binom = family_f_binomial(n)
     print(f"F (degree {f_binom.degree}): {render_binomial(ideal, f_binom)}")
     print(f"  substitutes to zero: {substitute_check(ideal, f_binom)}")
     k = 2 * n - 8
-    from .taylor import weighted_degree
-
-    u, _ = f_binom.terms()
-    verdict = member_lower(ideal, f_binom, k,
-                           cap if cap else weighted_degree(ideal, u) + 8)
+    verdict = member_lower(ideal, f_binom, k)
     print(f"  reduces modulo layers <= {k}: {verdict.status}")
     g_binom, audit = family_corrected_g(n)
     lo, hi = audit["naive_tdegrees"]
@@ -342,7 +327,7 @@ def cmd_demo(args) -> int:
           f"recovered exponents {audit['corrected_exponents']}")
     print(f"G (degree {g_binom.degree}): {render_binomial(ideal, g_binom)}")
     print(f"  fiber witness (new generator with non-unit coefficients): "
-          f"{fiber_witness(ideal, g_binom, cap)}")
+          f"{fiber_witness(ideal, g_binom)}")
     return 0
 
 
@@ -350,9 +335,8 @@ def cmd_random(args) -> int:
     try:
         ideal = random_shape_ideal(args.graph_shape, args.n, args.vars,
                                    args.seed)
-    except (AssertionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except ValueError as exc:
+        raise BadInput(exc) from None
     print(f"# {args.graph_shape} ideal, n={args.n}, seed={args.seed}")
     print(render_ideal(ideal), end="")
     return 0
@@ -370,7 +354,6 @@ def main(argv=None) -> int:
     p.add_argument("--oracle", action="store_true",
                    help="cross-check the verdict with the membership oracle")
     p.add_argument("--s-max", type=int, default=None)
-    p.add_argument("--cap", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.add_argument("--dot", metavar="PATH",
                    help="write the generator graph in DOT format")
@@ -391,13 +374,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("rt", help="layered relation-type estimate")
     p.add_argument("ideal")
     p.add_argument("--s-max", type=int, default=None)
-    p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=cmd_rt)
 
     p = sub.add_parser("demo", help="built-in worked examples")
     p.add_argument("name", choices=["villarreal", "pentagon", "family"])
     p.add_argument("--n", type=int, default=5, help="family size (>= 5)")
-    p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=cmd_demo)
 
     p = sub.add_parser("random", help="emit a random ideal file")
@@ -410,7 +391,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_random)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BadInput as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -49,10 +49,16 @@ def triangle_ideal() -> SquareFreeIdeal:
 
 def path_ideal(edges: int = 4) -> SquareFreeIdeal:
     """Edge ideal of a path: f_i = x_i x_{i+1}."""
-    assert edges >= 2
+    if edges < 2:
+        raise ValueError(f"a path needs at least 2 edges, got {edges}")
     return make_ideal(
         [f"x{i}" for i in range(1, edges + 2)],
         [[i, i + 1] for i in range(edges)])
+
+
+def _check_family_size(n: int) -> None:
+    if n < 5:
+        raise ValueError(f"the family needs n >= 5, got {n}")
 
 
 def family_ideal(n: int) -> SquareFreeIdeal:
@@ -63,7 +69,7 @@ def family_ideal(n: int) -> SquareFreeIdeal:
         f_{n-1} = x_2 ... x_{n-2} y
         f_n     = u_2 ... u_{n-2} z
     """
-    assert n >= 5
+    _check_family_size(n)
     mid = list(range(2, n - 1))
     names = ["y"] + [f"x{i}" for i in mid] + ["z"] + [f"u{i}" for i in mid]
     table = {name: pos for pos, name in enumerate(names)}
@@ -81,7 +87,7 @@ def family_ideal(n: int) -> SquareFreeIdeal:
 def family_f_binomial(n: int) -> ReesBinomial:
     """The distinguished degree-(2n-7) relation of family_ideal(n):
     alpha = (1^{n-4}, 2, ..., n-2) against beta = ((n-1)^{n-3}, n^{n-4})."""
-    assert n >= 5
+    _check_family_size(n)
     alpha = (1,) * (n - 4) + tuple(range(2, n - 1))
     beta = (n - 1,) * (n - 3) + (n,) * (n - 4)
     return taylor_binomial(family_ideal(n), tuple(sorted(alpha)),
@@ -98,7 +104,7 @@ def family_corrected_g(n: int) -> tuple[ReesBinomial, dict]:
     monomial under T_i -> f_i t.  The audit record reports the rejected
     guess, the mismatch, and the unique surviving triple.
     """
-    assert n >= 5
+    _check_family_size(n)
     ideal = family_ideal(n)
     z_var = ideal.table.index("z")
     y_var = ideal.table.index("y")
@@ -147,7 +153,8 @@ def random_ideal(rng: random.Random, n: int, num_vars: int,
                  max_tries: int = 2000) -> SquareFreeIdeal:
     """A random valid square-free ideal with n generators over num_vars
     variables, generator supports of size 2..4."""
-    assert n >= 1 and num_vars >= 3
+    if n < 1 or num_vars < 3:
+        raise ValueError(f"need n >= 1 and num_vars >= 3, got {n}, {num_vars}")
     names = [f"x{i}" for i in range(1, num_vars + 1)]
     for _ in range(max_tries):
         supports = []
@@ -175,13 +182,15 @@ def random_shape_ideal(shape: str, n: int, extra_vars: int = 0,
     rng = random.Random(seed)
     edges: list[tuple[int, int]] = []
     if shape == "forest":
-        assert n >= 1
+        if n < 1:
+            raise ValueError(f"a forest needs at least 1 generator, got {n}")
         for v in range(2, n + 1):
             if rng.random() < 0.8:
                 edges.append((rng.randint(1, v - 1), v))
     elif shape in ("odd-cycle", "even-cycle"):
         low = 3 if shape == "odd-cycle" else 4
-        assert n >= low, f"{shape} needs at least {low} generators"
+        if n < low:
+            raise ValueError(f"{shape} needs at least {low} generators")
         choices = [c for c in range(low, n + 1) if c % 2 == low % 2]
         c = rng.choice(choices)
         for v in range(1, c):

@@ -113,7 +113,8 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 
 def mono_pow(a: Monomial, k: int) -> Monomial:
-    assert k >= 0
+    if k < 0:
+        raise ValueError(f"negative exponent {k}")
     if k == 0:
         return Monomial.one()
     return Monomial(tuple((v, e * k) for v, e in a.exps))

@@ -1,22 +1,20 @@
-"""Brute-force membership oracle for the rewriting congruence of Taylor
-relations.
+"""Exact membership oracle for Taylor relations modulo lower layers.
 
-A rewrite rule is an unordered pair of RT-monomials (the two terms of a
-binomial relation).  A step replaces a whole-monomial occurrence of one side
-inside a monomial by the other side.  Two monomials are congruent modulo a
-rule set exactly when a chain of such steps connects them, which for pure
-binomial ideals is the same as the difference lying in the ideal the rules
-generate.
+A rewrite step replaces a whole-monomial occurrence of one term of a Taylor
+binomial inside a monomial by the other term.  For pure binomial ideals the
+difference of two monomials lies in the ideal of a set of binomials exactly
+when a chain of such steps connects them.
 
 member_lower decides whether a degree-s binomial pair reduces modulo all
 relation layers up to k without materializing those layers: every monomial
 reachable from (f_beta/g) T_alpha has the shape (M / f_delta) T_delta with
 M = lcm(f_alpha, f_beta) and f_delta dividing M, and a move between fiber
 nodes delta, delta' exists under some layer-<=k rule precisely when their
-multiset distance is at most k.  The search therefore runs on the fiber
-universe {delta : f_delta | M}, which stays small even where the raw rule
-count is astronomical.  Since every fiber node has the same substituted
-degree, the degree cap never prunes there and a negative answer is exact.
+multiset distance is at most k.  The search therefore runs on the finite
+fiber universe {delta : f_delta | M}, which stays small even where the raw
+rule count is astronomical, and both answers are exact: no degree cap is
+involved, because every rewrite keeps the substituted monomial M t^s.
+minimal_linear_generators applies the same fiber argument to layer 1.
 """
 
 from __future__ import annotations
@@ -65,7 +63,7 @@ class ChainStep(NamedTuple):
 
 @dataclass(frozen=True)
 class Verdict:
-    status: str  # "yes" | "no" | "unknown"
+    status: str  # "yes" | "no"
     chain: tuple[ChainStep, ...] = ()
     note: str = ""
 
@@ -79,7 +77,8 @@ class Verdict:
 
     @property
     def is_unknown(self) -> bool:
-        return self.status == "unknown"
+        """Always False: every verdict is exact."""
+        return False
 
 
 def apply_step(w: RTMonomial, step: ChainStep) -> RTMonomial:
@@ -95,86 +94,6 @@ def replay_chain(u: RTMonomial, chain: Iterable[ChainStep]) -> RTMonomial:
     for step in chain:
         w = apply_step(w, step)
     return w
-
-
-def rewrite_step(w: RTMonomial, rule: RewriteRule) -> tuple[RTMonomial, ...]:
-    """All single-step rewrites of w by the rule, forward results first."""
-    out = []
-    if rt_divides(rule.left, w):
-        out.append(rt_mul(rt_div_exact(w, rule.left), rule.right))
-    if rt_divides(rule.right, w):
-        cand = rt_mul(rt_div_exact(w, rule.right), rule.left)
-        if cand not in out:
-            out.append(cand)
-    return tuple(out)
-
-
-def congruent(ideal: SquareFreeIdeal, rules: Seq[RewriteRule], u: RTMonomial,
-              v: RTMonomial, cap: Optional[int] = None) -> Verdict:
-    """Bidirectional breadth-first search for a rewrite chain from u to v.
-
-    cap bounds the substituted total degree of intermediate monomials and
-    defaults to deg(u) + 4.  A "no" is only reported when the search space
-    under the cap is exhausted without any pruned expansion.
-    """
-    du = weighted_degree(ideal, u)
-    if cap is None:
-        cap = du + 4
-    if cap < du:
-        raise ValueError(f"cap {cap} below the degree {du} of the start monomial")
-    if u == v:
-        return Verdict("yes")
-
-    # parent[w] = (previous, step applied at previous to reach w)
-    parent_u: dict[RTMonomial, Optional[tuple[RTMonomial, ChainStep]]] = {u: None}
-    parent_v: dict[RTMonomial, Optional[tuple[RTMonomial, ChainStep]]] = {v: None}
-    frontier_u, frontier_v = [u], [v]
-    pruned = 0
-
-    def build_chain(meet: RTMonomial) -> tuple[ChainStep, ...]:
-        fwd = []
-        node = meet
-        while parent_u[node] is not None:
-            prev, step = parent_u[node]
-            fwd.append(step)
-            node = prev
-        fwd.reverse()
-        back = []
-        node = meet
-        while parent_v[node] is not None:
-            prev, step = parent_v[node]
-            back.append(ChainStep(step.rule, not step.forward))
-            node = prev
-        return tuple(fwd + back)
-
-    while frontier_u and frontier_v:
-        grow_u = len(frontier_u) <= len(frontier_v)
-        frontier = frontier_u if grow_u else frontier_v
-        mine = parent_u if grow_u else parent_v
-        other = parent_v if grow_u else parent_u
-        nxt = []
-        for w in frontier:
-            for rule in rules:
-                for idx, res in enumerate(rewrite_step(w, rule)):
-                    if res in mine:
-                        continue
-                    if weighted_degree(ideal, res) > cap:
-                        pruned += 1
-                        continue
-                    fwd_dir = rt_divides(rule.left, w) and idx == 0
-                    mine[res] = (w, ChainStep(rule, fwd_dir))
-                    if res in other:
-                        return Verdict("yes", build_chain(res))
-                    nxt.append(res)
-        if grow_u:
-            frontier_u = nxt
-        else:
-            frontier_v = nxt
-
-    if pruned == 0:
-        return Verdict("no", note="search space exhausted")
-    return Verdict("unknown",
-                   note=f"cap {cap} exhausted with {pruned} pruned expansions")
 
 
 # --- fiber-based layered membership ---------------------------------------
@@ -218,14 +137,18 @@ def _bfs_path(start: Sequence, goal: Sequence, universe: list[Sequence],
 def member_lower(ideal: SquareFreeIdeal, b: ReesBinomial, k: int,
                  cap: Optional[int] = None) -> Verdict:
     """Does the layer-s pair of b rewrite into one another modulo all
-    relation layers of degree at most k?  Exact yes/no on the lcm fiber."""
+    relation layers of degree at most k?  Exact yes/no on the lcm fiber.
+
+    cap is kept for older callers and only validated: no fiber search is
+    ever cut off by degree."""
     if k < 1:
         raise ValueError("layer bound k must be at least 1")
+    if cap is not None:
+        du = weighted_degree(ideal, b.terms()[0])
+        if cap < du:
+            raise ValueError(
+                f"cap {cap} below the degree {du} of the start monomial")
     s = b.degree
-    u, _ = b.terms()
-    du = weighted_degree(ideal, u)
-    if cap is not None and cap < du:
-        raise ValueError(f"cap {cap} below the degree {du} of the start monomial")
 
     if multiset_distance(b.alpha, b.beta) <= k:
         return Verdict("yes", (_fiber_step(ideal, b.alpha, b.beta),),
@@ -305,60 +228,50 @@ def _support_mask(seq: Sequence) -> int:
 
 # --- layered relation-type estimation --------------------------------------
 
+def default_s_max(n: int) -> int:
+    """The top layer swept when none is given: n - 1, clamped to 2..6."""
+    return max(2, min(n - 1, 6))
+
+
 @dataclass
 class RtReport:
     certified_lower: int
     witness: Optional[ReesBinomial]
     verified_upper_through: int
-    layer_tallies: dict[int, tuple[int, int, int]] = field(default_factory=dict)
-    unknown_count: int = 0
-    s_max: int = 1
+    layer_tallies: dict[int, tuple[int, int]] = field(default_factory=dict)
 
 
-def relation_type_estimate(ideal: SquareFreeIdeal, s_max: int,
-                           cap: Optional[int] = None) -> RtReport:
+def relation_type_estimate(ideal: SquareFreeIdeal, s_max: int) -> RtReport:
     """Test every layer 2..s_max against all strictly lower layers.
 
+    layer_tallies maps each layer to its (reducing, new) pair counts.
     certified_lower starts at the vacuous floor 1 and becomes the largest
     layer containing a pair that does not reduce (with a witness binomial).
-    verified_upper_through is the largest s' <= s_max such that every layer
-    strictly between certified_lower and s' reduced completely.
+    Every verdict is exact, so all layers through s_max are verified.
     """
-    assert s_max >= 1
-    tallies: dict[int, tuple[int, int, int]] = {}
+    if s_max < 1:
+        raise ValueError(f"s_max must be at least 1, got {s_max}")
+    tallies: dict[int, tuple[int, int]] = {}
     certified_lower = 1
     witness: Optional[ReesBinomial] = None
-    unknown_total = 0
     for s in range(2, s_max + 1):
-        yes = no = unknown = 0
+        yes = no = 0
         first_no: Optional[ReesBinomial] = None
         for b in taylor_layer(ideal, s):
-            verdict = member_lower(ideal, b, s - 1, cap)
-            if verdict.is_yes:
+            if member_lower(ideal, b, s - 1).is_yes:
                 yes += 1
-            elif verdict.is_no:
+            else:
                 no += 1
                 if first_no is None:
                     first_no = b
-            else:
-                unknown += 1
-        tallies[s] = (yes, no, unknown)
-        unknown_total += unknown
+        tallies[s] = (yes, no)
         if no > 0:
             certified_lower = s
             witness = first_no
-    upper = s_max
-    for d in range(certified_lower + 1, s_max + 1):
-        if tallies[d][2] > 0:
-            upper = d - 1
-            break
-    upper = max(upper, certified_lower)
-    return RtReport(certified_lower, witness, upper, tallies, unknown_total,
-                    s_max)
+    return RtReport(certified_lower, witness, s_max, tallies)
 
 
-def fiber_witness(ideal: SquareFreeIdeal, b: ReesBinomial,
-                  cap: Optional[int] = None) -> bool:
+def fiber_witness(ideal: SquareFreeIdeal, b: ReesBinomial) -> bool:
     """True when b both fails to reduce modulo all strictly lower layers and
     carries a non-unit coefficient on at least one side (so it witnesses a
     minimal generator outside the linear-plus-fiber part)."""
@@ -366,18 +279,32 @@ def fiber_witness(ideal: SquareFreeIdeal, b: ReesBinomial,
         return False
     if b.degree == 1:
         return True
-    return not member_lower(ideal, b, b.degree - 1, cap).is_yes
+    return member_lower(ideal, b, b.degree - 1).is_no
 
 
-def minimal_linear_generators(ideal: SquareFreeIdeal,
-                              cap: Optional[int] = None) -> list[ReesBinomial]:
-    """Greedy pruning of the degree-1 layer: drop a binomial whenever it is
-    congruent to zero modulo the others that are still kept."""
+def minimal_linear_generators(ideal: SquareFreeIdeal) -> list[ReesBinomial]:
+    """Greedy pruning of the degree-1 layer: drop T_{i,j} whenever the
+    others still kept rewrite one of its terms into the other.
+
+    On the layer-1 fiber of M = lcm(f_i, f_j) a kept T_{k,l} moves
+    (M/f_k) T_k to (M/f_l) T_l exactly when lcm(f_k, f_l) divides M, so
+    T_{i,j} is dropped when such moves join i to j."""
     kept = list(taylor_layer(ideal, 1))
+    lcm = {(b.alpha, b.beta): mono_lcm(product_of(ideal, b.alpha),
+                                       product_of(ideal, b.beta))
+           for b in kept}
     for b in list(kept):
-        others = [x for x in kept if x is not b]
-        rules = [RewriteRule.from_binomial(x) for x in others]
-        u, v = b.terms()
-        if congruent(ideal, rules, u, v, cap).is_yes:
+        big = lcm[b.alpha, b.beta]
+        moves = [x.alpha + x.beta for x in kept
+                 if x is not b and mono_divides(lcm[x.alpha, x.beta], big)]
+        reach = set(b.alpha)
+        grew = True
+        while grew:
+            grew = False
+            for k, l in moves:
+                if (k in reach) != (l in reach):
+                    reach |= {k, l}
+                    grew = True
+        if b.beta[0] in reach:
             kept.remove(b)
     return kept

@@ -33,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .graphs import GeneratorGraph, build_graph, components, induced_subgraph
+from .graphs import GeneratorGraph, components, induced_subgraph
 from .monomials import (
     Monomial,
     SquareFreeIdeal,
@@ -43,6 +43,7 @@ from .monomials import (
     mono_mul,
     mono_pow,
 )
+from .oracle import member_lower
 from .taylor import (
     ReesBinomial,
     Sequence,
@@ -79,9 +80,11 @@ class BlockPartition:
     blocks: tuple[tuple[Sequence, Sequence], ...]
 
     def __post_init__(self):
-        assert self.blocks, "empty partition"
+        if not self.blocks:
+            raise ValueError("empty partition")
         for a, b in self.blocks:
-            assert a and b and len(a) == len(b), f"bad block {(a, b)!r}"
+            if not (a and b and len(a) == len(b)):
+                raise ValueError(f"bad block {(a, b)!r}")
 
     @property
     def alpha(self) -> Sequence:
@@ -184,11 +187,6 @@ def split_certificate(ideal: SquareFreeIdeal, partition: BlockPartition,
             + [c for j in range(i) for c in blocks[j][1]]))
         terms.append(CertTerm(coef, tfactor, taylor_binomial(ideal, a_i, b_i)))
     return Certificate(target, tuple(terms), rule_name, "as-given", note)
-
-
-def rule_split(ideal: SquareFreeIdeal,
-               partition: BlockPartition) -> Certificate:
-    return split_certificate(ideal, partition)
 
 
 # --- the named rules -------------------------------------------------------
@@ -437,8 +435,8 @@ def _is_connected(g: GeneratorGraph) -> bool:
     return len(components(g)) == 1
 
 
-def rule_tree_leaf(ideal: SquareFreeIdeal, alpha: Sequence, beta: Sequence,
-                   graph: Optional[GeneratorGraph] = None) -> Optional[Certificate]:
+def rule_tree_leaf(ideal: SquareFreeIdeal, alpha: Sequence,
+                   beta: Sequence) -> Optional[Certificate]:
     """Disjoint rows whose induced generator graph is a tree: peel at a leaf
     of one row whose unique neighbor lies in the other row.
 
@@ -484,8 +482,8 @@ def rule_tree_leaf(ideal: SquareFreeIdeal, alpha: Sequence, beta: Sequence,
     return None
 
 
-def rule_odd_cycle_step(ideal: SquareFreeIdeal, alpha: Sequence, beta: Sequence,
-                        graph: Optional[GeneratorGraph] = None) -> Optional[Certificate]:
+def rule_odd_cycle_step(ideal: SquareFreeIdeal, alpha: Sequence,
+                        beta: Sequence) -> Optional[Certificate]:
     """Disjoint rows inducing a single odd cycle of length >= 5, degree >= 4:
     find consecutive cycle vertices b1 - a1 - a2 - b2 with the a's in one row,
     the b's in the other, and both a-multiplicities strictly below the
@@ -542,8 +540,9 @@ class IrredundancyWitness:
     (b1^{s-1}, b2).  For the i-th entry of avec, xvars[i] is a variable
     dividing every other avec generator and f_{b1} but neither f_{avec[i]}
     nor f_{b2}; zvars[i] divides f_{avec[i]} and f_{b2} and nothing else in
-    the pattern.  These force any expression of the binomial in terms of
-    lower-degree relations to miss one of its monomials."""
+    the pattern.  The pattern alone is not sufficient (other generators
+    can route around it), so a witness is only valid when the exact oracle
+    confirms the pair does not reduce modulo all lower layers."""
 
     alpha: Sequence
     beta: Sequence
@@ -578,13 +577,20 @@ class IrredundancyWitness:
             if not (z in sup[ai] and z in sup[self.b2] and z not in sup[self.b1]
                     and all(z not in sup[a] for a in others)):
                 return False
-        return True
+        return _confirmed(ideal, self.alpha, self.beta)
+
+
+def _confirmed(ideal: SquareFreeIdeal, alpha: Sequence, beta: Sequence) -> bool:
+    """The exact oracle: the pair does not reduce modulo lower layers."""
+    b = taylor_binomial(ideal, alpha, beta)
+    return member_lower(ideal, b, b.degree - 1).is_no
 
 
 def irredundancy_witness(ideal: SquareFreeIdeal, alpha: Sequence,
                          beta: Sequence) -> Optional[IrredundancyWitness]:
     """Search both role assignments for an irredundancy witness; per entry
-    the first suitable variable in table order is taken."""
+    the first suitable variable in table order is taken.  A pattern is
+    returned only when the oracle confirms the pair (see _confirmed)."""
     alpha = tuple(alpha)
     beta = tuple(beta)
     num_vars = len(ideal.table)
@@ -623,6 +629,8 @@ def irredundancy_witness(ideal: SquareFreeIdeal, alpha: Sequence,
                 xv.append(x)
                 zv.append(z)
             else:
+                if not _confirmed(ideal, alpha, beta):
+                    return None
                 return IrredundancyWitness(alpha, beta, avec, b1, b2,
                                            tuple(xv), tuple(zv), swapped)
     return None
@@ -647,32 +655,16 @@ def _pair_key(a: Sequence, b: Sequence):
     return (a, b) if a <= b else (b, a)
 
 
-def _dispatch(ideal: SquareFreeIdeal, a: Sequence, b: Sequence,
-              graph: GeneratorGraph) -> Optional[list[Certificate]]:
-    cert = rule_shared_index(ideal, a, b)
-    if cert is not None:
-        return [cert]
-    cert = rule_power_factor(ideal, a, b)
-    if cert is not None:
-        return [cert]
-    cert = rule_constant_row(ideal, a, b)
-    if cert is not None:
-        return [cert]
-    cert = rule_block_disjoint(ideal, a, b)
-    if cert is not None:
-        return [cert]
-    certs = rule_two_by_two(ideal, a, b)
-    if certs is not None:
-        return certs
-    certs = rule_three_by_two(ideal, a, b)
-    if certs is not None:
-        return certs
-    cert = rule_tree_leaf(ideal, a, b, graph)
-    if cert is not None:
-        return [cert]
-    cert = rule_odd_cycle_step(ideal, a, b, graph)
-    if cert is not None:
-        return [cert]
+def _dispatch(ideal: SquareFreeIdeal, a: Sequence,
+              b: Sequence) -> Optional[list[Certificate]]:
+    # built per call, so every rule name resolves at call time and module
+    # level wrappers (bench/tracer.py) see each attempt
+    for rule in (rule_shared_index, rule_power_factor, rule_constant_row,
+                 rule_block_disjoint, rule_two_by_two, rule_three_by_two,
+                 rule_tree_leaf, rule_odd_cycle_step):
+        res = rule(ideal, a, b)
+        if res is not None:
+            return res if isinstance(res, list) else [res]
     return None
 
 
@@ -689,7 +681,6 @@ def reduce_to_normal(ideal: SquareFreeIdeal, alpha: Sequence,
         raise ValueError("equal rows give the zero binomial")
     if len(a) == 1:
         return ReductionOutcome("reduced", (), terminal_degree=1)
-    graph = build_graph(ideal)
     chain: list[Certificate] = []
     expressed: set = set()
     queue: list[tuple[Sequence, Sequence]] = [(a, b)]
@@ -697,7 +688,7 @@ def reduce_to_normal(ideal: SquareFreeIdeal, alpha: Sequence,
     is_top = True
     while queue:
         pa, pb = queue.pop(0)
-        res = _dispatch(ideal, pa, pb, graph)
+        res = _dispatch(ideal, pa, pb)
         if res is None:
             if is_top:
                 return ReductionOutcome(

@@ -81,13 +81,15 @@ def seq_intersection(a: Sequence, b: Sequence) -> Sequence:
 
 def multiset_distance(a: Sequence, b: Sequence) -> int:
     """For equal-length sequences: how many entries of a are not matched in b."""
-    assert len(a) == len(b)
+    if len(a) != len(b):
+        raise ValueError("rows must have equal length")
     return len(a) - sum((Counter(a) & Counter(b)).values())
 
 
 def enumerate_sequences(n: int, s: int) -> Iterator[Sequence]:
     """All non-decreasing sequences of length s over 1..n, lex order."""
-    assert s >= 1 and n >= 1
+    if s < 1 or n < 1:
+        raise ValueError(f"need s >= 1 and n >= 1, got s = {s}, n = {n}")
     return itertools.combinations_with_replacement(range(1, n + 1), s)
 
 
@@ -104,7 +106,8 @@ class RTMonomial:
     tpart: Sequence
 
     def __post_init__(self):
-        assert tuple(sorted(self.tpart)) == self.tpart
+        if tuple(sorted(self.tpart)) != self.tpart:
+            raise ValueError(f"T-part {self.tpart!r} is not sorted")
 
 
 def rt_mul(a: RTMonomial, b: RTMonomial) -> RTMonomial:
@@ -177,7 +180,8 @@ def taylor_layer(ideal: SquareFreeIdeal, s: int,
     With skip_shared, pairs whose sequences share an index are dropped
     (those reduce one degree down by deleting the shared index).
     """
-    assert s >= 1
+    if s < 1:
+        raise ValueError(f"layer must be at least 1, got {s}")
     seqs = list(enumerate_sequences(ideal.n, s))
     out = []
     for i, a in enumerate(seqs):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from reeskit.classify import (
@@ -10,13 +12,15 @@ from reeskit.demos import (
     family_ideal,
     path_ideal,
     pentagon_ideal,
+    random_ideal,
     random_shape_ideal,
     triangle_ideal,
     villarreal_ideal,
 )
 from reeskit.graphs import even_closed_walk
 from reeskit.monomials import make_ideal
-from reeskit.taylor import substitute_check
+from reeskit.oracle import default_s_max, member_lower
+from reeskit.taylor import substitute_check, taylor_binomial
 
 
 class TestClassify:
@@ -65,6 +69,11 @@ class TestClassify:
         report = classify(family_ideal(6))
         # n = 6 with one big component of 6 vertices: no ladder rung fits
         assert report.verdict == "Unknown"
+        assert report.oracle_hint.endswith(f"--s-max {default_s_max(6)}")
+
+    def test_witness_search_rejects_large_components(self):
+        with pytest.raises(ValueError):
+            nonlinear_witnesses(family_ideal(6))
 
     def test_linear_type_when_witness_search_empty(self):
         # a diamond-free chordal-ish example: 4 generators sharing one hub
@@ -118,6 +127,37 @@ class TestShapeFamilies:
             assert classify(I).verdict == "LinearType", seed
 
 
+class TestOracleConfirmedWitnesses:
+    def test_refuted_pattern_leaves_linear_type(self):
+        # seed 1113 carried only a pattern whose pair reduces; the oracle's
+        # lower bound is 1
+        I = random_ideal(random.Random(1113), 5, 8)
+        report = classify(I)
+        assert report.verdict == "LinearType"
+        assert not report.witnesses
+        assert cross_validate(I).rt_report.certified_lower == 1
+
+    def test_refuted_pattern_dropped_genuine_kept(self):
+        I = random_ideal(random.Random(1063), 5, 8)
+        report = classify(I)
+        pairs = [(ev.binomial.alpha, ev.binomial.beta)
+                 for ev in report.witnesses]
+        assert ((2, 5), (3, 4)) not in pairs
+        assert pairs == [((1, 5), (2, 4))]
+        assert cross_validate(I).rt_report.certified_lower == 2
+
+    def test_every_reported_witness_is_oracle_confirmed(self):
+        confirmed = 0
+        for seed in range(400):
+            I = random_ideal(random.Random(seed), 5, 8)
+            for ev in classify(I).witnesses:
+                b = ev.binomial
+                assert member_lower(I, b, b.degree - 1).is_no, \
+                    (seed, b.alpha, b.beta)
+                confirmed += 1
+        assert confirmed > 100
+
+
 class TestCrossValidate:
     def test_villarreal_consistent(self):
         cross = cross_validate(villarreal_ideal(), s_max=3)
@@ -147,3 +187,19 @@ class TestCrossValidate:
             cross_validate(V, s_max=3)
         assert err.value.rt_report.certified_lower == 2
         assert err.value.classification.verdict == "LinearType"
+
+    def test_reported_witness_that_reduces_raises(self, monkeypatch):
+        # a cooked witness list naming a pair the oracle reduces
+        import dataclasses
+
+        P = path_ideal(4)
+        real = classify(villarreal_ideal())
+        cooked = dataclasses.replace(
+            real, verdict_kind="rt_at_most", rt_bound=2,
+            witnesses=(dataclasses.replace(
+                real.witnesses[0],
+                binomial=taylor_binomial(P, (1, 2), (3, 4))),))
+        monkeypatch.setattr("reeskit.classify.classify", lambda ideal: cooked)
+        with pytest.raises(Inconsistency) as err:
+            cross_validate(P, s_max=3)
+        assert "reduces" in str(err.value)

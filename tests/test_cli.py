@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import reeskit
 from reeskit.cli import main
 from reeskit.demos import villarreal_ideal
 from reeskit.ideal_io import parse_ideal_text, render_ideal
@@ -29,11 +34,13 @@ def test_classify_json_shape(villarreal_file, capsys):
     assert list(data)[:7] == ["ideal", "graph", "verdict", "justification",
                               "witnesses", "oracle", "versions"]
     assert data["verdict"] == "RtAtMost(2)"
-    assert data["versions"] == {"format": 1}
+    assert data["versions"] == {"format": 2}
     assert data["ideal"]["vars"][0] == "x1"
     assert data["graph"]["classes"][0]["kind"] == "unique_even_cycle"
     assert data["oracle"]["certified_lower"] == 2
     assert data["oracle"]["layers"]["2"]["no"] >= 1
+    assert set(data["oracle"]["layers"]["2"]) == {"yes", "no"}
+    assert "unknown_count" not in data["oracle"]
     assert data["witnesses"][0]["alpha"] == [1, 3]
 
 
@@ -97,8 +104,54 @@ def test_reduce_bad_row_exit_code(villarreal_file, capsys):
 def test_rt_output(villarreal_file, capsys):
     assert main(["rt", villarreal_file, "--s-max", "3"]) == 0
     out = capsys.readouterr().out
+    assert "layer 2: 44 reduce, 1 new\n" in out
     assert "certified lower bound: 2" in out
     assert "verified upper through: 3" in out
+
+
+def test_rt_default_layers_for_two_generators(tmp_path, capsys):
+    path = tmp_path / "two.ideal"
+    path.write_text("vars: a b c\nf1: a b\nf2: b c\n")
+    assert main(["rt", str(path)]) == 0
+    assert "layers tested: 2..2" in capsys.readouterr().out
+
+
+BAD_INPUTS = [
+    ["taylor", "{file}", "--degree", "0"],
+    ["rt", "{file}", "--s-max", "0"],
+    ["rt", "{file}", "--s-max", "-1"],
+    ["classify", "{file}", "--oracle", "--s-max", "1"],
+    ["classify", "{file}", "--dot", "{tmp}/no/such/dir/g.dot"],
+    ["reduce", "{file}", "--alpha", "1,x", "--beta", "2,4"],
+    ["random", "--graph-shape", "odd-cycle", "--n", "2"],
+    ["demo", "family", "--n", "4"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS,
+                         ids=lambda a: " ".join(a[:1] + a[2:]))
+def test_bad_input_exits_2_with_one_line(argv, villarreal_file, tmp_path,
+                                         capsys):
+    argv = [a.format(file=villarreal_file, tmp=tmp_path) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+@pytest.mark.parametrize("argv", [BAD_INPUTS[0], BAD_INPUTS[2]],
+                         ids=["taylor degree 0", "rt s-max -1"])
+def test_bad_input_exits_2_without_asserts(argv, villarreal_file, tmp_path):
+    # python -O strips assert statements; validation must not rely on them
+    argv = [a.format(file=villarreal_file, tmp=tmp_path) for a in argv]
+    src = str(Path(reeskit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-m", "reeskit.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_demo_villarreal(capsys):

@@ -16,89 +16,99 @@ from reeskit.oracle import (
     ChainStep,
     RewriteRule,
     apply_step,
-    congruent,
+    default_s_max,
     fiber_witness,
     member_lower,
     minimal_linear_generators,
     relation_type_estimate,
     replay_chain,
-    rewrite_step,
 )
-from reeskit.taylor import taylor_binomial, taylor_layer
+from reeskit.taylor import taylor_binomial, taylor_layer, weighted_degree
 
 
 def layer_rules(ideal, s):
     return [RewriteRule.from_binomial(b) for b in taylor_layer(ideal, s)]
 
 
-class TestCongruence:
-    def test_trivially_equal(self):
-        V = villarreal_ideal()
-        b = taylor_binomial(V, (1,), (2,))
-        u, _ = b.terms()
-        verdict = congruent(V, [], u, u)
-        assert verdict.is_yes
-        assert verdict.chain == ()
+def reference_chain(rules, u, v):
+    """Reference decision: breadth-first search over whole-monomial
+    rewrites by the rules in both directions.  There is no degree cap;
+    Taylor rules keep the substituted monomial, so the search is finite.
+    Returns a chain from u to v, or None when v is unreachable."""
+    parent = {u: None}
+    frontier = [u]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            if w == v:
+                chain = []
+                while parent[w] is not None:
+                    w, step = parent[w]
+                    chain.append(step)
+                return tuple(reversed(chain))
+            for rule in rules:
+                for forward in (True, False):
+                    step = ChainStep(rule, forward)
+                    try:
+                        res = apply_step(w, step)
+                    except ValueError:
+                        continue
+                    if res not in parent:
+                        parent[res] = (w, step)
+                        nxt.append(res)
+        frontier = nxt
+    return None
 
+
+def reference_minimal_linear(ideal):
+    kept = list(taylor_layer(ideal, 1))
+    for b in list(kept):
+        rules = [RewriteRule.from_binomial(x) for x in kept if x is not b]
+        if reference_chain(rules, *b.terms()) is not None:
+            kept.remove(b)
+    return [(b.alpha, b.beta) for b in kept]
+
+
+class TestCongruence:
     def test_one_step(self):
         V = villarreal_ideal()
         b = taylor_binomial(V, (1,), (2,))
         u, v = b.terms()
-        verdict = congruent(V, layer_rules(V, 1), u, v)
+        verdict = member_lower(V, b, 1)
         assert verdict.is_yes
-        assert len(verdict.chain) >= 1
+        assert len(verdict.chain) == 1
+        assert replay_chain(u, verdict.chain) == v
 
     def test_chain_replays_to_target(self):
-        V = villarreal_ideal()
-        b = taylor_binomial(V, (1, 3), (2, 4))
-        rules = layer_rules(V, 1) + layer_rules(V, 2)
-        u, v = b.terms()
-        verdict = congruent(V, rules, u, v)
-        assert verdict.is_yes
-        assert replay_chain(u, verdict.chain) == v
+        P = pentagon_ideal()
+        multi_step = 0
+        for b in taylor_layer(P, 3)[:60]:
+            verdict = member_lower(P, b, 2)
+            if verdict.is_yes:
+                u, v = b.terms()
+                assert replay_chain(u, verdict.chain) == v
+                multi_step += len(verdict.chain) > 1
+        assert multi_step > 0
 
     def test_not_congruent_without_the_needed_rule(self):
         V = villarreal_ideal()
         # the layer-2 cycle pair is not reachable from linear rules alone
         b = taylor_binomial(V, (1, 3), (2, 4))
         u, v = b.terms()
-        verdict = congruent(V, layer_rules(V, 1), u, v)
-        assert not verdict.is_yes
+        assert member_lower(V, b, 1).is_no
+        assert reference_chain(layer_rules(V, 1), u, v) is None
+        chain = reference_chain(layer_rules(V, 1) + layer_rules(V, 2), u, v)
+        assert chain is not None
+        assert replay_chain(u, chain) == v
 
     def test_cap_below_start_degree_rejected(self):
+        # the cap is only validated: no fiber search is cut off by degree
         V = villarreal_ideal()
         b = taylor_binomial(V, (1, 3), (2, 4))
-        u, v = b.terms()
         with pytest.raises(ValueError):
-            congruent(V, [], u, v, cap=0)
-
-    def test_degree_raising_rule_respects_cap(self):
-        # homogeneous rules never move the weighted degree, so the cap only
-        # matters for degree-raising rules; build one by hand
-        from reeskit.monomials import Monomial
-        from reeskit.oracle import RewriteRule
-        from reeskit.taylor import RTMonomial, weighted_degree
-
-        V = villarreal_ideal()
-        t1 = RTMonomial(Monomial.one(), (1,))
-        raise_by_x1 = RewriteRule(t1, RTMonomial(Monomial.from_dict({0: 1}),
-                                                 (1,)))
-        target = RTMonomial(Monomial.from_dict({0: 5}), (1,))
-        tight = weighted_degree(V, t1) + 2
-        verdict = congruent(V, [raise_by_x1], t1, target, cap=tight)
-        assert verdict.is_unknown
-        roomy = weighted_degree(V, t1) + 10
-        verdict = congruent(V, [raise_by_x1], t1, target, cap=roomy)
-        assert verdict.is_yes
-        assert replay_chain(t1, verdict.chain) == target
-
-    def test_rewrite_step_emits_both_directions(self):
-        V = villarreal_ideal()
-        b = taylor_binomial(V, (1,), (2,))
-        rule = RewriteRule.from_binomial(b)
-        u, v = b.terms()
-        assert v in rewrite_step(u, rule)
-        assert u in rewrite_step(v, rule)
+            member_lower(V, b, 1, cap=0)
+        tight = weighted_degree(V, b.terms()[0])
+        assert member_lower(V, b, 1, cap=tight) == member_lower(V, b, 1)
 
     def test_apply_step_forward_and_back(self):
         V = villarreal_ideal()
@@ -152,13 +162,11 @@ class TestMemberLower:
             layer = taylor_layer(I, 2)
             b = rng.choice(layer)
             fiber = member_lower(I, b, 1)
-            rules = layer_rules(I, 1)
             u, v = b.terms()
-            direct = congruent(I, rules, u, v)
-            if fiber.is_yes:
-                assert direct.is_yes
-            if fiber.is_no:
-                assert not direct.is_yes
+            direct = reference_chain(layer_rules(I, 1), u, v)
+            assert fiber.is_yes == (direct is not None), (b.alpha, b.beta)
+            assert fiber.is_yes != fiber.is_no
+            assert not fiber.is_unknown
 
 
 class TestRelationTypeEstimate:
@@ -169,7 +177,7 @@ class TestRelationTypeEstimate:
         assert report.witness is not None
         assert (report.witness.alpha, report.witness.beta) == ((1, 3), (2, 4))
         assert report.verified_upper_through == 3
-        assert report.unknown_count == 0
+        assert report.layer_tallies[3] == (len(taylor_layer(V, 3)), 0)
 
     def test_pentagon(self):
         P = pentagon_ideal()
@@ -193,8 +201,17 @@ class TestRelationTypeEstimate:
         V = villarreal_ideal()
         report = relation_type_estimate(V, 3)
         assert set(report.layer_tallies) == {2, 3}
-        yes, no, unknown = report.layer_tallies[2]
+        yes, no = report.layer_tallies[2]
         assert no >= 1  # the cycle quadratic
+        assert yes + no == len(taylor_layer(V, 2))
+
+    def test_rejects_empty_sweep(self):
+        with pytest.raises(ValueError):
+            relation_type_estimate(villarreal_ideal(), 0)
+
+    def test_default_s_max(self):
+        assert [default_s_max(n) for n in (1, 2, 3, 4, 7, 8, 20)] == \
+            [2, 2, 2, 3, 6, 6, 6]
 
 
 class TestFiberWitness:
@@ -232,6 +249,18 @@ class TestMinimalLinearGenerators:
         I = make_ideal(["a", "b", "c", "d"], [[0], [1], [2], [3]])
         kept = minimal_linear_generators(I)
         assert len(kept) == len(taylor_layer(I, 1)) == 6
+
+    def test_matches_reference_rewrite_search(self):
+        named = [villarreal_ideal(), pentagon_ideal(), triangle_ideal(),
+                 path_ideal(4), family_ideal(5)]
+        rng = random.Random(17)
+        seeded = [random_ideal(rng, rng.randint(3, 5), 7) for _ in range(40)]
+        dropped = 0
+        for I in named + seeded:
+            kept = [(b.alpha, b.beta) for b in minimal_linear_generators(I)]
+            assert kept == reference_minimal_linear(I)
+            dropped += len(taylor_layer(I, 1)) - len(kept)
+        assert dropped > 0
 
 
 @settings(max_examples=30, deadline=None)

@@ -24,7 +24,6 @@ from reeskit.reduction import (
     rule_odd_cycle_step,
     rule_power_factor,
     rule_shared_index,
-    rule_split,
     rule_three_by_two,
     rule_tree_leaf,
     rule_two_by_two,
@@ -32,6 +31,7 @@ from reeskit.reduction import (
     swap_certificate,
     verify_certificate,
 )
+from reeskit.oracle import member_lower
 from reeskit.taylor import taylor_binomial, taylor_layer
 
 
@@ -74,10 +74,11 @@ class TestSplitCertificate:
         assert err.value.index == 1
         assert "block 1" in str(err.value)
 
-    def test_rule_split_alias(self):
-        P = path_ideal(4)
-        part = BlockPartition((((2,), (3,)), ((1,), (4,))))
-        assert verify_certificate(P, rule_split(P, part))
+    def test_malformed_partition_rejected(self):
+        with pytest.raises(ValueError):
+            BlockPartition(())
+        with pytest.raises(ValueError):
+            BlockPartition((((1, 2), (3,)),))
 
 
 class TestSharedIndex:
@@ -354,6 +355,25 @@ class TestIrredundancyWitness:
         broken = dataclasses.replace(w, xvars=(w.xvars[1], w.xvars[0],
                                                w.xvars[2]))
         assert not broken.check(P)
+
+    @pytest.mark.parametrize("seed, alpha, beta", [
+        (1063, (2, 5), (3, 4)),
+        (1113, (1, 4), (2, 5)),
+    ])
+    def test_pattern_on_reducible_pair_is_refused(self, seed, alpha, beta,
+                                                  monkeypatch):
+        # the separating-variable pattern fits, but other generators route
+        # around it: the pair reduces modulo the linear layer
+        I = random_ideal(random.Random(seed), 5, 8)
+        assert member_lower(I, taylor_binomial(I, alpha, beta), 1).is_yes
+        assert irredundancy_witness(I, alpha, beta) is None
+        out = reduce_to_normal(I, alpha, beta)
+        assert out.status == "stuck" and out.witness is None
+        with monkeypatch.context() as m:
+            m.setattr("reeskit.reduction._confirmed", lambda *args: True)
+            pattern = irredundancy_witness(I, alpha, beta)
+        assert pattern is not None
+        assert not pattern.check(I)
 
 
 class TestReduceToNormal:
