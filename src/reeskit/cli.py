@@ -165,17 +165,19 @@ def _print_witness(ideal: SquareFreeIdeal, w: IrredundancyWitness) -> None:
 
 def cmd_classify(args) -> int:
     ideal = _load(args.ideal)
-    report = classify(ideal)
     rt = None
     if args.oracle:
         try:
-            rt = cross_validate(ideal, _s_max(args, ideal)).rt_report
+            cross = cross_validate(ideal, _s_max(args, ideal))
         except Inconsistency as exc:
             print(f"INCONSISTENT: {exc}", file=sys.stderr)
             print(f"verdict: {exc.classification.verdict}", file=sys.stderr)
             print(f"oracle lower bound: {exc.rt_report.certified_lower}",
                   file=sys.stderr)
             return 3
+        report, rt = cross.classification, cross.rt_report
+    else:
+        report = classify(ideal)
     if args.dot:
         try:
             with open(args.dot, "w") as fh:
@@ -258,7 +260,10 @@ def cmd_reduce(args) -> int:
     print(f"stuck at ({','.join(map(str, pa))})|({','.join(map(str, pb))}): "
           "no rule applies")
     if outcome.witness is None:
-        print("no irredundancy witness found; the pair may or may not reduce")
+        k = len(pa) - 1
+        verdict = member_lower(ideal, taylor_binomial(ideal, pa, pb), k)
+        print(f"no irredundancy witness found; reduces modulo layers <= {k}: "
+              f"{verdict.status}")
         return 0
     _print_witness(ideal, outcome.witness)
     return 0

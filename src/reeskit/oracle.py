@@ -15,12 +15,23 @@ fiber universe {delta : f_delta | M}, which stays small even where the raw
 rule count is astronomical, and both answers are exact: no degree cap is
 involved, because every rewrite keeps the substituted monomial M t^s.
 minimal_linear_generators applies the same fiber argument to layer 1.
+
+The fiber is enumerated directly, never by filtering the whole layer: a
+depth-first search over non-decreasing index sequences tracks the capacity
+of M still free, one packed integer field per variable of M.  Every
+generator is square-free, so picking index a takes one unit from each
+variable of supp(f_a); generators reaching outside supp(M) never fit, and a
+prefix is cut as soon as the picks still possible cannot fill the slots
+left.  The search yields the fiber in lex order, so paths are the same as a
+filter over the layer would give.  A yes verdict keeps its fiber path and
+builds the rewrite chain along it only when the chain is read.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence as Seq
 
 from .monomials import SquareFreeIdeal, mono_divides, mono_lcm
@@ -28,7 +39,6 @@ from .taylor import (
     ReesBinomial,
     RTMonomial,
     Sequence,
-    enumerate_sequences,
     multiset_distance,
     product_of,
     rt_div_exact,
@@ -63,9 +73,18 @@ class ChainStep(NamedTuple):
 
 @dataclass(frozen=True)
 class Verdict:
+    """An exact answer.  A yes carries the fiber path from alpha to beta;
+    chain, the rewrite steps along that path, is built on first read."""
+
     status: str  # "yes" | "no"
-    chain: tuple[ChainStep, ...] = ()
     note: str = ""
+    path: tuple[Sequence, ...] = ()
+    ideal: Optional[SquareFreeIdeal] = field(default=None, repr=False)
+
+    @cached_property
+    def chain(self) -> tuple[ChainStep, ...]:
+        return tuple(_fiber_step(self.ideal, a, b)
+                     for a, b in zip(self.path, self.path[1:]))
 
     @property
     def is_yes(self) -> bool:
@@ -107,12 +126,64 @@ def _fiber_step(ideal: SquareFreeIdeal, delta: Sequence,
     return ChainStep(rule, True)
 
 
-def _chain_from_path(ideal: SquareFreeIdeal,
-                     path: Seq[Sequence]) -> tuple[ChainStep, ...]:
-    return tuple(_fiber_step(ideal, a, b) for a, b in zip(path, path[1:]))
+def _fiber(ideal: SquareFreeIdeal, alpha: Sequence,
+           beta: Sequence) -> list[Sequence]:
+    """{delta : f_delta | lcm(f_alpha, f_beta)} in lex order.
+
+    The capacity still free is one integer with a field per variable of
+    the lcm, each field topped by a guard bit; subtracting a generator's
+    mask borrows a guard bit exactly when the generator does not fit."""
+    big = mono_lcm(product_of(ideal, alpha), product_of(ideal, beta))
+    s = len(alpha)
+    width = s.bit_length() + 1
+    guard = 1 << (width - 1)
+    shift: dict[int, int] = {}
+    full = guards = 0
+    for pos, (v, e) in enumerate(big.exps):
+        shift[v] = width * pos
+        full |= (guard | e) << shift[v]
+        guards |= guard << shift[v]
+    index, masks = [], []
+    for a, g in enumerate(ideal.gens, start=1):
+        if all(v in shift for v, _ in g.exps):
+            index.append(a)
+            masks.append(sum(1 << shift[v] for v, _ in g.exps))
+    out: list[Sequence] = []
+    stack: list[tuple[Sequence, int, int]] = [((), full, 0)]
+    while stack:
+        prefix, free, first = stack.pop()
+        left = s - len(prefix) - 1  # slots still open after the next pick
+        kids = []
+        for j in range(first, len(masks)):
+            rest = free - masks[j]
+            if rest & guards != guards:
+                continue
+            seq = prefix + (index[j],)
+            if not left:
+                out.append(seq)
+            # with one slot left the bound only asks whether some generator
+            # still fits, which the child's own scan answers
+            elif left == 1 or _can_fill(rest, masks[j:], guards, left):
+                kids.append((seq, rest, j))
+        stack.extend(reversed(kids))
+    return out
 
 
-def _bfs_path(start: Sequence, goal: Sequence, universe: list[Sequence],
+def _can_fill(free: int, masks: Seq[int], guards: int, slots: int) -> bool:
+    """Do the generators in masks, each counted as often as it alone still
+    fits in free, add up to slots picks?  That count bounds every way of
+    filling the slots, so False means the prefix cannot be completed."""
+    for mask in masks:
+        rest = free - mask
+        while rest & guards == guards:
+            slots -= 1
+            if not slots:
+                return True
+            rest -= mask
+    return False
+
+
+def _bfs_path(start: Sequence, goal: Sequence,
               neighbors) -> Optional[list[Sequence]]:
     parent: dict[Sequence, Optional[Sequence]] = {start: None}
     frontier = [start]
@@ -151,12 +222,9 @@ def member_lower(ideal: SquareFreeIdeal, b: ReesBinomial, k: int,
     s = b.degree
 
     if multiset_distance(b.alpha, b.beta) <= k:
-        return Verdict("yes", (_fiber_step(ideal, b.alpha, b.beta),),
-                       note="single move")
+        return Verdict("yes", "single move", (b.alpha, b.beta), ideal)
 
-    big = mono_lcm(product_of(ideal, b.alpha), product_of(ideal, b.beta))
-    universe = [delta for delta in enumerate_sequences(ideal.n, s)
-                if mono_divides(product_of(ideal, delta), big)]
+    universe = _fiber(ideal, b.alpha, b.beta)
     note = f"fiber universe {len(universe)} nodes"
 
     if k >= s - 1:
@@ -175,16 +243,16 @@ def member_lower(ideal: SquareFreeIdeal, b: ReesBinomial, k: int,
             for a in sup[1:]:
                 uf[find(a)] = find(sup[0])
         if find(b.alpha[0]) != find(b.beta[0]):
-            return Verdict("no", note=note)
+            return Verdict("no", note)
         masks = {delta: _support_mask(delta) for delta in universe}
 
         def neighbors(node: Sequence):
             mask = masks[node]
             return [o for o in universe if o != node and masks[o] & mask]
 
-        path = _bfs_path(b.alpha, b.beta, universe, neighbors)
+        path = _bfs_path(b.alpha, b.beta, neighbors)
         assert path is not None
-        return Verdict("yes", _chain_from_path(ideal, path), note=note)
+        return Verdict("yes", note, tuple(path), ideal)
 
     if k == 1:
         uni_set = set(universe)
@@ -213,10 +281,10 @@ def member_lower(ideal: SquareFreeIdeal, b: ReesBinomial, k: int,
                     out.append(o)
             return out
 
-    path = _bfs_path(b.alpha, b.beta, universe, neighbors)
+    path = _bfs_path(b.alpha, b.beta, neighbors)
     if path is None:
-        return Verdict("no", note=note)
-    return Verdict("yes", _chain_from_path(ideal, path), note=note)
+        return Verdict("no", note)
+    return Verdict("yes", note, tuple(path), ideal)
 
 
 def _support_mask(seq: Sequence) -> int:

@@ -183,12 +183,15 @@ def taylor_layer(ideal: SquareFreeIdeal, s: int,
     if s < 1:
         raise ValueError(f"layer must be at least 1, got {s}")
     seqs = list(enumerate_sequences(ideal.n, s))
+    prods = [product_of(ideal, a) for a in seqs]
     out = []
-    for i, a in enumerate(seqs):
-        for b in seqs[i + 1:]:
+    for i, (a, fa) in enumerate(zip(seqs, prods)):
+        for b, fb in zip(seqs[i + 1:], prods[i + 1:]):
             if skip_shared and set(a) & set(b):
                 continue
-            out.append(taylor_binomial(ideal, a, b))
+            g = mono_gcd(fa, fb)
+            out.append(ReesBinomial(a, b, mono_div_exact(fb, g),
+                                    mono_div_exact(fa, g)))
     return out
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,8 +8,10 @@ from pathlib import Path
 import pytest
 
 import reeskit
+import reeskit.classify
+import reeskit.cli
 from reeskit.cli import main
-from reeskit.demos import villarreal_ideal
+from reeskit.demos import pentagon_ideal, random_ideal, villarreal_ideal
 from reeskit.ideal_io import parse_ideal_text, render_ideal
 
 
@@ -96,6 +99,18 @@ def test_reduce_stuck_pair_prints_witness(villarreal_file, capsys):
     assert "closed even walk" in out
 
 
+def test_reduce_stuck_pair_without_witness_gives_oracle_answer(tmp_path,
+                                                               capsys):
+    path = tmp_path / "r1063.ideal"
+    path.write_text(render_ideal(random_ideal(random.Random(1063), 5, 8)))
+    assert main(["reduce", str(path), "--alpha", "2,5",
+                 "--beta", "3,4"]) == 0
+    out = capsys.readouterr().out
+    assert out == ("stuck at (2,5)|(3,4): no rule applies\n"
+                   "no irredundancy witness found; "
+                   "reduces modulo layers <= 1: yes\n")
+
+
 def test_reduce_bad_row_exit_code(villarreal_file, capsys):
     assert main(["reduce", villarreal_file, "--alpha", "1,9",
                  "--beta", "2,4"]) == 2
@@ -179,6 +194,16 @@ def test_demo_family(capsys):
     assert "not T-homogeneous" in out
 
 
+@pytest.mark.parametrize("n", [10, 11])
+def test_demo_family_large(n, capsys):
+    assert main(["demo", "family", "--n", str(n)]) == 0
+    out = capsys.readouterr().out
+    assert f"F (degree {2 * n - 7}):" in out
+    assert f"  reduces modulo layers <= {2 * n - 8}: no\n" in out
+    assert ("  fiber witness (new generator with non-unit coefficients): "
+            "True\n") in out
+
+
 def test_demo_family_rejects_small_n(capsys):
     assert main(["demo", "family", "--n", "4"]) == 2
 
@@ -204,3 +229,21 @@ def test_cross_check_consistent_run(villarreal_file, capsys):
     assert main(["classify", villarreal_file, "--oracle", "--s-max", "3"]) == 0
     out = capsys.readouterr().out
     assert "oracle cross-check:" in out
+
+
+def test_classify_oracle_classifies_once(tmp_path, monkeypatch, capsys):
+    # the CLI and cross_validate bind classify under different names
+    calls = []
+    original = reeskit.classify.classify
+
+    def counting(ideal):
+        calls.append(ideal)
+        return original(ideal)
+
+    monkeypatch.setattr(reeskit.classify, "classify", counting)
+    monkeypatch.setattr(reeskit.cli, "classify", counting)
+    path = tmp_path / "pentagon.ideal"
+    path.write_text(render_ideal(pentagon_ideal()))
+    assert main(["classify", str(path), "--oracle"]) == 0
+    assert "oracle cross-check:" in capsys.readouterr().out
+    assert len(calls) == 1

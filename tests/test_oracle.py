@@ -3,8 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reeskit import oracle
 from reeskit.demos import (
     family_corrected_g,
+    family_f_binomial,
     family_ideal,
     path_ideal,
     pentagon_ideal,
@@ -23,7 +25,14 @@ from reeskit.oracle import (
     relation_type_estimate,
     replay_chain,
 )
-from reeskit.taylor import taylor_binomial, taylor_layer, weighted_degree
+from reeskit.monomials import mono_divides, mono_lcm
+from reeskit.taylor import (
+    enumerate_sequences,
+    product_of,
+    taylor_binomial,
+    taylor_layer,
+    weighted_degree,
+)
 
 
 def layer_rules(ideal, s):
@@ -58,6 +67,17 @@ def reference_chain(rules, u, v):
                         nxt.append(res)
         frontier = nxt
     return None
+
+
+def filter_layer(seqs, prods, big):
+    """Reference fiber: the layer's sequences delta, in the order given,
+    whose product f_delta divides big."""
+    return [delta for delta, f in zip(seqs, prods) if mono_divides(f, big)]
+
+
+def layer_products(ideal, s):
+    seqs = list(enumerate_sequences(ideal.n, s))
+    return seqs, [product_of(ideal, delta) for delta in seqs]
 
 
 def reference_minimal_linear(ideal):
@@ -148,8 +168,6 @@ class TestMemberLower:
 
     def test_family_f_is_new(self):
         I5 = family_ideal(5)
-        from reeskit.demos import family_f_binomial
-
         F = family_f_binomial(5)
         verdict = member_lower(I5, F, 2 * 5 - 8)
         assert verdict.is_no
@@ -167,6 +185,85 @@ class TestMemberLower:
             assert fiber.is_yes == (direct is not None), (b.alpha, b.beta)
             assert fiber.is_yes != fiber.is_no
             assert not fiber.is_unknown
+
+
+class TestFiber:
+    def test_matches_layer_filter_on_random_ideals(self):
+        # every 13th pair of layers 2..4 on thirty seeded ideals, 7,191
+        # pairs; the layer products are computed once per layer
+        checked = 0
+        for k in range(30):
+            I = random_ideal(random.Random(k), 5, 8)
+            for s in (2, 3, 4):
+                seqs, prods = layer_products(I, s)
+                pairs = [(i, j) for i in range(len(seqs))
+                         for j in range(i + 1, len(seqs))]
+                for i, j in pairs[k % 13::13]:
+                    expected = filter_layer(
+                        seqs, prods, mono_lcm(prods[i], prods[j]))
+                    assert oracle._fiber(I, seqs[i], seqs[j]) == expected, \
+                        (k, seqs[i], seqs[j])
+                    checked += 1
+        assert checked == 7191
+
+    def test_matches_layer_filter_on_family(self):
+        for n in (5, 6, 7, 8):
+            I = family_ideal(n)
+            for b in (family_f_binomial(n), family_corrected_g(n)[0]):
+                seqs, prods = layer_products(I, b.degree)
+                big = mono_lcm(product_of(I, b.alpha), product_of(I, b.beta))
+                fiber = oracle._fiber(I, b.alpha, b.beta)
+                assert fiber == filter_layer(seqs, prods, big)
+                assert fiber == [b.alpha, b.beta]
+
+
+class TestLazyChain:
+    CASES = (  # (alpha, beta, k, status, note, chain length)
+        ((1,), (2,), 1, "yes", "single move", 1),
+        ((1, 2), (1, 4), 1, "yes", "single move", 1),
+        ((1, 2), (3, 4), 1, "yes", "fiber universe 4 nodes", 2),
+        ((1, 3), (2, 4), 1, "no", "fiber universe 2 nodes", 0),
+    )
+
+    @pytest.mark.parametrize("alpha,beta,k,status,note,steps", CASES)
+    def test_status_note_and_chain(self, alpha, beta, k, status, note,
+                                   steps):
+        V = villarreal_ideal()
+        b = taylor_binomial(V, alpha, beta)
+        verdict = member_lower(V, b, k)
+        assert (verdict.status, verdict.note) == (status, note)
+        assert verdict == member_lower(V, b, k)
+        assert len(verdict.chain) == steps
+        assert verdict == member_lower(V, b, k)  # reading chain keeps ==
+        if verdict.is_yes:
+            u, v = b.terms()
+            assert replay_chain(u, verdict.chain) == v
+
+    def test_verdicts_with_different_answers_differ(self):
+        V = villarreal_ideal()
+        yes = member_lower(V, taylor_binomial(V, (1, 2), (3, 4)), 1)
+        no = member_lower(V, taylor_binomial(V, (1, 3), (2, 4)), 1)
+        assert yes != no
+
+    def test_status_only_callers_build_no_chain(self, monkeypatch):
+        calls = []
+        original = oracle.taylor_binomial
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(oracle, "taylor_binomial", counting)
+        P = pentagon_ideal()
+        report = relation_type_estimate(P, 3)
+        assert report.certified_lower == 3
+        assert calls == []
+        b = taylor_binomial(P, (1, 2, 3), (1, 4, 5))
+        verdict = member_lower(P, b, 2)
+        assert verdict.is_yes and calls == []
+        u, v = b.terms()
+        assert replay_chain(u, verdict.chain) == v
+        assert len(calls) == len(verdict.chain) > 0
 
 
 class TestRelationTypeEstimate:
@@ -223,8 +320,6 @@ class TestFiberWitness:
 
     def test_unit_coefficients_never_witness(self):
         I5 = family_ideal(5)
-        from reeskit.demos import family_f_binomial
-
         F = family_f_binomial(5)  # unit coefficients on both sides
         assert not fiber_witness(I5, F)
 
