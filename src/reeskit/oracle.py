@@ -10,11 +10,13 @@ relation layers up to k without materializing those layers: every monomial
 reachable from (f_beta/g) T_alpha has the shape (M / f_delta) T_delta with
 M = lcm(f_alpha, f_beta) and f_delta dividing M, and a move between fiber
 nodes delta, delta' exists under some layer-<=k rule precisely when their
-multiset distance is at most k.  The search therefore runs on the finite
-fiber universe {delta : f_delta | M}, which stays small even where the raw
-rule count is astronomical, and both answers are exact: no degree cap is
-involved, because every rewrite keeps the substituted monomial M t^s.
-minimal_linear_generators applies the same fiber argument to layer 1.
+multiset distance is at most k, that is, when they share a sub-multiset of
+size s - k.  One union-find over those sub-multisets decides connectivity
+on the finite fiber universe {delta : f_delta | M}, which stays small even
+where the raw rule count is astronomical, and both answers are exact: no
+degree cap is involved, because every rewrite keeps the substituted
+monomial M t^s.  minimal_linear_generators asks the same union-find about
+layer 1.
 
 The fiber is enumerated directly, never by filtering the whole layer: a
 depth-first search over non-decreasing index sequences tracks the capacity
@@ -22,17 +24,17 @@ of M still free, one packed integer field per variable of M.  Every
 generator is square-free, so picking index a takes one unit from each
 variable of supp(f_a); generators reaching outside supp(M) never fit, and a
 prefix is cut as soon as the picks still possible cannot fill the slots
-left.  The search yields the fiber in lex order, so paths are the same as a
-filter over the layer would give.  A yes verdict keeps its fiber path and
-builds the rewrite chain along it only when the chain is read.
+left.  The search yields the fiber in lex order.  A yes verdict searches
+for its fiber path, breadth first, and builds the rewrite chain along it
+only when they are read.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Sequence as Seq
+from itertools import combinations
+from typing import Hashable, Iterable, NamedTuple, Optional, Sequence as Seq
 
 from .monomials import SquareFreeIdeal, mono_divides, mono_lcm
 from .taylor import (
@@ -44,7 +46,6 @@ from .taylor import (
     rt_div_exact,
     rt_divides,
     rt_mul,
-    run_lengths,
     seq_intersection,
     seq_remove,
     taylor_binomial,
@@ -73,13 +74,25 @@ class ChainStep(NamedTuple):
 
 @dataclass(frozen=True)
 class Verdict:
-    """An exact answer.  A yes carries the fiber path from alpha to beta;
-    chain, the rewrite steps along that path, is built on first read."""
+    """An exact answer about the pair of b modulo layers <= k.  A yes finds
+    its fiber path from alpha to beta only when path is read, and chain,
+    the rewrite steps along that path, only when chain is read."""
 
     status: str  # "yes" | "no"
     note: str = ""
-    path: tuple[Sequence, ...] = ()
+    b: Optional[ReesBinomial] = None
+    k: int = 0
     ideal: Optional[SquareFreeIdeal] = field(default=None, repr=False)
+
+    @cached_property
+    def path(self) -> tuple[Sequence, ...]:
+        if not self.is_yes:
+            return ()
+        alpha, beta = self.b.alpha, self.b.beta
+        if multiset_distance(alpha, beta) <= self.k:
+            return (alpha, beta)
+        universe = _fiber(self.ideal, alpha, beta)
+        return tuple(_bfs_path(universe, alpha, beta, self.k))
 
     @cached_property
     def chain(self) -> tuple[ChainStep, ...]:
@@ -183,32 +196,50 @@ def _can_fill(free: int, masks: Seq[int], guards: int, slots: int) -> bool:
     return False
 
 
-def _bfs_path(start: Sequence, goal: Sequence,
-              neighbors) -> Optional[list[Sequence]]:
-    parent: dict[Sequence, Optional[Sequence]] = {start: None}
+def _joined(groups: Iterable[Iterable[Hashable]], a: Hashable,
+            b: Hashable) -> bool:
+    """Do a and b end in one class once the members of every group are
+    united?  One union-find with path halving."""
+    parent: dict[Hashable, Hashable] = {}
+
+    def find(x: Hashable) -> Hashable:
+        while parent.setdefault(x, x) != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for first, *rest in groups:
+        for x in rest:
+            parent[find(x)] = find(first)
+    return find(a) == find(b)
+
+
+def _bfs_path(universe: list[Sequence], start: Sequence, goal: Sequence,
+              k: int) -> list[Sequence]:
+    """A shortest path from start to goal, which must be reachable, in the
+    fiber graph whose edges join nodes at multiset distance at most k."""
+    parent = {start: start}
     frontier = [start]
-    while frontier:
+    while goal not in parent:
         nxt = []
         for node in frontier:
-            for other in neighbors(node):
-                if other in parent:
-                    continue
-                parent[other] = node
-                if other == goal:
-                    path = [other]
-                    while parent[path[-1]] is not None:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return path
-                nxt.append(other)
+            for other in universe:
+                if other not in parent and multiset_distance(node, other) <= k:
+                    parent[other] = node
+                    nxt.append(other)
         frontier = nxt
-    return None
+    path = [goal]
+    while path[-1] != start:
+        path.append(parent[path[-1]])
+    return path[::-1]
 
 
 def member_lower(ideal: SquareFreeIdeal, b: ReesBinomial, k: int,
                  cap: Optional[int] = None) -> Verdict:
     """Does the layer-s pair of b rewrite into one another modulo all
-    relation layers of degree at most k?  Exact yes/no on the lcm fiber.
+    relation layers of degree at most k?  Exact yes/no on the lcm fiber:
+    nodes one move apart share a sub-multiset of size t = s - k, so one
+    union-find over the t-sub-multisets of every node decides it.
 
     cap is kept for older callers and only validated: no fiber search is
     ever cut off by degree."""
@@ -219,79 +250,16 @@ def member_lower(ideal: SquareFreeIdeal, b: ReesBinomial, k: int,
         if cap < du:
             raise ValueError(
                 f"cap {cap} below the degree {du} of the start monomial")
-    s = b.degree
 
     if multiset_distance(b.alpha, b.beta) <= k:
-        return Verdict("yes", "single move", (b.alpha, b.beta), ideal)
+        return Verdict("yes", "single move", b, k, ideal)
 
     universe = _fiber(ideal, b.alpha, b.beta)
     note = f"fiber universe {len(universe)} nodes"
-
-    if k >= s - 1:
-        # Edges are exactly "supports intersect": connectivity first via
-        # union-find over generator indices, path reconstruction only on yes.
-        uf = list(range(ideal.n + 1))
-
-        def find(a: int) -> int:
-            while uf[a] != a:
-                uf[a] = uf[uf[a]]
-                a = uf[a]
-            return a
-
-        for delta in universe:
-            sup = sorted(set(delta))
-            for a in sup[1:]:
-                uf[find(a)] = find(sup[0])
-        if find(b.alpha[0]) != find(b.beta[0]):
-            return Verdict("no", note)
-        masks = {delta: _support_mask(delta) for delta in universe}
-
-        def neighbors(node: Sequence):
-            mask = masks[node]
-            return [o for o in universe if o != node and masks[o] & mask]
-
-        path = _bfs_path(b.alpha, b.beta, neighbors)
-        assert path is not None
-        return Verdict("yes", note, tuple(path), ideal)
-
-    if k == 1:
-        uni_set = set(universe)
-
-        def neighbors(node: Sequence):
-            out = []
-            for a, _mult in run_lengths(node):
-                rest = seq_remove(node, (a,))
-                for c in range(1, ideal.n + 1):
-                    if c == a:
-                        continue
-                    cand = tuple(sorted(rest + (c,)))
-                    if cand in uni_set:
-                        out.append(cand)
-            return out
-    else:
-        counters = {delta: Counter(delta) for delta in universe}
-
-        def neighbors(node: Sequence):
-            cn = counters[node]
-            out = []
-            for o in universe:
-                if o == node:
-                    continue
-                if s - sum((cn & counters[o]).values()) <= k:
-                    out.append(o)
-            return out
-
-    path = _bfs_path(b.alpha, b.beta, neighbors)
-    if path is None:
-        return Verdict("no", note)
-    return Verdict("yes", note, tuple(path), ideal)
-
-
-def _support_mask(seq: Sequence) -> int:
-    mask = 0
-    for a in set(seq):
-        mask |= 1 << a
-    return mask
+    t = b.degree - k
+    groups = (set(combinations(delta, t)) for delta in universe)
+    status = "yes" if _joined(groups, b.alpha[:t], b.beta[:t]) else "no"
+    return Verdict(status, note, b, k, ideal)
 
 
 # --- layered relation-type estimation --------------------------------------
@@ -365,14 +333,6 @@ def minimal_linear_generators(ideal: SquareFreeIdeal) -> list[ReesBinomial]:
         big = lcm[b.alpha, b.beta]
         moves = [x.alpha + x.beta for x in kept
                  if x is not b and mono_divides(lcm[x.alpha, x.beta], big)]
-        reach = set(b.alpha)
-        grew = True
-        while grew:
-            grew = False
-            for k, l in moves:
-                if (k in reach) != (l in reach):
-                    reach |= {k, l}
-                    grew = True
-        if b.beta[0] in reach:
+        if _joined(moves, b.alpha[0], b.beta[0]):
             kept.remove(b)
     return kept

@@ -18,10 +18,12 @@ cofactors A_i = prod_{j<i} f_{alpha_j} * prod_{k>i} f_{beta_k}
 * gcd(f_{alpha_i}, f_{beta_i}) / gcd(f_alpha, f_beta).
 
 The named rules are sufficient conditions with documented search spaces;
-each tries the pair as given and with the roles of alpha and beta exchanged
+most try the pair as given and with the roles of alpha and beta exchanged
 (a swapped match flips the orientation of every sub-binomial, which absorbs
-the sign).  reduce_to_normal drives them in a fixed priority order and, when
-nothing applies to the top pair, searches for an irredundancy witness
+the sign), while rule_block_disjoint's two-block search already covers the
+exchanged pair.  reduce_to_normal drives five of the eight rules in a fixed
+priority order (_dispatch says why the other three would never fire) and,
+when nothing applies to the top pair, searches for an irredundancy witness
 certifying that the pair is a genuinely new generator in its degree.
 """
 
@@ -657,14 +659,19 @@ def _pair_key(a: Sequence, b: Sequence):
 
 def _dispatch(ideal: SquareFreeIdeal, a: Sequence,
               b: Sequence) -> Optional[list[Certificate]]:
-    # built per call, so every rule name resolves at call time and module
-    # level wrappers (bench/tracer.py) see each attempt
+    # Built per call, so every rule name resolves at call time and module
+    # level wrappers (bench/tracer.py) see each attempt.  Left out:
+    # rule_two_by_two, rule_three_by_two and rule_odd_cycle_step, which on a
+    # pair past block_disjoint try only two-block splits it has tried (the
+    # split ((B1, A1), (B2, A2)) of (beta, alpha) checks the gcd conditions
+    # of ((A2, B2), (A1, B1)) for (alpha, beta)).  rule_tree_leaf stays: its
+    # swapped branch reaches three-block splits of (beta, alpha), which no
+    # proof covers, though random probes never saw it fire.
     for rule in (rule_shared_index, rule_power_factor, rule_constant_row,
-                 rule_block_disjoint, rule_two_by_two, rule_three_by_two,
-                 rule_tree_leaf, rule_odd_cycle_step):
+                 rule_block_disjoint, rule_tree_leaf):
         res = rule(ideal, a, b)
         if res is not None:
-            return res if isinstance(res, list) else [res]
+            return [res]
     return None
 
 

@@ -173,13 +173,8 @@ def substitute_check(ideal: SquareFreeIdeal, b: ReesBinomial) -> bool:
     return lhs == rhs
 
 
-def taylor_layer(ideal: SquareFreeIdeal, s: int,
-                 skip_shared: bool = False) -> list[ReesBinomial]:
-    """All T_{alpha,beta} with alpha < beta lexicographically in layer s.
-
-    With skip_shared, pairs whose sequences share an index are dropped
-    (those reduce one degree down by deleting the shared index).
-    """
+def taylor_layer(ideal: SquareFreeIdeal, s: int) -> list[ReesBinomial]:
+    """All T_{alpha,beta} with alpha < beta lexicographically in layer s."""
     if s < 1:
         raise ValueError(f"layer must be at least 1, got {s}")
     seqs = list(enumerate_sequences(ideal.n, s))
@@ -187,8 +182,6 @@ def taylor_layer(ideal: SquareFreeIdeal, s: int,
     out = []
     for i, (a, fa) in enumerate(zip(seqs, prods)):
         for b, fb in zip(seqs[i + 1:], prods[i + 1:]):
-            if skip_shared and set(a) & set(b):
-                continue
             g = mono_gcd(fa, fb)
             out.append(ReesBinomial(a, b, mono_div_exact(fb, g),
                                     mono_div_exact(fa, g)))

@@ -28,6 +28,7 @@ from reeskit.oracle import (
 from reeskit.monomials import mono_divides, mono_lcm
 from reeskit.taylor import (
     enumerate_sequences,
+    multiset_distance,
     product_of,
     taylor_binomial,
     taylor_layer,
@@ -78,6 +79,24 @@ def filter_layer(seqs, prods, big):
 def layer_products(ideal, s):
     seqs = list(enumerate_sequences(ideal.n, s))
     return seqs, [product_of(ideal, delta) for delta in seqs]
+
+
+def reference_decision(ideal, b, k, seqs, prods):
+    """Reference membership: breadth-first search on the filtered fiber,
+    joining nodes at multiset distance at most k."""
+    big = mono_lcm(product_of(ideal, b.alpha), product_of(ideal, b.beta))
+    fiber = filter_layer(seqs, prods, big)
+    seen = {b.alpha}
+    frontier = [b.alpha]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for other in fiber:
+                if other not in seen and multiset_distance(node, other) <= k:
+                    seen.add(other)
+                    nxt.append(other)
+        frontier = nxt
+    return "yes" if b.beta in seen else "no"
 
 
 def reference_minimal_linear(ideal):
@@ -217,6 +236,32 @@ class TestFiber:
                 assert fiber == [b.alpha, b.beta]
 
 
+class TestUnionFindDecision:
+    def test_matches_reference_on_random_ideals(self):
+        # every k in 1..s-1 on a stride through layers 2..4
+        checked = 0
+        for seed in range(10):
+            I = random_ideal(random.Random(seed), 5, 8)
+            for s in (2, 3, 4):
+                seqs, prods = layer_products(I, s)
+                for b in taylor_layer(I, s)[seed::71]:
+                    for k in range(1, s):
+                        expected = reference_decision(I, b, k, seqs, prods)
+                        assert member_lower(I, b, k).status == expected, \
+                            (seed, b.alpha, b.beta, k)
+                        checked += 1
+        assert checked == 1223
+
+    def test_matches_reference_on_family(self):
+        for n in (5, 6, 7):
+            I = family_ideal(n)
+            for b in (family_f_binomial(n), family_corrected_g(n)[0]):
+                seqs, prods = layer_products(I, b.degree)
+                for k in range(1, b.degree):
+                    expected = reference_decision(I, b, k, seqs, prods)
+                    assert member_lower(I, b, k).status == expected, (n, k)
+
+
 class TestLazyChain:
     CASES = (  # (alpha, beta, k, status, note, chain length)
         ((1,), (2,), 1, "yes", "single move", 1),
@@ -264,6 +309,27 @@ class TestLazyChain:
         u, v = b.terms()
         assert replay_chain(u, verdict.chain) == v
         assert len(calls) == len(verdict.chain) > 0
+
+    def test_path_is_searched_only_when_read(self, monkeypatch):
+        calls = []
+        original = oracle._bfs_path
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(oracle, "_bfs_path", counting)
+        assert relation_type_estimate(pentagon_ideal(), 3).certified_lower == 3
+        V = villarreal_ideal()
+        b = taylor_binomial(V, (1, 2), (3, 4))
+        verdict = member_lower(V, b, 1)
+        assert verdict.is_yes and verdict.note != "single move"
+        assert calls == []
+        u, v = b.terms()
+        assert replay_chain(u, verdict.chain) == v
+        assert len(calls) == 1
+        verdict.chain, verdict.path  # both cached after the first read
+        assert len(calls) == 1
 
 
 class TestRelationTypeEstimate:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from reeskit.demos import (
     triangle_ideal,
     villarreal_ideal,
 )
+from reeskit import reduction
 from reeskit.monomials import Monomial, make_ideal, mono_mul
 from reeskit.reduction import (
     BlockPartition,
@@ -442,3 +444,51 @@ class TestReduceToNormal:
             reduce_to_normal(V, (2, 1), (3, 4))
         with pytest.raises(ValueError):
             reduce_to_normal(V, (1, 2), (1, 2))
+
+
+EIGHT_RULES = ("rule_shared_index", "rule_power_factor", "rule_constant_row",
+               "rule_block_disjoint", "rule_two_by_two", "rule_three_by_two",
+               "rule_tree_leaf", "rule_odd_cycle_step")
+
+
+def eight_rule_dispatch(ideal, a, b):
+    """reduce_to_normal's rule table before the three rules that cannot
+    fire there were dropped from it."""
+    for name in EIGHT_RULES:
+        res = getattr(reduction, name)(ideal, a, b)
+        if res is not None:
+            return as_chain(res)
+    return None
+
+
+def outcome_summary(out):
+    return (out.status, out.terminal_degree, out.stuck_pair,
+            [(c.rule_name, c.target) for c in out.chain])
+
+
+def test_five_rule_table_matches_eight_rule_table(monkeypatch):
+    # the witness depends on the stuck pair alone, so it is not searched;
+    # rule results are shared between the two tables, which ask the same
+    # rules about the same pairs (one cache per ideal keeps memory small)
+    monkeypatch.setattr(reduction, "irredundancy_witness", lambda *a: None)
+    cached = [functools.cache(getattr(reduction, name))
+              for name in EIGHT_RULES]
+    for name, rule in zip(EIGHT_RULES, cached):
+        monkeypatch.setattr(reduction, name, rule)
+    ideals = [villarreal_ideal(), pentagon_ideal(), triangle_ideal(),
+              path_ideal(4)]
+    ideals += [random_ideal(random.Random(k), 5, 8) for k in range(10)]
+    checked = 0
+    for I in ideals:
+        for rule in cached:
+            rule.cache_clear()
+        for s in (2, 3, 4):
+            for b in taylor_layer(I, s):
+                five = reduce_to_normal(I, b.alpha, b.beta)
+                with monkeypatch.context() as m:
+                    m.setattr(reduction, "_dispatch", eight_rule_dispatch)
+                    eight = reduce_to_normal(I, b.alpha, b.beta)
+                assert outcome_summary(five) == outcome_summary(eight), \
+                    (b.alpha, b.beta)
+                checked += 1
+    assert checked == 36090

@@ -137,15 +137,6 @@ def test_taylor_layer_sizes():
     assert len(taylor_layer(V, 2)) == 45
 
 
-def test_taylor_layer_skip_shared():
-    V = villarreal_ideal()
-    full = taylor_layer(V, 2)
-    thin = taylor_layer(V, 2, skip_shared=True)
-    assert len(thin) < len(full)
-    for b in thin:
-        assert not seq_intersection(b.alpha, b.beta)
-
-
 def test_weighted_degree():
     V = villarreal_ideal()
     u, v = taylor_binomial(V, (1,), (2,)).terms()
