@@ -16,6 +16,7 @@ oracle answer is exact, so no search limit can be set.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -260,10 +261,9 @@ def cmd_reduce(args) -> int:
     print(f"stuck at ({','.join(map(str, pa))})|({','.join(map(str, pb))}): "
           "no rule applies")
     if outcome.witness is None:
-        k = len(pa) - 1
-        verdict = member_lower(ideal, taylor_binomial(ideal, pa, pb), k)
-        print(f"no irredundancy witness found; reduces modulo layers <= {k}: "
-              f"{verdict.status}")
+        # stuck means the oracle found the pair new modulo lower layers
+        print("no irredundancy witness found; reduces modulo layers "
+              f"<= {len(pa) - 1}: no")
         return 0
     _print_witness(ideal, outcome.witness)
     return 0
@@ -347,7 +347,8 @@ def cmd_random(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reeskit",
         description="exact tools for Rees algebra defining equations of "
@@ -362,29 +363,24 @@ def main(argv=None) -> int:
     p.add_argument("--json", action="store_true")
     p.add_argument("--dot", metavar="PATH",
                    help="write the generator graph in DOT format")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("taylor", help="list one layer of relation binomials")
     p.add_argument("ideal")
     p.add_argument("--degree", type=int, default=1)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_taylor)
 
     p = sub.add_parser("reduce", help="reduce one pair to a certificate chain")
     p.add_argument("ideal")
     p.add_argument("--alpha", required=True, help="comma-separated indices")
     p.add_argument("--beta", required=True, help="comma-separated indices")
-    p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("rt", help="layered relation-type estimate")
     p.add_argument("ideal")
     p.add_argument("--s-max", type=int, default=None)
-    p.set_defaults(func=cmd_rt)
 
     p = sub.add_parser("demo", help="built-in worked examples")
     p.add_argument("name", choices=["villarreal", "pentagon", "family"])
     p.add_argument("--n", type=int, default=5, help="family size (>= 5)")
-    p.set_defaults(func=cmd_demo)
 
     p = sub.add_parser("random", help="emit a random ideal file")
     p.add_argument("--graph-shape", required=True,
@@ -393,11 +389,14 @@ def main(argv=None) -> int:
     p.add_argument("--vars", type=int, default=0,
                    help="extra private variables to sprinkle")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_random)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    # the handler is looked up per call, so module-level wrappers see it
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except BadInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,8 +25,9 @@ generator is square-free, so picking index a takes one unit from each
 variable of supp(f_a); generators reaching outside supp(M) never fit, and a
 prefix is cut as soon as the picks still possible cannot fill the slots
 left.  The search yields the fiber in lex order.  A yes verdict searches
-for its fiber path, breadth first, and builds the rewrite chain along it
-only when they are read.
+for its fiber path, breadth first, only when the path is read;
+reduction.fiber_certificate turns that path into a Certificate, the one
+proof format that verify_certificate replays.
 """
 
 from __future__ import annotations
@@ -34,49 +35,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Hashable, Iterable, NamedTuple, Optional, Sequence as Seq
+from typing import Hashable, Iterable, Optional, Sequence as Seq
 
 from .monomials import SquareFreeIdeal, mono_divides, mono_lcm
 from .taylor import (
     ReesBinomial,
-    RTMonomial,
     Sequence,
     multiset_distance,
     product_of,
-    rt_div_exact,
-    rt_divides,
-    rt_mul,
-    seq_intersection,
-    seq_remove,
-    taylor_binomial,
     taylor_layer,
     weighted_degree,
 )
 
 
 @dataclass(frozen=True)
-class RewriteRule:
-    """Unordered two-sided rewrite rule; sides are the terms of a binomial."""
-
-    left: RTMonomial
-    right: RTMonomial
-
-    @staticmethod
-    def from_binomial(b: ReesBinomial) -> "RewriteRule":
-        u, v = b.terms()
-        return RewriteRule(u, v)
-
-
-class ChainStep(NamedTuple):
-    rule: RewriteRule
-    forward: bool  # True: left side matched and was replaced by right
-
-
-@dataclass(frozen=True)
 class Verdict:
     """An exact answer about the pair of b modulo layers <= k.  A yes finds
-    its fiber path from alpha to beta only when path is read, and chain,
-    the rewrite steps along that path, only when chain is read."""
+    its fiber path from alpha to beta only when path is read; chain lists
+    the path's steps as (delta, delta') pairs."""
 
     status: str  # "yes" | "no"
     note: str = ""
@@ -94,10 +70,9 @@ class Verdict:
         universe = _fiber(self.ideal, alpha, beta)
         return tuple(_bfs_path(universe, alpha, beta, self.k))
 
-    @cached_property
-    def chain(self) -> tuple[ChainStep, ...]:
-        return tuple(_fiber_step(self.ideal, a, b)
-                     for a, b in zip(self.path, self.path[1:]))
+    @property
+    def chain(self) -> tuple[tuple[Sequence, Sequence], ...]:
+        return tuple(zip(self.path, self.path[1:]))
 
     @property
     def is_yes(self) -> bool:
@@ -113,31 +88,7 @@ class Verdict:
         return False
 
 
-def apply_step(w: RTMonomial, step: ChainStep) -> RTMonomial:
-    src = step.rule.left if step.forward else step.rule.right
-    dst = step.rule.right if step.forward else step.rule.left
-    if not rt_divides(src, w):
-        raise ValueError("chain step does not apply")
-    return rt_mul(rt_div_exact(w, src), dst)
-
-
-def replay_chain(u: RTMonomial, chain: Iterable[ChainStep]) -> RTMonomial:
-    w = u
-    for step in chain:
-        w = apply_step(w, step)
-    return w
-
-
 # --- fiber-based layered membership ---------------------------------------
-
-def _fiber_step(ideal: SquareFreeIdeal, delta: Sequence,
-                delta2: Sequence) -> ChainStep:
-    common = seq_intersection(delta, delta2)
-    d = seq_remove(delta, common)
-    d2 = seq_remove(delta2, common)
-    rule = RewriteRule.from_binomial(taylor_binomial(ideal, d, d2))
-    return ChainStep(rule, True)
-
 
 def _fiber(ideal: SquareFreeIdeal, alpha: Sequence,
            beta: Sequence) -> list[Sequence]:

@@ -21,10 +21,14 @@ The named rules are sufficient conditions with documented search spaces;
 most try the pair as given and with the roles of alpha and beta exchanged
 (a swapped match flips the orientation of every sub-binomial, which absorbs
 the sign), while rule_block_disjoint's two-block search already covers the
-exchanged pair.  reduce_to_normal drives five of the eight rules in a fixed
-priority order (_dispatch says why the other three would never fire) and,
-when nothing applies to the top pair, searches for an irredundancy witness
-certifying that the pair is a genuinely new generator in its degree.
+exchanged pair.  fiber_certificate is the exact fallback: a path through
+the lcm fiber, as the oracle finds it, telescopes into a certificate of
+the same form.  reduce_to_normal drives four of the eight rules in a fixed
+priority order (_dispatch says why the other four are left out); when none
+applies to the top pair it asks the oracle, and the pair is either reduced
+along its fiber path or stuck, which then means it is a genuinely new
+generator in its degree, and the driver searches for an irredundancy
+witness of that.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .monomials import (
     mono_div_exact,
     mono_divides,
     mono_gcd,
+    mono_lcm,
     mono_mul,
     mono_pow,
 )
@@ -189,6 +194,28 @@ def split_certificate(ideal: SquareFreeIdeal, partition: BlockPartition,
             + [c for j in range(i) for c in blocks[j][1]]))
         terms.append(CertTerm(coef, tfactor, taylor_binomial(ideal, a_i, b_i)))
     return Certificate(target, tuple(terms), rule_name, "as-given", note)
+
+
+def fiber_certificate(ideal: SquareFreeIdeal, b: ReesBinomial,
+                      path: tuple[Sequence, ...]) -> Certificate:
+    """The certificate of a fiber path alpha = delta_0, ..., delta_m = beta.
+
+    With M = lcm(f_alpha, f_beta), T_{alpha,beta} = (M/f_alpha) T_alpha
+    - (M/f_beta) T_beta, and the path telescopes it into one term per step
+    delta -> delta': with common part c, d = delta - c and d' = delta' - c,
+    (M/f_delta) T_delta - (M/f_delta') T_delta' equals
+    M / (f_c lcm(f_d, f_d')) * T_c * T_{d,d'}."""
+    big = mono_lcm(product_of(ideal, b.alpha), product_of(ideal, b.beta))
+    terms = []
+    for delta, delta2 in zip(path, path[1:]):
+        common = seq_intersection(delta, delta2)
+        d, d2 = seq_remove(delta, common), seq_remove(delta2, common)
+        step_lcm = mono_lcm(product_of(ideal, d), product_of(ideal, d2))
+        coef = mono_div_exact(big, mono_mul(product_of(ideal, common),
+                                            step_lcm))
+        terms.append(CertTerm(coef, common, taylor_binomial(ideal, d, d2)))
+    return Certificate(b, tuple(terms), "fiber_path", "as-given",
+                       note=f"{len(terms)}-step path in the lcm fiber")
 
 
 # --- the named rules -------------------------------------------------------
@@ -643,8 +670,9 @@ def irredundancy_witness(ideal: SquareFreeIdeal, alpha: Sequence,
 @dataclass
 class ReductionOutcome:
     """status "reduced": chain rewrites the pair down to terminal_degree.
-    status "stuck": no rule applies to the top pair; witness, when present,
-    certifies the pair as a genuinely new generator."""
+    status "stuck": no rule applies to the top pair and the oracle says it
+    does not reduce modulo lower layers, so it is a new generator; witness,
+    when present, is an irredundancy pattern for it."""
 
     status: str
     chain: tuple[Certificate, ...]
@@ -664,11 +692,11 @@ def _dispatch(ideal: SquareFreeIdeal, a: Sequence,
     # rule_two_by_two, rule_three_by_two and rule_odd_cycle_step, which on a
     # pair past block_disjoint try only two-block splits it has tried (the
     # split ((B1, A1), (B2, A2)) of (beta, alpha) checks the gcd conditions
-    # of ((A2, B2), (A1, B1)) for (alpha, beta)).  rule_tree_leaf stays: its
-    # swapped branch reaches three-block splits of (beta, alpha), which no
-    # proof covers, though random probes never saw it fire.
+    # of ((A2, B2), (A1, B1)) for (alpha, beta)), and rule_tree_leaf, which
+    # never fired past block_disjoint in a sweep of 36,090 pairs; whatever
+    # it could reduce at the top, the fiber path in reduce_to_normal does.
     for rule in (rule_shared_index, rule_power_factor, rule_constant_row,
-                 rule_block_disjoint, rule_tree_leaf):
+                 rule_block_disjoint):
         res = rule(ideal, a, b)
         if res is not None:
             return [res]
@@ -678,8 +706,10 @@ def _dispatch(ideal: SquareFreeIdeal, a: Sequence,
 def reduce_to_normal(ideal: SquareFreeIdeal, alpha: Sequence,
                      beta: Sequence) -> ReductionOutcome:
     """Drive the rules in priority order, recursing into every sub-binomial
-    of degree at least 2.  Only the top pair can come back stuck; inner
-    pairs that no rule touches simply stay as terminal leaves."""
+    of degree at least 2.  When no rule applies to the top pair, the oracle
+    decides it modulo all lower layers: a yes gives its fiber_certificate,
+    a no makes it stuck.  Inner pairs that no rule touches simply stay as
+    terminal leaves."""
     a = check_sequence(alpha, ideal.n)
     b = check_sequence(beta, ideal.n)
     if len(a) != len(b):
@@ -696,14 +726,17 @@ def reduce_to_normal(ideal: SquareFreeIdeal, alpha: Sequence,
     while queue:
         pa, pb = queue.pop(0)
         res = _dispatch(ideal, pa, pb)
-        if res is None:
-            if is_top:
+        if res is None and is_top:
+            top = taylor_binomial(ideal, pa, pb)
+            verdict = member_lower(ideal, top, top.degree - 1)
+            if verdict.is_no:
                 return ReductionOutcome(
                     "stuck", (), stuck_pair=(pa, pb),
                     witness=irredundancy_witness(ideal, pa, pb))
-            is_top = False
-            continue
+            res = [fiber_certificate(ideal, top, verdict.path)]
         is_top = False
+        if res is None:
+            continue
         for cert in res:
             key = _pair_key(cert.target.alpha, cert.target.beta)
             if key in expressed:

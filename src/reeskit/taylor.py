@@ -25,7 +25,6 @@ from .monomials import (
     Monomial,
     SquareFreeIdeal,
     mono_div_exact,
-    mono_divides,
     mono_gcd,
     mono_mul,
     mono_product,
@@ -69,12 +68,6 @@ def seq_remove(a: Sequence, sub: Sequence) -> Sequence:
     return tuple(sorted(count.elements()))
 
 
-def seq_contains(a: Sequence, sub: Sequence) -> bool:
-    count = Counter(a)
-    count.subtract(Counter(sub))
-    return all(c >= 0 for c in count.values())
-
-
 def seq_intersection(a: Sequence, b: Sequence) -> Sequence:
     return tuple(sorted((Counter(a) & Counter(b)).elements()))
 
@@ -112,15 +105,6 @@ class RTMonomial:
 
 def rt_mul(a: RTMonomial, b: RTMonomial) -> RTMonomial:
     return RTMonomial(mono_mul(a.coef, b.coef), seq_union(a.tpart, b.tpart))
-
-
-def rt_divides(a: RTMonomial, b: RTMonomial) -> bool:
-    return seq_contains(b.tpart, a.tpart) and mono_divides(a.coef, b.coef)
-
-
-def rt_div_exact(a: RTMonomial, b: RTMonomial) -> RTMonomial:
-    return RTMonomial(mono_div_exact(a.coef, b.coef),
-                      seq_remove(a.tpart, b.tpart))
 
 
 def weighted_degree(ideal: SquareFreeIdeal, w: RTMonomial) -> int:
@@ -213,10 +197,6 @@ def poly_scale_by(p: RTPolynomial, k: int, coef: Monomial,
         return {}
     factor = RTMonomial(coef, tuple(sorted(tfactor)))
     return {rt_mul(factor, m): k * c for m, c in p.items()}
-
-
-def poly_is_zero(p: RTPolynomial) -> bool:
-    return not p
 
 
 # --- rendering ------------------------------------------------------------

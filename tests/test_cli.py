@@ -11,7 +11,12 @@ import reeskit
 import reeskit.classify
 import reeskit.cli
 from reeskit.cli import main
-from reeskit.demos import pentagon_ideal, random_ideal, villarreal_ideal
+from reeskit.demos import (
+    family_ideal,
+    pentagon_ideal,
+    random_ideal,
+    villarreal_ideal,
+)
 from reeskit.ideal_io import parse_ideal_text, render_ideal
 
 
@@ -99,16 +104,35 @@ def test_reduce_stuck_pair_prints_witness(villarreal_file, capsys):
     assert "closed even walk" in out
 
 
-def test_reduce_stuck_pair_without_witness_gives_oracle_answer(tmp_path,
-                                                               capsys):
+def test_reduce_pair_no_rule_reduces_gets_fiber_path(tmp_path, capsys):
     path = tmp_path / "r1063.ideal"
     path.write_text(render_ideal(random_ideal(random.Random(1063), 5, 8)))
     assert main(["reduce", str(path), "--alpha", "2,5",
                  "--beta", "3,4"]) == 0
     out = capsys.readouterr().out
-    assert out == ("stuck at (2,5)|(3,4): no rule applies\n"
+    assert out.startswith(
+        "reduced in 1 step(s); terminal degree 1\n"
+        "[1] fiber_path (as-given) on (2,5)|(3,4): "
+        "3-step path in the lcm fiber\n")
+
+
+def test_reduce_stuck_pair_without_witness_gives_oracle_answer(
+        tmp_path, monkeypatch, capsys):
+    # the family's F has no witness pattern; stuck already means the
+    # oracle said "no", so the CLI asks it nothing
+    path = tmp_path / "f6.ideal"
+    path.write_text(render_ideal(family_ideal(6)))
+
+    def fail(*args, **kwargs):
+        raise AssertionError("member_lower called by the CLI")
+
+    monkeypatch.setattr(reeskit.cli, "member_lower", fail)
+    assert main(["reduce", str(path), "--alpha", "1,1,2,3,4",
+                 "--beta", "5,5,5,6,6"]) == 0
+    out = capsys.readouterr().out
+    assert out == ("stuck at (1,1,2,3,4)|(5,5,5,6,6): no rule applies\n"
                    "no irredundancy witness found; "
-                   "reduces modulo layers <= 1: yes\n")
+                   "reduces modulo layers <= 4: no\n")
 
 
 def test_reduce_bad_row_exit_code(villarreal_file, capsys):

@@ -10,6 +10,7 @@ and review the diff before committing it.
 
 import contextlib
 import io
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -17,12 +18,13 @@ from pathlib import Path
 import pytest
 
 from reeskit.cli import main
-from reeskit.demos import pentagon_ideal, villarreal_ideal
+from reeskit.demos import pentagon_ideal, random_ideal, villarreal_ideal
 from reeskit.ideal_io import render_ideal
 from reeskit.taylor import taylor_layer
 
 GOLDEN = Path(__file__).parent / "golden"
-IDEALS = {"square": villarreal_ideal, "pentagon": pentagon_ideal}
+IDEALS = {"square": villarreal_ideal, "pentagon": pentagon_ideal,
+          "random1063": lambda: random_ideal(random.Random(1063), 5, 8)}
 
 
 def _row(seq):
@@ -31,7 +33,7 @@ def _row(seq):
 
 def cases() -> dict[str, list[list[str]]]:
     """Golden file name -> the commands whose stdout it concatenates;
-    "{square}" and "{pentagon}" stand for an ideal file."""
+    "{square}", "{pentagon}" and "{random1063}" stand for an ideal file."""
     out = {"demo-villarreal": [["demo", "villarreal"]],
            "demo-pentagon": [["demo", "pentagon"]]}
     for n in range(5, 10):

@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reeskit import oracle
+from reeskit import oracle, reduction
 from reeskit.demos import (
     family_corrected_g,
     family_f_binomial,
@@ -15,21 +16,21 @@ from reeskit.demos import (
     villarreal_ideal,
 )
 from reeskit.oracle import (
-    ChainStep,
-    RewriteRule,
-    apply_step,
     default_s_max,
     fiber_witness,
     member_lower,
     minimal_linear_generators,
     relation_type_estimate,
-    replay_chain,
 )
-from reeskit.monomials import mono_divides, mono_lcm
+from reeskit.monomials import mono_div_exact, mono_divides, mono_lcm
+from reeskit.reduction import fiber_certificate, verify_certificate
 from reeskit.taylor import (
+    RTMonomial,
     enumerate_sequences,
     multiset_distance,
     product_of,
+    rt_mul,
+    seq_remove,
     taylor_binomial,
     taylor_layer,
     weighted_degree,
@@ -37,7 +38,33 @@ from reeskit.taylor import (
 
 
 def layer_rules(ideal, s):
-    return [RewriteRule.from_binomial(b) for b in taylor_layer(ideal, s)]
+    """Each binomial of layer s as a two-sided rule (left, right)."""
+    return [b.terms() for b in taylor_layer(ideal, s)]
+
+
+def apply_step(w, step):
+    """Rewrite the monomial w by step = (rule, forward): the rule side
+    (left when forward) must divide w and is replaced by the other side."""
+    (left, right), forward = step
+    src, dst = (left, right) if forward else (right, left)
+    if Counter(src.tpart) - Counter(w.tpart) or \
+            not mono_divides(src.coef, w.coef):
+        raise ValueError("rewrite step does not apply")
+    rest = RTMonomial(mono_div_exact(w.coef, src.coef),
+                      seq_remove(w.tpart, src.tpart))
+    return rt_mul(rest, dst)
+
+
+def replay_chain(u, chain):
+    for step in chain:
+        u = apply_step(u, step)
+    return u
+
+
+def certifies(ideal, verdict):
+    """Does the yes verdict's fiber path replay as an exact certificate?"""
+    cert = fiber_certificate(ideal, verdict.b, verdict.path)
+    return verify_certificate(ideal, cert)
 
 
 def reference_chain(rules, u, v):
@@ -58,7 +85,7 @@ def reference_chain(rules, u, v):
                 return tuple(reversed(chain))
             for rule in rules:
                 for forward in (True, False):
-                    step = ChainStep(rule, forward)
+                    step = (rule, forward)
                     try:
                         res = apply_step(w, step)
                     except ValueError:
@@ -102,7 +129,7 @@ def reference_decision(ideal, b, k, seqs, prods):
 def reference_minimal_linear(ideal):
     kept = list(taylor_layer(ideal, 1))
     for b in list(kept):
-        rules = [RewriteRule.from_binomial(x) for x in kept if x is not b]
+        rules = [x.terms() for x in kept if x is not b]
         if reference_chain(rules, *b.terms()) is not None:
             kept.remove(b)
     return [(b.alpha, b.beta) for b in kept]
@@ -112,11 +139,10 @@ class TestCongruence:
     def test_one_step(self):
         V = villarreal_ideal()
         b = taylor_binomial(V, (1,), (2,))
-        u, v = b.terms()
         verdict = member_lower(V, b, 1)
         assert verdict.is_yes
         assert len(verdict.chain) == 1
-        assert replay_chain(u, verdict.chain) == v
+        assert certifies(V, verdict)
 
     def test_chain_replays_to_target(self):
         P = pentagon_ideal()
@@ -124,8 +150,7 @@ class TestCongruence:
         for b in taylor_layer(P, 3)[:60]:
             verdict = member_lower(P, b, 2)
             if verdict.is_yes:
-                u, v = b.terms()
-                assert replay_chain(u, verdict.chain) == v
+                assert certifies(P, verdict)
                 multi_step += len(verdict.chain) > 1
         assert multi_step > 0
 
@@ -150,12 +175,15 @@ class TestCongruence:
         assert member_lower(V, b, 1, cap=tight) == member_lower(V, b, 1)
 
     def test_apply_step_forward_and_back(self):
+        # the reference search's own rewrite step
         V = villarreal_ideal()
         b = taylor_binomial(V, (1,), (2,))
-        rule = RewriteRule.from_binomial(b)
-        u, v = b.terms()
-        assert apply_step(u, ChainStep(rule, True)) == v
-        assert apply_step(v, ChainStep(rule, False)) == u
+        rule = b.terms()
+        u, v = rule
+        assert apply_step(u, (rule, True)) == v
+        assert apply_step(v, (rule, False)) == u
+        with pytest.raises(ValueError):
+            apply_step(u, (rule, False))
 
 
 class TestMemberLower:
@@ -176,8 +204,7 @@ class TestMemberLower:
         b = taylor_binomial(V, (1, 2), (3, 4))
         verdict = member_lower(V, b, 1)
         assert verdict.is_yes
-        u, v = b.terms()
-        assert replay_chain(u, verdict.chain) == v
+        assert certifies(V, verdict)
 
     def test_pentagon_triple_is_new_mod_quadratics(self):
         P = pentagon_ideal()
@@ -281,8 +308,7 @@ class TestLazyChain:
         assert len(verdict.chain) == steps
         assert verdict == member_lower(V, b, k)  # reading chain keeps ==
         if verdict.is_yes:
-            u, v = b.terms()
-            assert replay_chain(u, verdict.chain) == v
+            assert certifies(V, verdict)
 
     def test_verdicts_with_different_answers_differ(self):
         V = villarreal_ideal()
@@ -292,23 +318,31 @@ class TestLazyChain:
 
     def test_status_only_callers_build_no_chain(self, monkeypatch):
         calls = []
-        original = oracle.taylor_binomial
+        original = reduction.fiber_certificate
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(oracle, "taylor_binomial", counting)
+        monkeypatch.setattr(reduction, "fiber_certificate", counting)
         P = pentagon_ideal()
         report = relation_type_estimate(P, 3)
         assert report.certified_lower == 3
-        assert calls == []
         b = taylor_binomial(P, (1, 2, 3), (1, 4, 5))
-        verdict = member_lower(P, b, 2)
-        assert verdict.is_yes and calls == []
-        u, v = b.terms()
-        assert replay_chain(u, verdict.chain) == v
-        assert len(calls) == len(verdict.chain) > 0
+        assert member_lower(P, b, 2).is_yes
+        assert fiber_witness(family_ideal(5), family_corrected_g(5)[0])
+        # a pair a rule reduces and a stuck pair build none either
+        V = villarreal_ideal()
+        assert reduction.reduce_to_normal(V, (1, 2), (1, 4)).status == \
+            "reduced"
+        assert reduction.reduce_to_normal(V, (1, 3), (2, 4)).status == \
+            "stuck"
+        assert calls == []
+        # only a top pair that the oracle alone reduces needs its path
+        I = random_ideal(random.Random(1063), 5, 8)
+        out = reduction.reduce_to_normal(I, (2, 5), (3, 4))
+        assert out.chain[0].rule_name == "fiber_path"
+        assert len(calls) == 1
 
     def test_path_is_searched_only_when_read(self, monkeypatch):
         calls = []
@@ -325,8 +359,7 @@ class TestLazyChain:
         verdict = member_lower(V, b, 1)
         assert verdict.is_yes and verdict.note != "single move"
         assert calls == []
-        u, v = b.terms()
-        assert replay_chain(u, verdict.chain) == v
+        assert certifies(V, verdict)
         assert len(calls) == 1
         verdict.chain, verdict.path  # both cached after the first read
         assert len(calls) == 1
@@ -433,5 +466,4 @@ def test_member_lower_yes_chains_always_replay(seed):
     b = rng.choice(layer)
     verdict = member_lower(I, b, 1)
     if verdict.is_yes:
-        u, v = b.terms()
-        assert replay_chain(u, verdict.chain) == v
+        assert certifies(I, verdict)

@@ -19,6 +19,7 @@ from reeskit.reduction import (
     CertTerm,
     HypothesisFails,
     IrredundancyWitness,
+    fiber_certificate,
     irredundancy_witness,
     reduce_to_normal,
     rule_block_disjoint,
@@ -33,7 +34,7 @@ from reeskit.reduction import (
     swap_certificate,
     verify_certificate,
 )
-from reeskit.oracle import member_lower
+from reeskit.oracle import member_lower, relation_type_estimate
 from reeskit.taylor import taylor_binomial, taylor_layer
 
 
@@ -365,17 +366,60 @@ class TestIrredundancyWitness:
     def test_pattern_on_reducible_pair_is_refused(self, seed, alpha, beta,
                                                   monkeypatch):
         # the separating-variable pattern fits, but other generators route
-        # around it: the pair reduces modulo the linear layer
+        # around it: the pair reduces modulo the linear layer, along its
+        # fiber path, since no rule applies
         I = random_ideal(random.Random(seed), 5, 8)
         assert member_lower(I, taylor_binomial(I, alpha, beta), 1).is_yes
         assert irredundancy_witness(I, alpha, beta) is None
         out = reduce_to_normal(I, alpha, beta)
-        assert out.status == "stuck" and out.witness is None
+        assert out.status == "reduced" and out.terminal_degree == 1
+        assert out.chain[0].rule_name == "fiber_path"
+        assert (out.chain[0].target.alpha, out.chain[0].target.beta) == \
+            (alpha, beta)
+        assert all(verify_certificate(I, cert) for cert in out.chain)
         with monkeypatch.context() as m:
             m.setattr("reeskit.reduction._confirmed", lambda *args: True)
             pattern = irredundancy_witness(I, alpha, beta)
         assert pattern is not None
         assert not pattern.check(I)
+
+
+class TestFiberCertificate:
+    def test_single_move_is_one_term(self):
+        V = villarreal_ideal()
+        b = taylor_binomial(V, (1,), (2,))
+        cert = fiber_certificate(V, b, (b.alpha, b.beta))
+        assert cert.rule_name == "fiber_path"
+        assert [(t.coef, t.tfactor, t.sub) for t in cert.terms] == \
+            [(Monomial.one(), (), b)]
+        assert verify_certificate(V, cert)
+
+    def test_yes_paths_verify_for_every_layer_bound(self):
+        # every k in 1..s-1 on a stride through layers 2..4; each step of
+        # a path at distance <= k leaves a sub-binomial of degree <= k
+        checked = 0
+        for seed in range(4):
+            I = random_ideal(random.Random(seed), 5, 8)
+            for s in (2, 3, 4):
+                for b in taylor_layer(I, s)[seed::53]:
+                    for k in range(1, s):
+                        verdict = member_lower(I, b, k)
+                        if not verdict.is_yes:
+                            continue
+                        cert = fiber_certificate(I, b, verdict.path)
+                        assert verify_certificate(I, cert), (b, k)
+                        assert len(cert.terms) == len(verdict.chain)
+                        assert all(t.sub.degree <= k for t in cert.terms)
+                        checked += 1
+        assert checked > 500
+
+    def test_broken_path_fails_verification(self):
+        V = villarreal_ideal()
+        b = taylor_binomial(V, (1, 2), (3, 4))
+        verdict = member_lower(V, b, 1)
+        assert len(verdict.path) == 3
+        short = fiber_certificate(V, b, verdict.path[:2])
+        assert not verify_certificate(V, short)
 
 
 class TestReduceToNormal:
@@ -452,8 +496,8 @@ EIGHT_RULES = ("rule_shared_index", "rule_power_factor", "rule_constant_row",
 
 
 def eight_rule_dispatch(ideal, a, b):
-    """reduce_to_normal's rule table before the three rules that cannot
-    fire there were dropped from it."""
+    """reduce_to_normal's rule table before the four rules that never fire
+    there were dropped from it."""
     for name in EIGHT_RULES:
         res = getattr(reduction, name)(ideal, a, b)
         if res is not None:
@@ -482,13 +526,18 @@ def test_five_rule_table_matches_eight_rule_table(monkeypatch):
     for I in ideals:
         for rule in cached:
             rule.cache_clear()
+        tallies = relation_type_estimate(I, 4).layer_tallies
         for s in (2, 3, 4):
+            reduced = 0
             for b in taylor_layer(I, s):
                 five = reduce_to_normal(I, b.alpha, b.beta)
+                reduced += five.status == "reduced"
                 with monkeypatch.context() as m:
                     m.setattr(reduction, "_dispatch", eight_rule_dispatch)
                     eight = reduce_to_normal(I, b.alpha, b.beta)
                 assert outcome_summary(five) == outcome_summary(eight), \
                     (b.alpha, b.beta)
                 checked += 1
+            # stuck exactly when the oracle says the pair is new
+            assert reduced == tallies[s][0], s
     assert checked == 36090
