@@ -19,7 +19,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import Optional
+from typing import Iterable, Optional
 
 from .classify import ClassificationReport, Inconsistency, classify, cross_validate
 from .demos import (
@@ -31,6 +31,7 @@ from .demos import (
     villarreal_ideal,
 )
 from .graphs import (
+    ComponentClass,
     build_graph,
     classify_component,
     components,
@@ -93,7 +94,6 @@ def _parse_row(text: str) -> tuple[int, ...]:
 def _json_report(ideal: SquareFreeIdeal, report: ClassificationReport,
                  rt: Optional[RtReport]) -> dict:
     graph = build_graph(ideal)
-    comps = components(graph)
     out = {
         "ideal": {
             "vars": list(ideal.table.names),
@@ -101,7 +101,7 @@ def _json_report(ideal: SquareFreeIdeal, report: ClassificationReport,
         },
         "graph": {
             "edges": [list(e) for e in graph.edges],
-            "components": [list(c) for c in comps],
+            "components": [list(c.vertices) for c in report.component_classes],
             "classes": [
                 {
                     "vertices": list(c.vertices),
@@ -153,6 +153,14 @@ def _print_rt(ideal: SquareFreeIdeal, rt: RtReport) -> None:
     print(f"verified upper through: {rt.verified_upper_through}")
 
 
+def _print_components(classes: Iterable[ComponentClass]) -> None:
+    for c in classes:
+        cyc = f", cycle {'-'.join(map(str, c.cycle))}" if c.cycle else ""
+        extra = (f", {c.independent_cycles} independent cycles"
+                 if c.kind == "multi_cycle" else "")
+        print(f"component {'-'.join(map(str, c.vertices))}: {c.kind}{cyc}{extra}")
+
+
 def _print_witness(ideal: SquareFreeIdeal, w: IrredundancyWitness) -> None:
     names = ideal.table.names
     print(f"irredundancy witness: distinct row ({','.join(map(str, w.avec))}), "
@@ -189,11 +197,7 @@ def cmd_classify(args) -> int:
         print(json.dumps(_json_report(ideal, report, rt), indent=2))
         return 0
     print(f"verdict: {report.verdict}")
-    for c in report.component_classes:
-        cyc = f", cycle {'-'.join(map(str, c.cycle))}" if c.cycle else ""
-        extra = (f", {c.independent_cycles} independent cycles"
-                 if c.kind == "multi_cycle" else "")
-        print(f"component {'-'.join(map(str, c.vertices))}: {c.kind}{cyc}{extra}")
+    _print_components(report.component_classes)
     print("justification:")
     for tag, cond in report.justification:
         print(f"  - {tag}: {cond}")
@@ -283,10 +287,8 @@ def cmd_demo(args) -> int:
         ideal = villarreal_ideal()
         print(render_ideal(ideal), end="")
         graph = build_graph(ideal)
-        for comp in components(graph):
-            c = classify_component(graph, comp)
-            cyc = f", cycle {'-'.join(map(str, c.cycle))}" if c.cycle else ""
-            print(f"component {'-'.join(map(str, c.vertices))}: {c.kind}{cyc}")
+        _print_components(classify_component(graph, c)
+                          for c in components(graph))
         mins = minimal_linear_generators(ideal)
         print(f"minimal linear generators ({len(mins)}):")
         for b in mins:

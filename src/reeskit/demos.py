@@ -124,11 +124,13 @@ def family_corrected_g(n: int) -> tuple[ReesBinomial, dict]:
             rhs = mono_mul(y, product_of(ideal, beta))
             if lhs == rhs:
                 solutions.append((e1, e2, e3))
-    assert len(solutions) == 1, f"exponent audit found {solutions!r}"
+    if len(solutions) != 1:
+        raise RuntimeError(f"exponent audit found {solutions!r}")
     e1, e2, e3 = solutions[0]
     binom = taylor_binomial(
         ideal, tuple(sorted((1,) * e1 + base)), (n - 1,) * e2 + (n,) * e3)
-    assert binom.lhs_coef == z and binom.rhs_coef == y
+    if binom.lhs_coef != z or binom.rhs_coef != y:
+        raise RuntimeError(f"G has coefficients other than z and y: {binom!r}")
 
     naive = (n - 5, n - 5, 1)
     naive_lhs = mono_mul(z, product_of(
@@ -149,14 +151,16 @@ def family_corrected_g(n: int) -> tuple[ReesBinomial, dict]:
 
 # --- random generators -----------------------------------------------------
 
-def random_ideal(rng: random.Random, n: int, num_vars: int,
-                 max_tries: int = 2000) -> SquareFreeIdeal:
+_MAX_DRAWS = 2000
+
+
+def random_ideal(rng: random.Random, n: int, num_vars: int) -> SquareFreeIdeal:
     """A random valid square-free ideal with n generators over num_vars
     variables, generator supports of size 2..4."""
     if n < 1 or num_vars < 3:
         raise ValueError(f"need n >= 1 and num_vars >= 3, got {n}, {num_vars}")
     names = [f"x{i}" for i in range(1, num_vars + 1)]
-    for _ in range(max_tries):
+    for _ in range(_MAX_DRAWS):
         supports = []
         for _ in range(n):
             size = rng.randint(2, min(4, num_vars - 1))
@@ -165,7 +169,7 @@ def random_ideal(rng: random.Random, n: int, num_vars: int,
             return make_ideal(names, supports)
         except IdealValidationError:
             continue
-    raise RuntimeError(f"no valid ideal found in {max_tries} draws")
+    raise RuntimeError(f"no valid ideal found in {_MAX_DRAWS} draws")
 
 
 def random_shape_ideal(shape: str, n: int, extra_vars: int = 0,

@@ -61,10 +61,6 @@ def induced_subgraph(ideal: SquareFreeIdeal, alpha: Sequence,
 
 def components(g: GeneratorGraph) -> list[tuple[int, ...]]:
     """Connected components as sorted vertex tuples, ordered by least vertex."""
-    adj: dict[int, list[int]] = {v: [] for v in g.vertices}
-    for i, j in g.edges:
-        adj[i].append(j)
-        adj[j].append(i)
     seen: set[int] = set()
     out = []
     for v in g.vertices:
@@ -76,7 +72,7 @@ def components(g: GeneratorGraph) -> list[tuple[int, ...]]:
         while stack:
             node = stack.pop()
             comp.append(node)
-            for nb in adj[node]:
+            for nb in g.neighbors(node):
                 if nb not in seen:
                     seen.add(nb)
                     stack.append(nb)
@@ -101,69 +97,38 @@ class ComponentClass:
 
 def classify_component(g: GeneratorGraph, comp: tuple[int, ...]) -> ComponentClass:
     comp_set = set(comp)
-    edges = [(i, j) for i, j in g.edges if i in comp_set]
-    ne, nv = len(edges), len(comp)
-    extra = ne - nv + 1
+    extra = sum(i in comp_set for i, _ in g.edges) - len(comp) + 1
     if extra == 0:
         return ComponentClass(comp, "forest", None, 0)
     if extra > 1:
         return ComponentClass(comp, "multi_cycle", None, extra)
-    cycle = _unique_cycle(comp, edges)
+    cycle = _unique_cycle(g, comp)
     kind = "unique_odd_cycle" if len(cycle) % 2 == 1 else "unique_even_cycle"
     return ComponentClass(comp, kind, cycle, 1)
 
 
-def _unique_cycle(comp: tuple[int, ...],
-                  edges: list[tuple[int, int]]) -> tuple[int, ...]:
-    """With |E| = |V| on a connected component: spanning tree from the least
-    vertex plus the single leftover edge closes the unique cycle."""
-    adj: dict[int, list[int]] = {v: [] for v in comp}
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    root = comp[0]
-    parent: dict[int, Optional[int]] = {root: None}
-    order = [root]
-    frontier = [root]
-    tree_edges = set()
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for nb in sorted(adj[v]):
-                if nb not in parent:
-                    parent[nb] = v
-                    tree_edges.add((min(v, nb), max(v, nb)))
-                    nxt.append(nb)
-        frontier = nxt
-        order.extend(nxt)
-    leftover = [e for e in edges if e not in tree_edges]
-    assert len(leftover) == 1, "component does not carry exactly one cycle"
-    u, w = leftover[0]
+def _unique_cycle(g: GeneratorGraph, comp: tuple[int, ...]) -> tuple[int, ...]:
+    """The cycle of a connected component with |E| = |V|, in canonical form.
 
-    def path_to_root(v: int) -> list[int]:
-        path = [v]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])
-        return path
-
-    pu, pw = path_to_root(u), path_to_root(w)
-    common = set(pu) & set(pw)
-    lca = next(v for v in pu if v in common)
-    cycle = pu[:pu.index(lca) + 1] + list(reversed(pw[:pw.index(lca)]))
-    return _canonical_cycle(cycle)
+    Stripping leaves until none is left leaves exactly the cycle (the
+    component's 2-core).  The walk round it starts at its least vertex and
+    heads for the smaller of that vertex's two cycle neighbours, so the
+    tuple comes out already rotated and oriented."""
+    ring = set(comp)
+    while leaves := {v for v in ring
+                     if len(ring.intersection(g.neighbors(v))) < 2}:
+        ring -= leaves
+    cycle: list[int] = []
+    prev, v = None, min(ring)
+    while v not in cycle:
+        cycle.append(v)
+        prev, v = v, next(nb for nb in g.neighbors(v)
+                          if nb in ring and nb != prev)
+    return tuple(cycle)
 
 
-def _canonical_cycle(cycle: list[int]) -> tuple[int, ...]:
-    """Rotate to start at the least vertex, then pick the direction whose
-    second vertex is smaller."""
-    k = cycle.index(min(cycle))
-    rot = cycle[k:] + cycle[:k]
-    rev = [rot[0]] + list(reversed(rot[1:]))
-    return tuple(rev) if rev[1] < rot[1] else tuple(rot)
-
-
-def to_dot(g: GeneratorGraph, name: str = "generators") -> str:
-    lines = [f"graph {name} {{"]
+def to_dot(g: GeneratorGraph) -> str:
+    lines = ["graph generators {"]
     label_of = dict(zip(g.vertices, g.labels))
     for v in g.vertices:
         lines.append(f'  y{v} [label="{label_of[v]}"];')
@@ -176,14 +141,13 @@ def to_dot(g: GeneratorGraph, name: str = "generators") -> str:
 @dataclass(frozen=True)
 class WalkWitness:
     """A closed even walk in the generator graph, recorded as the vertex
-    itinerary (first == last) together with the traversed edges."""
+    itinerary (first == last)."""
 
     vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
 
     @property
     def length(self) -> int:
-        return len(self.edges)
+        return len(self.vertices) - 1
 
 
 def even_closed_walk(ideal: SquareFreeIdeal, witness) -> WalkWitness:
@@ -199,10 +163,7 @@ def even_closed_walk(ideal: SquareFreeIdeal, witness) -> WalkWitness:
     for i in range(s - 2):
         itinerary.extend([avec[i], b1])
     itinerary.extend([avec[s - 2], b2, avec[s - 1], b1])
-    edges = []
     for u, v in zip(itinerary, itinerary[1:]):
         if mono_gcd(ideal.generator(u), ideal.generator(v)).is_one:
             raise ValueError(f"walk step {u}-{v} is not an edge")
-        edges.append((min(u, v), max(u, v)))
-    assert len(edges) == 2 * s
-    return WalkWitness(tuple(itinerary), tuple(edges))
+    return WalkWitness(tuple(itinerary))

@@ -165,14 +165,14 @@ def mono_product(monos: Iterable[Monomial]) -> Monomial:
     return Monomial.from_dict(out)
 
 
-def render_monomial(m: Monomial, table: VariableTable, sep: str = "*") -> str:
+def render_monomial(m: Monomial, table: VariableTable) -> str:
     if m.is_one:
         return "1"
     parts = []
     for v, e in m.exps:
         name = table.names[v]
         parts.append(name if e == 1 else f"{name}^{e}")
-    return sep.join(parts)
+    return "*".join(parts)
 
 
 @dataclass(frozen=True)

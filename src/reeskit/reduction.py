@@ -292,54 +292,44 @@ def _distinct_submultisets(seq: Sequence, t: int) -> list[Sequence]:
     return sorted(set(itertools.combinations(seq, t)))
 
 
+def _aligned(alpha: Sequence, beta: Sequence, m: int):
+    """Yield the aligned m-block partitions of (alpha, beta) as block tuples,
+    ordered by the first block's size, then its alpha part, then its beta
+    part, and the remaining blocks likewise."""
+    if m == 1:
+        yield ((alpha, beta),)
+        return
+    for t in range(1, len(alpha) - m + 2):
+        for sub_a in _distinct_submultisets(alpha, t):
+            rest_a = seq_remove(alpha, sub_a)
+            for sub_b in _distinct_submultisets(beta, t):
+                for rest in _aligned(rest_a, seq_remove(beta, sub_b), m - 1):
+                    yield ((sub_a, sub_b),) + rest
+
+
 def rule_block_disjoint(ideal: SquareFreeIdeal, alpha: Sequence,
                         beta: Sequence) -> Optional[Certificate]:
     """Exhaustive aligned-partition search for disjoint rows.
 
     Tries every aligned two-block partition (both block orders) and, for
-    degree at most 6, every aligned three-block partition, keeping the first
-    one whose gcd hypothesis verifies.  The separation conditions in the
-    underlying theory are strictly stronger than the mechanical hypothesis,
-    so gating on the hypothesis itself both covers them and stays sound.
+    degree at most 6, every aligned three-block partition, in _aligned's
+    order, keeping the first one whose gcd hypothesis verifies.  The
+    separation conditions in the underlying theory are strictly stronger
+    than the mechanical hypothesis, so gating on the hypothesis itself both
+    covers them and stays sound.
     """
     if seq_intersection(alpha, beta):
         return None
-    s = len(alpha)
-    if s < 2:
-        return None
-    for t in range(1, s):
-        for sub_a in _distinct_submultisets(alpha, t):
-            rest_a = seq_remove(alpha, sub_a)
-            for sub_b in _distinct_submultisets(beta, t):
-                rest_b = seq_remove(beta, sub_b)
-                try:
-                    return split_certificate(
-                        ideal,
-                        BlockPartition(((sub_a, sub_b), (rest_a, rest_b))),
-                        rule_name="block_disjoint",
-                        note="two aligned blocks")
-                except HypothesisFails:
-                    continue
-    if s <= 6:
-        for t1 in range(1, s - 1):
-            for a1 in _distinct_submultisets(alpha, t1):
-                ra1 = seq_remove(alpha, a1)
-                for b1 in _distinct_submultisets(beta, t1):
-                    rb1 = seq_remove(beta, b1)
-                    for t2 in range(1, s - t1):
-                        for a2 in _distinct_submultisets(ra1, t2):
-                            ra2 = seq_remove(ra1, a2)
-                            for b2 in _distinct_submultisets(rb1, t2):
-                                rb2 = seq_remove(rb1, b2)
-                                try:
-                                    return split_certificate(
-                                        ideal,
-                                        BlockPartition(
-                                            ((a1, b1), (a2, b2), (ra2, rb2))),
-                                        rule_name="block_disjoint",
-                                        note="three aligned blocks")
-                                except HypothesisFails:
-                                    continue
+    for m, note in ((2, "two aligned blocks"), (3, "three aligned blocks")):
+        if m == 3 and len(alpha) > 6:
+            break
+        for blocks in _aligned(alpha, beta, m):
+            try:
+                return split_certificate(
+                    ideal, BlockPartition(blocks),
+                    rule_name="block_disjoint", note=note)
+            except HypothesisFails:
+                continue
     return None
 
 
@@ -596,17 +586,25 @@ class IrredundancyWitness:
             return False
         if self.b1 == self.b2 or set(self.avec) & {self.b1, self.b2}:
             return False
-        sup = {i: ideal.generator(i).support for i in set(self.avec) | {self.b1, self.b2}}
-        for i, ai in enumerate(self.avec):
-            x, z = self.xvars[i], self.zvars[i]
-            others = [a for a in self.avec if a != ai]
-            if not (all(x in sup[a] for a in others) and x in sup[self.b1]
-                    and x not in sup[ai] and x not in sup[self.b2]):
-                return False
-            if not (z in sup[ai] and z in sup[self.b2] and z not in sup[self.b1]
-                    and all(z not in sup[a] for a in others)):
-                return False
+        seps = _separators(ideal, self.avec, self.b1, self.b2)
+        if not all(x in xs and z in zs for (xs, zs), x, z
+                   in zip(seps, self.xvars, self.zvars)):
+            return False
         return _confirmed(ideal, self.alpha, self.beta)
+
+
+def _separators(ideal: SquareFreeIdeal, avec: Sequence, b1: int,
+                b2: int) -> list[tuple[list[int], list[int]]]:
+    """For each entry of avec, the variables in table order that may serve
+    as its x-var and as its z-var (see IrredundancyWitness)."""
+    sup = {i: ideal.generator(i).support for i in set(avec) | {b1, b2}}
+    out = []
+    for ai in avec:
+        others = [sup[a] for a in avec if a != ai]
+        xs = sorted(sup[b1].intersection(*others) - sup[ai] - sup[b2])
+        zs = sorted((sup[ai] & sup[b2]).difference(sup[b1], *others))
+        out.append((xs, zs))
+    return out
 
 
 def _confirmed(ideal: SquareFreeIdeal, alpha: Sequence, beta: Sequence) -> bool:
@@ -615,14 +613,13 @@ def _confirmed(ideal: SquareFreeIdeal, alpha: Sequence, beta: Sequence) -> bool:
     return member_lower(ideal, b, b.degree - 1).is_no
 
 
-def irredundancy_witness(ideal: SquareFreeIdeal, alpha: Sequence,
-                         beta: Sequence) -> Optional[IrredundancyWitness]:
-    """Search both role assignments for an irredundancy witness; per entry
-    the first suitable variable in table order is taken.  A pattern is
-    returned only when the oracle confirms the pair (see _confirmed)."""
+def _pattern(ideal: SquareFreeIdeal, alpha: Sequence,
+             beta: Sequence) -> Optional[IrredundancyWitness]:
+    """The irredundancy pattern of the pair, without the oracle: both role
+    assignments are searched, and per entry the first separating variable
+    in table order is taken."""
     alpha = tuple(alpha)
     beta = tuple(beta)
-    num_vars = len(ideal.table)
     for a_row, b_row, swapped in ((alpha, beta, False), (beta, alpha, True)):
         s = len(a_row)
         if s < 2 or len(set(a_row)) != s:
@@ -639,30 +636,22 @@ def irredundancy_witness(ideal: SquareFreeIdeal, alpha: Sequence,
             if sorted(counts.values()) != [1, s - 1]:
                 continue
             candidates = [(by_mult[s - 1], by_mult[1])]
-        sup = {i: ideal.generator(i).support for i in set(a_row) | set(b_row)}
         avec = tuple(sorted(a_row))
         for b1, b2 in candidates:
-            xv, zv = [], []
-            for ai in avec:
-                others = [a for a in avec if a != ai]
-                x = next((v for v in range(num_vars)
-                          if all(v in sup[a] for a in others)
-                          and v in sup[b1] and v not in sup[ai]
-                          and v not in sup[b2]), None)
-                z = next((v for v in range(num_vars)
-                          if v in sup[ai] and v in sup[b2]
-                          and v not in sup[b1]
-                          and all(v not in sup[a] for a in others)), None)
-                if x is None or z is None:
-                    break
-                xv.append(x)
-                zv.append(z)
-            else:
-                if not _confirmed(ideal, alpha, beta):
-                    return None
-                return IrredundancyWitness(alpha, beta, avec, b1, b2,
-                                           tuple(xv), tuple(zv), swapped)
+            seps = _separators(ideal, avec, b1, b2)
+            if all(xs and zs for xs, zs in seps):
+                return IrredundancyWitness(
+                    alpha, beta, avec, b1, b2, tuple(xs[0] for xs, _ in seps),
+                    tuple(zs[0] for _, zs in seps), swapped)
     return None
+
+
+def irredundancy_witness(ideal: SquareFreeIdeal, alpha: Sequence,
+                         beta: Sequence) -> Optional[IrredundancyWitness]:
+    """The pair's _pattern, returned only when the oracle confirms the pair
+    (see _confirmed)."""
+    w = _pattern(ideal, alpha, beta)
+    return w if w is not None and _confirmed(ideal, w.alpha, w.beta) else None
 
 
 # --- the reduction driver --------------------------------------------------
@@ -730,9 +719,10 @@ def reduce_to_normal(ideal: SquareFreeIdeal, alpha: Sequence,
             top = taylor_binomial(ideal, pa, pb)
             verdict = member_lower(ideal, top, top.degree - 1)
             if verdict.is_no:
+                # the verdict is the witness's confirmation already
                 return ReductionOutcome(
                     "stuck", (), stuck_pair=(pa, pb),
-                    witness=irredundancy_witness(ideal, pa, pb))
+                    witness=_pattern(ideal, pa, pb))
             res = [fiber_certificate(ideal, top, verdict.path)]
         is_top = False
         if res is None:

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import random
@@ -191,6 +192,15 @@ def test_bad_input_exits_2_without_asserts(argv, villarreal_file, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_no_assert_statement_in_the_package():
+    # python -O strips them, so no check in src/ may be one
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(reeskit.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_demo_villarreal(capsys):

@@ -93,7 +93,7 @@ class TestRandomGenerators:
         with pytest.raises(RuntimeError):
             # 11 pairwise-incomparable supports of size 2..3 over 4
             # variables do not exist
-            random_ideal(rng, 11, 4, max_tries=50)
+            random_ideal(rng, 11, 4)
 
     def test_shape_ideals_valid_and_deterministic(self):
         for shape in ("forest", "odd-cycle", "even-cycle"):

@@ -91,6 +91,36 @@ class TestComponentClassification:
         assert c.kind in ("unique_odd_cycle", "unique_even_cycle")
         assert len(c.cycle) % 2 == 1 if c.kind == "unique_odd_cycle" else True
 
+    def test_cycle_direction_with_a_hanging_tree(self):
+        # 4-cycle 1-4-2-5 plus a leaf 3 on vertex 2: one shared variable per
+        # edge, one private variable per generator
+        edges = [(1, 4), (4, 2), (2, 5), (5, 1), (2, 3)]
+        supports = {v: [] for v in range(1, 6)}
+        for var, (i, j) in enumerate(edges):
+            supports[i].append(var)
+            supports[j].append(var)
+        for v in range(1, 6):
+            supports[v].append(len(edges) + v - 1)
+        I = make_ideal([f"x{k}" for k in range(10)],
+                       [supports[v] for v in range(1, 6)])
+        g = build_graph(I)
+        (comp,) = components(g)
+        assert classify_component(g, comp).cycle == (1, 4, 2, 5)
+
+    def test_shape_ideal_cycle_is_the_built_one(self):
+        # random_shape_ideal builds its cycle on 1..c and hangs the other
+        # vertices off it, so none of them may join the cycle
+        hanging = 0
+        for shape in ("odd-cycle", "even-cycle"):
+            for n in (6, 7, 8):
+                for seed in range(10):
+                    g = build_graph(random_shape_ideal(shape, n, seed=seed))
+                    (comp,) = components(g)
+                    cycle = classify_component(g, comp).cycle
+                    assert cycle == tuple(range(1, len(cycle) + 1))
+                    hanging += n > len(cycle)
+        assert hanging > 0
+
 
 def test_shape_generator_matches_requested_shape():
     for seed in range(12):

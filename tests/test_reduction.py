@@ -383,6 +383,21 @@ class TestIrredundancyWitness:
         assert pattern is not None
         assert not pattern.check(I)
 
+    def test_stuck_pair_asks_the_oracle_once(self, monkeypatch):
+        # the driver's own "no" confirms the witness of a stuck pair
+        P = pentagon_ideal()
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return member_lower(*args)
+
+        monkeypatch.setattr(reduction, "member_lower", counted)
+        out = reduce_to_normal(P, (1, 1, 4), (2, 3, 5))
+        assert len(calls) == 1
+        assert out.status == "stuck"
+        assert out.witness == irredundancy_witness(P, (1, 1, 4), (2, 3, 5))
+
 
 class TestFiberCertificate:
     def test_single_move_is_one_term(self):
@@ -514,7 +529,7 @@ def test_five_rule_table_matches_eight_rule_table(monkeypatch):
     # the witness depends on the stuck pair alone, so it is not searched;
     # rule results are shared between the two tables, which ask the same
     # rules about the same pairs (one cache per ideal keeps memory small)
-    monkeypatch.setattr(reduction, "irredundancy_witness", lambda *a: None)
+    monkeypatch.setattr(reduction, "_pattern", lambda *a: None)
     cached = [functools.cache(getattr(reduction, name))
               for name in EIGHT_RULES]
     for name, rule in zip(EIGHT_RULES, cached):
