@@ -190,7 +190,7 @@ def cmd_classify(args) -> int:
     if args.dot:
         try:
             with open(args.dot, "w") as fh:
-                fh.write(to_dot(build_graph(ideal)))
+                fh.write(to_dot(ideal, build_graph(ideal)))
         except OSError as exc:
             raise BadInput(exc) from None
     if args.json:

@@ -24,6 +24,7 @@ from .monomials import (
     SquareFreeIdeal,
     make_ideal,
     mono_mul,
+    mono_pow,
 )
 from .taylor import ReesBinomial, product_of, taylor_binomial
 
@@ -112,16 +113,17 @@ def family_corrected_g(n: int) -> tuple[ReesBinomial, dict]:
     y = Monomial.from_support([y_var])
     base = tuple(range(2, n - 1))
 
+    z_base = mono_mul(z, product_of(ideal, base))
+    f_1, f_prev, f_last = (ideal.generator(i) for i in (1, n - 1, n))
     solutions = []
     for e1 in range(0, 2 * n):
+        lhs = mono_mul(z_base, mono_pow(f_1, e1))
         for e2 in range(0, 2 * n):
             e3 = e1 + len(base) - e2
             if e3 < 0 or e2 + e3 == 0:
                 continue
-            alpha = tuple(sorted((1,) * e1 + base))
-            beta = (n - 1,) * e2 + (n,) * e3
-            lhs = mono_mul(z, product_of(ideal, alpha))
-            rhs = mono_mul(y, product_of(ideal, beta))
+            rhs = mono_mul(y, mono_mul(mono_pow(f_prev, e2),
+                                       mono_pow(f_last, e3)))
             if lhs == rhs:
                 solutions.append((e1, e2, e3))
     if len(solutions) != 1:

@@ -20,7 +20,6 @@ from .taylor import Sequence
 class GeneratorGraph:
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
-    labels: tuple[str, ...]  # aligned with vertices
 
     def neighbors(self, v: int) -> list[int]:
         out = []
@@ -43,10 +42,7 @@ def _graph_on(ideal: SquareFreeIdeal, vertices: Iterable[int]) -> GeneratorGraph
         for j in verts[pos + 1:]:
             if not mono_gcd(ideal.generator(i), ideal.generator(j)).is_one:
                 edges.append((i, j))
-    labels = tuple(
-        f"y{i}: {render_monomial(ideal.generator(i), ideal.table)}"
-        for i in verts)
-    return GeneratorGraph(verts, tuple(edges), labels)
+    return GeneratorGraph(verts, tuple(edges))
 
 
 def build_graph(ideal: SquareFreeIdeal) -> GeneratorGraph:
@@ -127,11 +123,11 @@ def _unique_cycle(g: GeneratorGraph, comp: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(cycle)
 
 
-def to_dot(g: GeneratorGraph) -> str:
+def to_dot(ideal: SquareFreeIdeal, g: GeneratorGraph) -> str:
     lines = ["graph generators {"]
-    label_of = dict(zip(g.vertices, g.labels))
     for v in g.vertices:
-        lines.append(f'  y{v} [label="{label_of[v]}"];')
+        label = render_monomial(ideal.generator(v), ideal.table)
+        lines.append(f'  y{v} [label="y{v}: {label}"];')
     for i, j in g.edges:
         lines.append(f"  y{i} -- y{j};")
     lines.append("}")

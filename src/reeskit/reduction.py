@@ -17,18 +17,22 @@ for every non-trivial block and emits the telescoping certificate with
 cofactors A_i = prod_{j<i} f_{alpha_j} * prod_{k>i} f_{beta_k}
 * gcd(f_{alpha_i}, f_{beta_i}) / gcd(f_alpha, f_beta).
 
-The named rules are sufficient conditions with documented search spaces;
-most try the pair as given and with the roles of alpha and beta exchanged
+The named rules are sufficient conditions with documented search spaces.
+rule_block_disjoint tries every aligned two-block partition, which already
+covers the exchanged pair, and small three-block ones; rule_constant_row
+tries the pair as given and with the roles of alpha and beta exchanged
 (a swapped match flips the orientation of every sub-binomial, which absorbs
-the sign), while rule_block_disjoint's two-block search already covers the
-exchanged pair.  fiber_certificate is the exact fallback: a path through
-the lcm fiber, as the oracle finds it, telescopes into a certificate of
-the same form.  reduce_to_normal drives four of the eight rules in a fixed
-priority order (_dispatch says why the other four are left out); when none
-applies to the top pair it asks the oracle, and the pair is either reduced
-along its fiber path or stuck, which then means it is a genuinely new
-generator in its degree, and the driver searches for an irredundancy
-witness of that.
+the sign).  The four shape rules of the theory (2x2, 3x2, a leaf of a tree,
+a segment of a unique odd cycle) are guards over rule_block_disjoint that
+rename its certificate: the splits their proofs peel are among those it
+tries.  Every rule returns one Certificate or None.
+fiber_certificate is the exact fallback: a path through the lcm fiber, as
+the oracle finds it, telescopes into a certificate of the same form.
+reduce_to_normal drives four of the eight rules in a fixed priority order
+(the shape rules cannot fire after rule_block_disjoint); when none applies
+to the top pair it asks the oracle, and the pair is either reduced along
+its fiber path or stuck, which then means it is a genuinely new generator
+in its degree, and the driver searches for an irredundancy witness of that.
 """
 
 from __future__ import annotations
@@ -39,7 +43,12 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .graphs import GeneratorGraph, components, induced_subgraph
+from .graphs import (
+    ComponentClass,
+    classify_component,
+    components,
+    induced_subgraph,
+)
 from .monomials import (
     Monomial,
     SquareFreeIdeal,
@@ -73,10 +82,6 @@ class HypothesisFails(Exception):
     def __init__(self, index: int, message: str):
         super().__init__(message)
         self.index = index
-
-
-class InternalCaseError(Exception):
-    """A case analysis reached a shape it proves impossible."""
 
 
 @dataclass(frozen=True)
@@ -333,220 +338,63 @@ def rule_block_disjoint(ideal: SquareFreeIdeal, alpha: Sequence,
     return None
 
 
-def _sorted_runs(seq: Sequence) -> list[tuple[int, int]]:
-    return sorted(run_lengths(seq), key=lambda p: (-p[1], p[0]))
-
-
-def _two_by_two_peel(ideal: SquareFreeIdeal, alpha: Sequence,
-                     beta: Sequence) -> Certificate:
-    (a1, l1), (a2, l2) = _sorted_runs(alpha)
-    (b1, k1), (b2, k2) = _sorted_runs(beta)
-    if k1 > k2:
-        rest_a = tuple(sorted((a1,) * (l1 - 1) + (a2,) * l2))
-        rest_b = tuple(sorted((b1,) * (k1 - 1) + (b2,) * k2))
-        blocks = BlockPartition(((rest_a, rest_b), ((a1,), (b1,))))
-        return split_certificate(ideal, blocks, rule_name="two_by_two",
-                                 note=f"peel ({a1},{b1}) after the remainder")
-    if l1 > l2:
-        return swap_certificate(_two_by_two_peel(ideal, beta, alpha))
-    raise InternalCaseError(
-        "both rows have flat multiplicities; the power rule covers this")
-
-
-def _three_by_two_step(ideal: SquareFreeIdeal, alpha: Sequence,
-                       beta: Sequence) -> Certificate:
-    if len(set(alpha)) != 3:
-        return swap_certificate(_three_by_two_step(ideal, beta, alpha))
-    (a1, l1), (a2, l2), (a3, l3) = _sorted_runs(alpha)
-    (b1, k1), (b2, k2) = _sorted_runs(beta)
-    s = len(alpha)
-    if l1 + l2 > k1:
-        rest_a = tuple(sorted(
-            (a1,) * (l1 - 1) + (a2,) * (l2 - 1) + (a3,) * l3))
-        rest_b = tuple(sorted((b1,) * (k1 - 1) + (b2,) * (k2 - 1)))
-        peel = (tuple(sorted((a1, a2))), tuple(sorted((b1, b2))))
-        blocks = BlockPartition(((rest_a, rest_b), peel))
-        return split_certificate(ideal, blocks, rule_name="three_by_two",
-                                 note="double peel (heavy pair case)")
-    if l1 > k2:
-        rest_a = tuple(sorted((a1,) * (l1 - 1) + (a2,) * l2 + (a3,) * l3))
-        rest_b = tuple(sorted((b1,) * (k1 - 1) + (b2,) * k2))
-        blocks = BlockPartition(((rest_a, rest_b), ((a1,), (b1,))))
-        return split_certificate(ideal, blocks, rule_name="three_by_two",
-                                 note="single peel (dominant row case)")
-    # forced balanced shape: multiplicities (t,t,t) against (2t,t)
-    t, r = divmod(s, 3)
-    if r != 0 or not (l1 == l2 == l3 == t and k1 == 2 * t and k2 == t):
-        raise InternalCaseError(
-            f"balanced case with s = {s} violates its own constraints")
-    cert = rule_power_factor(ideal, alpha, beta)
-    if cert is None:
-        raise InternalCaseError("balanced case is not a power, s = %d" % s)
-    return replace(cert, rule_name="three_by_two",
-                   note="balanced case via the power factorization")
-
-
-def _family_step(ideal: SquareFreeIdeal, alpha: Sequence,
-                 beta: Sequence) -> Optional[Certificate]:
-    cert = rule_power_factor(ideal, alpha, beta)
-    if cert is not None:
-        return cert
-    cert = rule_constant_row(ideal, alpha, beta)
-    if cert is not None:
-        return cert
-    da, db = len(set(alpha)), len(set(beta))
-    if da == 2 and db == 2:
-        return _two_by_two_peel(ideal, alpha, beta)
-    if {da, db} == {3, 2}:
-        return _three_by_two_step(ideal, alpha, beta)
-    return None
-
-
-def _family_reduce(ideal: SquareFreeIdeal, alpha: Sequence, beta: Sequence,
-                   stop_degree: int) -> list[Certificate]:
-    """Drive the closed shape family {constant row, 2x2, 3x2, powers} down
-    to stop_degree.  Every remainder stays inside the family, so a miss is
-    an internal error rather than a NotApplicable."""
-    certs: list[Certificate] = []
-    queue = [(alpha, beta)]
-    seen = {(alpha, beta)}
-    while queue:
-        a, b = queue.pop(0)
-        if len(a) <= stop_degree:
-            continue
-        cert = _family_step(ideal, a, b)
-        if cert is None:
-            raise InternalCaseError(f"pair {a} vs {b} left the shape family")
-        certs.append(cert)
-        for term in cert.terms:
-            key = (term.sub.alpha, term.sub.beta)
-            if term.sub.degree > stop_degree and key not in seen:
-                seen.add(key)
-                queue.append(key)
-    return certs
+def _as_rule(cert: Optional[Certificate],
+             rule_name: str) -> Optional[Certificate]:
+    return None if cert is None else replace(cert, rule_name=rule_name)
 
 
 def rule_two_by_two(ideal: SquareFreeIdeal, alpha: Sequence,
-                    beta: Sequence) -> Optional[list[Certificate]]:
-    """Two distinct indices on each side, disjoint, degree >= 3: peel
-    (heaviest of one row, strictly heavier of the other) and recurse down to
-    degree 2.  Flat multiplicities on both sides reduce to the power rule."""
-    if seq_intersection(alpha, beta) or len(alpha) < 3:
+                    beta: Sequence) -> Optional[Certificate]:
+    """Two distinct indices on each side, disjoint, degree >= 3: a guard
+    over rule_block_disjoint, whose search contains the peel of one copy of
+    each row's heaviest index."""
+    if len(alpha) < 3 or len(set(alpha)) != 2 or len(set(beta)) != 2:
         return None
-    if len(set(alpha)) != 2 or len(set(beta)) != 2:
-        return None
-    return _family_reduce(ideal, alpha, beta, stop_degree=2)
+    return _as_rule(rule_block_disjoint(ideal, alpha, beta), "two_by_two")
 
 
 def rule_three_by_two(ideal: SquareFreeIdeal, alpha: Sequence,
-                      beta: Sequence) -> Optional[list[Certificate]]:
-    """Three distinct indices against two, disjoint, degree >= 4: case split
-    on the multiplicities, recursing inside the closed shape family down to
-    degree 3."""
-    if seq_intersection(alpha, beta) or len(alpha) < 4:
+                      beta: Sequence) -> Optional[Certificate]:
+    """Three distinct indices against two, disjoint, degree >= 4: a guard
+    over rule_block_disjoint, whose search contains the single and double
+    peels of the heaviest indices."""
+    if len(alpha) < 4 or {len(set(alpha)), len(set(beta))} != {3, 2}:
         return None
-    if {len(set(alpha)), len(set(beta))} != {3, 2}:
-        return None
-    return _family_reduce(ideal, alpha, beta, stop_degree=3)
+    return _as_rule(rule_block_disjoint(ideal, alpha, beta), "three_by_two")
 
 
-def _is_connected(g: GeneratorGraph) -> bool:
-    return len(components(g)) == 1
+def _induced_class(ideal: SquareFreeIdeal, alpha: Sequence,
+                   beta: Sequence) -> Optional[ComponentClass]:
+    """The class of the induced generator graph when it is connected."""
+    sub = induced_subgraph(ideal, alpha, beta)
+    comps = components(sub)
+    return classify_component(sub, comps[0]) if len(comps) == 1 else None
 
 
 def rule_tree_leaf(ideal: SquareFreeIdeal, alpha: Sequence,
                    beta: Sequence) -> Optional[Certificate]:
-    """Disjoint rows whose induced generator graph is a tree: peel at a leaf
-    of one row whose unique neighbor lies in the other row.
-
-    When the leaf multiplicity already covers the neighbor multiplicity the
-    aligned-block search settles the pair; otherwise split off the matched
-    (leaf^l, neighbor^l) block and push the surplus neighbor copies into the
-    remainder."""
+    """Disjoint rows whose induced generator graph is a tree: a guard over
+    rule_block_disjoint, whose search contains the split at a leaf."""
     if seq_intersection(alpha, beta):
         return None
-    sub = induced_subgraph(ideal, alpha, beta)
-    if len(sub.edges) != len(sub.vertices) - 1 or not _is_connected(sub):
+    cls = _induced_class(ideal, alpha, beta)
+    if cls is None or cls.kind != "forest":
         return None
-    for a_row, b_row, swapped in ((alpha, beta, False), (beta, alpha, True)):
-        a_set, b_set = set(a_row), set(b_row)
-        for v in sub.vertices:
-            if v not in a_set:
-                continue
-            nbrs = sub.neighbors(v)
-            if len(nbrs) != 1 or nbrs[0] not in b_set:
-                continue
-            u = nbrs[0]
-            l1 = a_row.count(v)
-            r1 = b_row.count(u)
-            if l1 >= r1:
-                cert = rule_block_disjoint(ideal, a_row, b_row)
-                if cert is None:
-                    continue
-                cert = replace(cert, rule_name="tree_leaf",
-                               note="leaf covers its neighbor; aligned blocks")
-            else:
-                big_a = seq_remove(a_row, (v,) * l1)
-                big_b = tuple(sorted(
-                    (u,) * (r1 - l1) + seq_remove(b_row, (u,) * r1)))
-                blocks = BlockPartition(
-                    ((big_a, big_b), ((v,) * l1, (u,) * l1)))
-                try:
-                    cert = split_certificate(
-                        ideal, blocks, rule_name="tree_leaf",
-                        note=f"match leaf {v} against neighbor {u}")
-                except HypothesisFails:
-                    continue
-            return swap_certificate(cert) if swapped else cert
-    return None
+    return _as_rule(rule_block_disjoint(ideal, alpha, beta), "tree_leaf")
 
 
 def rule_odd_cycle_step(ideal: SquareFreeIdeal, alpha: Sequence,
                         beta: Sequence) -> Optional[Certificate]:
-    """Disjoint rows inducing a single odd cycle of length >= 5, degree >= 4:
-    find consecutive cycle vertices b1 - a1 - a2 - b2 with the a's in one row,
-    the b's in the other, and both a-multiplicities strictly below the
-    multiplicities of their b-neighbors; match the a-block against equally
-    many copies of the b's and push the surplus into the remainder."""
+    """Disjoint rows, degree >= 4, whose induced generator graph is exactly
+    one odd cycle of length >= 5: a guard over rule_block_disjoint, whose
+    search contains the split at a cycle segment b1 - a1 - a2 - b2."""
     if seq_intersection(alpha, beta) or len(alpha) < 4:
         return None
-    sub = induced_subgraph(ideal, alpha, beta)
-    nv = len(sub.vertices)
-    if nv < 5 or nv % 2 == 0 or len(sub.edges) != nv:
+    cls = _induced_class(ideal, alpha, beta)
+    if (cls is None or cls.kind != "unique_odd_cycle"
+            or len(cls.cycle) != len(cls.vertices) or len(cls.cycle) < 5):
         return None
-    if any(len(sub.neighbors(v)) != 2 for v in sub.vertices):
-        return None
-    if not _is_connected(sub):
-        return None
-    for a_row, b_row, swapped in ((alpha, beta, False), (beta, alpha, True)):
-        a_set, b_set = set(a_row), set(b_row)
-        for ei, ej in sub.edges:
-            for a1, a2 in ((ei, ej), (ej, ei)):
-                if a1 not in a_set or a2 not in a_set:
-                    continue
-                b1 = next(x for x in sub.neighbors(a1) if x != a2)
-                b2 = next(x for x in sub.neighbors(a2) if x != a1)
-                if b1 not in b_set or b2 not in b_set or b1 == b2:
-                    continue
-                l1, l2 = a_row.count(a1), a_row.count(a2)
-                r1, r2 = b_row.count(b1), b_row.count(b2)
-                if l1 >= r1 or l2 >= r2:
-                    continue
-                big_a = seq_remove(a_row, tuple(sorted((a1,) * l1 + (a2,) * l2)))
-                big_b = tuple(sorted(
-                    (b1,) * (r1 - l1) + (b2,) * (r2 - l2)
-                    + seq_remove(b_row, tuple(sorted((b1,) * r1 + (b2,) * r2)))))
-                peel = (tuple(sorted((a1,) * l1 + (a2,) * l2)),
-                        tuple(sorted((b1,) * l1 + (b2,) * l2)))
-                try:
-                    cert = split_certificate(
-                        ideal, BlockPartition(((big_a, big_b), peel)),
-                        rule_name="odd_cycle_step",
-                        note=f"cycle segment {b1}-{a1}-{a2}-{b2}")
-                except HypothesisFails:
-                    continue
-                return swap_certificate(cert) if swapped else cert
-    return None
+    return _as_rule(rule_block_disjoint(ideal, alpha, beta), "odd_cycle_step")
 
 
 # --- irredundancy witnesses ------------------------------------------------
@@ -675,20 +523,15 @@ def _pair_key(a: Sequence, b: Sequence):
 
 
 def _dispatch(ideal: SquareFreeIdeal, a: Sequence,
-              b: Sequence) -> Optional[list[Certificate]]:
+              b: Sequence) -> Optional[Certificate]:
     # Built per call, so every rule name resolves at call time and module
-    # level wrappers (bench/tracer.py) see each attempt.  Left out:
-    # rule_two_by_two, rule_three_by_two and rule_odd_cycle_step, which on a
-    # pair past block_disjoint try only two-block splits it has tried (the
-    # split ((B1, A1), (B2, A2)) of (beta, alpha) checks the gcd conditions
-    # of ((A2, B2), (A1, B1)) for (alpha, beta)), and rule_tree_leaf, which
-    # never fired past block_disjoint in a sweep of 36,090 pairs; whatever
-    # it could reduce at the top, the fiber path in reduce_to_normal does.
+    # level wrappers (bench/tracer.py) see each attempt.  The four shape
+    # rules are guards over rule_block_disjoint, so they cannot fire after it.
     for rule in (rule_shared_index, rule_power_factor, rule_constant_row,
                  rule_block_disjoint):
-        res = rule(ideal, a, b)
-        if res is not None:
-            return [res]
+        cert = rule(ideal, a, b)
+        if cert is not None:
+            return cert
     return None
 
 
@@ -714,8 +557,8 @@ def reduce_to_normal(ideal: SquareFreeIdeal, alpha: Sequence,
     is_top = True
     while queue:
         pa, pb = queue.pop(0)
-        res = _dispatch(ideal, pa, pb)
-        if res is None and is_top:
+        cert = _dispatch(ideal, pa, pb)
+        if cert is None and is_top:
             top = taylor_binomial(ideal, pa, pb)
             verdict = member_lower(ideal, top, top.degree - 1)
             if verdict.is_no:
@@ -723,23 +566,19 @@ def reduce_to_normal(ideal: SquareFreeIdeal, alpha: Sequence,
                 return ReductionOutcome(
                     "stuck", (), stuck_pair=(pa, pb),
                     witness=_pattern(ideal, pa, pb))
-            res = [fiber_certificate(ideal, top, verdict.path)]
+            cert = fiber_certificate(ideal, top, verdict.path)
         is_top = False
-        if res is None:
+        if cert is None:
             continue
-        for cert in res:
-            key = _pair_key(cert.target.alpha, cert.target.beta)
-            if key in expressed:
+        expressed.add(_pair_key(pa, pb))
+        chain.append(cert)
+        for term in cert.terms:
+            if term.sub.degree < 2:
                 continue
-            expressed.add(key)
-            chain.append(cert)
-            for term in cert.terms:
-                if term.sub.degree < 2:
-                    continue
-                sub_key = _pair_key(term.sub.alpha, term.sub.beta)
-                if sub_key not in expressed and sub_key not in queued:
-                    queued.add(sub_key)
-                    queue.append((term.sub.alpha, term.sub.beta))
+            sub_key = _pair_key(term.sub.alpha, term.sub.beta)
+            if sub_key not in expressed and sub_key not in queued:
+                queued.add(sub_key)
+                queue.append((term.sub.alpha, term.sub.beta))
     terminal = 1
     for cert in chain:
         for term in cert.terms:

@@ -148,7 +148,7 @@ def test_induced_subgraph_restricts_to_pair_support():
 
 def test_to_dot_mentions_every_edge_and_label():
     V = villarreal_ideal()
-    dot = to_dot(build_graph(V))
+    dot = to_dot(V, build_graph(V))
     assert dot.startswith("graph generators {")
     assert dot.rstrip().endswith("}")
     assert "y1 -- y2" in dot

@@ -34,6 +34,7 @@ from reeskit.reduction import (
     swap_certificate,
     verify_certificate,
 )
+from reeskit.graphs import components, induced_subgraph
 from reeskit.oracle import member_lower, relation_type_estimate
 from reeskit.taylor import taylor_binomial, taylor_layer
 
@@ -42,12 +43,6 @@ def cycle_ideal(n):
     """Edge ideal of the n-cycle: f_i = x_i x_{i+1 mod n}."""
     supports = [sorted((i, (i + 1) % n)) for i in range(n)]
     return make_ideal([f"x{i + 1}" for i in range(n)], supports)
-
-
-def as_chain(result):
-    if result is None:
-        return None
-    return result if isinstance(result, list) else [result]
 
 
 class TestSplitCertificate:
@@ -193,19 +188,17 @@ class TestBlockDisjoint:
 
 
 class TestTwoByTwo:
-    def test_reduces_to_degree_two(self):
+    def test_reduces_a_degree_three_pair(self):
         C = cycle_ideal(8)
-        certs = as_chain(rule_two_by_two(C, (1, 1, 5), (3, 3, 7)))
-        assert certs is not None
-        for cert in certs:
-            assert verify_certificate(C, cert)
+        cert = rule_two_by_two(C, (1, 1, 5), (3, 3, 7))
+        assert cert is not None and cert.rule_name == "two_by_two"
+        assert verify_certificate(C, cert)
 
-    def test_flat_multiplicities_delegate_to_power(self):
+    def test_flat_multiplicities(self):
         V = villarreal_ideal()
-        certs = as_chain(rule_two_by_two(V, (1, 1, 3, 3), (2, 2, 4, 4)))
-        assert certs is not None
-        for cert in certs:
-            assert verify_certificate(V, cert)
+        cert = rule_two_by_two(V, (1, 1, 3, 3), (2, 2, 4, 4))
+        assert cert is not None
+        assert verify_certificate(V, cert)
 
     def test_not_applicable_below_degree_three(self):
         V = villarreal_ideal()
@@ -219,22 +212,19 @@ class TestTwoByTwo:
 class TestThreeByTwo:
     def test_five_distinct_indices(self):
         C = cycle_ideal(10)
-        certs = as_chain(rule_three_by_two(C, (1, 4, 7, 7), (3, 3, 9, 9)))
-        if certs is None:
+        cert = rule_three_by_two(C, (1, 4, 7, 7), (3, 3, 9, 9))
+        if cert is None:
             # the gcd hypotheses depend on the geometry; at least the
             # flat case below must work
             pytest.skip("no certificate for this geometry")
-        for cert in certs:
-            assert verify_certificate(C, cert)
+        assert verify_certificate(C, cert)
 
     def test_balanced_case(self):
         C = cycle_ideal(10)
         # multiplicities (2,2,2) against (3,3): the forced balanced case
-        certs = as_chain(rule_three_by_two(C, (1, 1, 4, 4, 7, 7),
-                                           (3, 3, 3, 9, 9, 9)))
-        assert certs is not None
-        for cert in certs:
-            assert verify_certificate(C, cert)
+        cert = rule_three_by_two(C, (1, 1, 4, 4, 7, 7), (3, 3, 3, 9, 9, 9))
+        assert cert is not None and cert.rule_name == "three_by_two"
+        assert verify_certificate(C, cert)
 
     def test_not_applicable_on_two_distinct(self):
         C = cycle_ideal(10)
@@ -261,6 +251,14 @@ class TestTreeLeaf:
         V = villarreal_ideal()
         assert rule_tree_leaf(V, (1, 3), (2, 4)) is None
 
+    def test_leaf_whose_neighbour_is_in_its_own_row(self):
+        # both leaves of the path 1-2-3-4 sit next to a vertex of their own
+        # row; the aligned-block search still finds a split
+        P = path_ideal(4)
+        cert = rule_tree_leaf(P, (1, 2), (3, 4))
+        assert cert is not None and cert.rule_name == "tree_leaf"
+        assert verify_certificate(P, cert)
+
 
 class TestOddCycleStep:
     def test_seven_cycle_instance(self):
@@ -278,6 +276,59 @@ class TestOddCycleStep:
     def test_triangle_too_short(self):
         T = triangle_ideal()
         assert rule_odd_cycle_step(T, (1, 1), (2, 3)) is None
+
+
+SHAPE_RULE_CASES = [
+    (rule_two_by_two, cycle_ideal(8), (1, 1, 5), (3, 3, 7)),
+    (rule_two_by_two, villarreal_ideal(), (1, 1, 3, 3), (2, 2, 4, 4)),
+    (rule_two_by_two, villarreal_ideal(), (1, 3), (2, 4)),
+    (rule_two_by_two, villarreal_ideal(), (1, 1, 2), (1, 3, 3)),
+    (rule_three_by_two, cycle_ideal(10), (1, 4, 7, 7), (3, 3, 9, 9)),
+    (rule_three_by_two, cycle_ideal(10), (1, 1, 4, 4, 7, 7),
+     (3, 3, 3, 9, 9, 9)),
+    (rule_three_by_two, cycle_ideal(10), (1, 1, 4), (3, 3, 3)),
+    (rule_tree_leaf, path_ideal(5), (1, 3, 5), (2, 2, 4)),
+    (rule_tree_leaf, make_ideal(
+        ["c", "l1", "l2", "l3", "p0", "p1", "p2", "p3"],
+        [[0, 1, 2, 3, 4], [0, 5], [1, 6], [2, 7]]), (1, 1), (2, 3)),
+    (rule_tree_leaf, villarreal_ideal(), (1, 3), (2, 4)),
+    (rule_tree_leaf, path_ideal(4), (1, 2), (3, 4)),
+    (rule_odd_cycle_step, cycle_ideal(7), (2, 3, 6, 6, 6, 6),
+     (1, 1, 4, 4, 5, 7)),
+    (rule_odd_cycle_step, cycle_ideal(8), (2, 3, 6, 6, 6, 6, 8),
+     (1, 1, 4, 4, 5, 7, 7)),
+    (rule_odd_cycle_step, triangle_ideal(), (1, 1), (2, 3)),
+]
+
+
+def shape_guard(rule, ideal, alpha, beta):
+    """The documented guard of a shape rule, written out independently."""
+    if set(alpha) & set(beta):
+        return False
+    sub = induced_subgraph(ideal, alpha, beta)
+    nv, ne = len(sub.vertices), len(sub.edges)
+    connected = len(components(sub)) == 1
+    if rule is rule_two_by_two:
+        return len(alpha) >= 3 and len(set(alpha)) == len(set(beta)) == 2
+    if rule is rule_three_by_two:
+        return len(alpha) >= 4 and {len(set(alpha)), len(set(beta))} == {3, 2}
+    if rule is rule_tree_leaf:
+        return connected and ne == nv - 1
+    return (len(alpha) >= 4 and connected and ne == nv and nv >= 5
+            and nv % 2 == 1
+            and all(len(sub.neighbors(v)) == 2 for v in sub.vertices))
+
+
+@pytest.mark.parametrize("rule, ideal, alpha, beta", SHAPE_RULE_CASES)
+def test_shape_rule_is_a_guard_over_block_disjoint(rule, ideal, alpha, beta):
+    cert = rule(ideal, alpha, beta)
+    block = rule_block_disjoint(ideal, alpha, beta)
+    if not shape_guard(rule, ideal, alpha, beta) or block is None:
+        assert cert is None
+        return
+    assert cert is not None
+    assert cert.rule_name == rule.__name__.removeprefix("rule_")
+    assert cert.target == block.target and cert.terms == block.terms
 
 
 class TestSwapCertificate:
@@ -514,9 +565,9 @@ def eight_rule_dispatch(ideal, a, b):
     """reduce_to_normal's rule table before the four rules that never fire
     there were dropped from it."""
     for name in EIGHT_RULES:
-        res = getattr(reduction, name)(ideal, a, b)
-        if res is not None:
-            return as_chain(res)
+        cert = getattr(reduction, name)(ideal, a, b)
+        if cert is not None:
+            return cert
     return None
 
 
