@@ -10,6 +10,7 @@ cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .monomials import SquareFreeIdeal, mono_gcd, render_monomial
@@ -21,18 +22,20 @@ class GeneratorGraph:
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
 
-    def neighbors(self, v: int) -> list[int]:
-        out = []
+    @cached_property
+    def _adjacency(self) -> dict[int, tuple[int, ...]]:
+        """Each vertex's sorted neighbours, built once per graph."""
+        adj: dict[int, list[int]] = {}
         for i, j in self.edges:
-            if i == v:
-                out.append(j)
-            elif j == v:
-                out.append(i)
-        return sorted(out)
+            adj.setdefault(i, []).append(j)
+            adj.setdefault(j, []).append(i)
+        return {v: tuple(sorted(nbs)) for v, nbs in adj.items()}
+
+    def neighbors(self, v: int) -> list[int]:
+        return list(self._adjacency.get(v, ()))
 
     def has_edge(self, i: int, j: int) -> bool:
-        a, b = min(i, j), max(i, j)
-        return (a, b) in self.edges
+        return j in self._adjacency.get(i, ())
 
 
 def _graph_on(ideal: SquareFreeIdeal, vertices: Iterable[int]) -> GeneratorGraph:

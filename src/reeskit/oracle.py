@@ -18,6 +18,11 @@ degree cap is involved, because every rewrite keeps the substituted
 monomial M t^s.  minimal_linear_generators asks the same union-find about
 layer 1.
 
+relation_type_estimate never builds a layer: modulo layer s - 1 a pair
+whose rows share an index is a single move, so it is only counted; the
+fiber decides the pairs with disjoint rows, and only a layer's witness
+becomes a binomial.
+
 The fiber is enumerated directly, never by filtering the whole layer: a
 depth-first search over non-decreasing index sequences tracks the capacity
 of M still free, one packed integer field per variable of M.  Every
@@ -34,15 +39,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
+from math import comb
 from typing import Hashable, Iterable, Optional, Sequence as Seq
 
 from .monomials import SquareFreeIdeal, mono_divides, mono_lcm
 from .taylor import (
     ReesBinomial,
     Sequence,
+    enumerate_sequences,
     multiset_distance,
     product_of,
+    taylor_binomial,
     taylor_layer,
     weighted_degree,
 )
@@ -165,6 +173,17 @@ def _joined(groups: Iterable[Iterable[Hashable]], a: Hashable,
     return find(a) == find(b)
 
 
+def _fiber_joined(universe: list[Sequence], alpha: Sequence, beta: Sequence,
+                  k: int) -> bool:
+    """Are alpha and beta connected in the fiber graph on universe whose
+    edges join nodes at multiset distance at most k?  Such nodes share a
+    sub-multiset of size t = s - k, so one union-find over the
+    t-sub-multisets of every node decides it."""
+    t = len(alpha) - k
+    groups = (set(combinations(delta, t)) for delta in universe)
+    return _joined(groups, alpha[:t], beta[:t])
+
+
 def _bfs_path(universe: list[Sequence], start: Sequence, goal: Sequence,
               k: int) -> list[Sequence]:
     """A shortest path from start to goal, which must be reachable, in the
@@ -188,9 +207,7 @@ def _bfs_path(universe: list[Sequence], start: Sequence, goal: Sequence,
 def member_lower(ideal: SquareFreeIdeal, b: ReesBinomial, k: int,
                  cap: Optional[int] = None) -> Verdict:
     """Does the layer-s pair of b rewrite into one another modulo all
-    relation layers of degree at most k?  Exact yes/no on the lcm fiber:
-    nodes one move apart share a sub-multiset of size t = s - k, so one
-    union-find over the t-sub-multisets of every node decides it.
+    relation layers of degree at most k?  Exact yes/no on the lcm fiber.
 
     cap is kept for older callers and only validated: no fiber search is
     ever cut off by degree."""
@@ -207,9 +224,7 @@ def member_lower(ideal: SquareFreeIdeal, b: ReesBinomial, k: int,
 
     universe = _fiber(ideal, b.alpha, b.beta)
     note = f"fiber universe {len(universe)} nodes"
-    t = b.degree - k
-    groups = (set(combinations(delta, t)) for delta in universe)
-    status = "yes" if _joined(groups, b.alpha[:t], b.beta[:t]) else "no"
+    status = "yes" if _fiber_joined(universe, b.alpha, b.beta, k) else "no"
     return Verdict(status, note, b, k, ideal)
 
 
@@ -233,25 +248,31 @@ def relation_type_estimate(ideal: SquareFreeIdeal, s_max: int) -> RtReport:
 
     layer_tallies maps each layer to its (reducing, new) pair counts.
     certified_lower starts at the vacuous floor 1 and becomes the largest
-    layer containing a pair that does not reduce (with a witness binomial).
-    Every verdict is exact, so all layers through s_max are verified.
+    layer containing a pair that does not reduce (with a witness binomial,
+    the first such pair in taylor_layer order).  A pair whose rows share an
+    index is a single move modulo layer s - 1, so it reduces and is only
+    counted; the lcm fiber decides each pair with disjoint rows.  Every
+    verdict is exact, so all layers through s_max are verified.
     """
     if s_max < 1:
         raise ValueError(f"s_max must be at least 1, got {s_max}")
+    n = ideal.n
     tallies: dict[int, tuple[int, int]] = {}
     certified_lower = 1
     witness: Optional[ReesBinomial] = None
     for s in range(2, s_max + 1):
-        yes = no = 0
+        no = 0
         first_no: Optional[ReesBinomial] = None
-        for b in taylor_layer(ideal, s):
-            if member_lower(ideal, b, s - 1).is_yes:
-                yes += 1
-            else:
-                no += 1
-                if first_no is None:
-                    first_no = b
-        tallies[s] = (yes, no)
+        for alpha in enumerate_sequences(n, s):
+            # beta > alpha with rows disjoint from alpha's: beta[0] > alpha[0]
+            rest = [a for a in range(alpha[0] + 1, n + 1) if a not in alpha]
+            for beta in combinations_with_replacement(rest, s):
+                if not _fiber_joined(_fiber(ideal, alpha, beta), alpha, beta,
+                                     s - 1):
+                    no += 1
+                    if first_no is None:
+                        first_no = taylor_binomial(ideal, alpha, beta)
+        tallies[s] = (comb(comb(n + s - 1, s), 2) - no, no)
         if no > 0:
             certified_lower = s
             witness = first_no

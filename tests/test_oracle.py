@@ -126,6 +126,20 @@ def reference_decision(ideal, b, k, seqs, prods):
     return "yes" if b.beta in seen else "no"
 
 
+def reference_relation_type(ideal, s_max):
+    """The whole-layer sweep: every pair of taylor_layer asked of
+    member_lower modulo the layers below it."""
+    tallies, lower, witness = {}, 1, None
+    for s in range(2, s_max + 1):
+        verdicts = [(b, member_lower(ideal, b, s - 1).is_yes)
+                    for b in taylor_layer(ideal, s)]
+        new = [b for b, yes in verdicts if not yes]
+        tallies[s] = (len(verdicts) - len(new), len(new))
+        if new:
+            lower, witness = s, new[0]
+    return oracle.RtReport(lower, witness, s_max, tallies)
+
+
 def reference_minimal_linear(ideal):
     kept = list(taylor_layer(ideal, 1))
     for b in list(kept):
@@ -408,6 +422,36 @@ class TestRelationTypeEstimate:
     def test_default_s_max(self):
         assert [default_s_max(n) for n in (1, 2, 3, 4, 7, 8, 20)] == \
             [2, 2, 2, 3, 6, 6, 6]
+
+    def test_matches_whole_layer_sweep(self):
+        from reeskit.monomials import make_ideal
+
+        cases = [(villarreal_ideal(), 3), (pentagon_ideal(), 5),
+                 (triangle_ideal(), 3), (path_ideal(4), 3),
+                 (make_ideal(["a", "b"], [[0, 1]]), 3),
+                 (make_ideal(["a", "b", "c"], [[0, 1], [1, 2]]), 3)]
+        cases += [(random_ideal(random.Random(k), 5, 8), 4) for k in range(4)]
+        for I, s_max in cases:
+            assert relation_type_estimate(I, s_max) == \
+                reference_relation_type(I, s_max)
+
+    def test_builds_only_the_witness_binomials(self, monkeypatch):
+        built = []
+        original = oracle.taylor_binomial
+
+        def counting(*args):
+            built.append(args)
+            return original(*args)
+
+        def no_layer(*args):
+            raise AssertionError("taylor_layer called by the sweep")
+
+        monkeypatch.setattr(oracle, "taylor_binomial", counting)
+        monkeypatch.setattr(oracle, "taylor_layer", no_layer)
+        report = relation_type_estimate(pentagon_ideal(), 4)
+        assert report.certified_lower == 3
+        assert [len(args[1]) for args in built] == [2, 3]
+        assert report.witness == original(*built[-1])
 
 
 class TestFiberWitness:
