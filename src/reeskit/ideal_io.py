@@ -87,4 +87,10 @@ def render_ideal(ideal: SquareFreeIdeal) -> str:
 
 
 def load_ideal(path) -> SquareFreeIdeal:
-    return parse_ideal_text(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise IdealParseError(
+            0, f"not UTF-8 text: byte {exc.object[exc.start]:#04x} "
+               f"at offset {exc.start}") from None
+    return parse_ideal_text(text)

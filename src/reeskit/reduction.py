@@ -1,21 +1,23 @@
-"""Reduction rules, split certificates, and irredundancy witnesses.
+"""Reduction rules, fiber-walk certificates, and irredundancy witnesses.
 
 A Certificate expresses a target binomial T_{alpha,beta} as an exact sum
 
     T_{alpha,beta} = sum_i  coef_i * T_{tfactor_i} * T_{alpha_i,beta_i}
 
 over lower-degree sub-binomials; verify_certificate replays the identity in
-exact polynomial arithmetic.  The workhorse is split_certificate: given an
-aligned block partition of the pair it checks the gcd hypothesis
-
-    gcd(f_alpha, f_beta)  divides
-    gcd(prod_{j<i} f_{alpha_j}, f_beta)
-      * gcd(prod_{k>=i} f_{alpha_k}, prod_{k>i} f_{beta_k})
-      * gcd(f_{alpha_i}, f_{beta_i})
-
-for every non-trivial block and emits the telescoping certificate with
-cofactors A_i = prod_{j<i} f_{alpha_j} * prod_{k>i} f_{beta_k}
-* gcd(f_{alpha_i}, f_{beta_i}) / gcd(f_alpha, f_beta).
+exact polynomial arithmetic.  Every certificate is a walk through the lcm
+fiber (the delta with f_delta | M = lcm(f_alpha, f_beta)), built by _walk:
+a step (c, d, d') moves the node c+d to c+d', and with u = M / f_delta at
+each node the steps telescope (Diaconis & Sturmfels, Ann. Statist. 26
+(1998), Thm 3.1).  A cofactor is a monomial exactly when the step stays in
+the fiber.  split_certificate swaps an aligned block partition's blocks one
+at a time; with P = f(alpha_{<i}), Q = f(beta_{>i}), g_i = gcd(f_{alpha_i},
+f_{beta_i}) and g = gcd(f_alpha, f_beta), block i's cofactor is P*Q*g_i/g,
+and the split lemma's gcd hypothesis g | gcd(P, f_beta) *
+gcd(f(alpha_{>=i}), Q) * g_i holds exactly when g | P*Q*g_i (compare
+exponents variable by variable), i.e. exactly when the walk stays in the
+fiber.  fiber_certificate walks the oracle's path, rule_shared_index is a
+one-step walk and rule_power_factor an l-step one.
 
 The named rules are sufficient conditions with documented search spaces.
 rule_block_disjoint tries every aligned two-block partition, which already
@@ -26,13 +28,12 @@ the sign).  The four shape rules of the theory (2x2, 3x2, a leaf of a tree,
 a segment of a unique odd cycle) are guards over rule_block_disjoint that
 rename its certificate: the splits their proofs peel are among those it
 tries.  Every rule returns one Certificate or None.
-fiber_certificate is the exact fallback: a path through the lcm fiber, as
-the oracle finds it, telescopes into a certificate of the same form.
 reduce_to_normal drives four of the eight rules in a fixed priority order
 (the shape rules cannot fire after rule_block_disjoint); when none applies
 to the top pair it asks the oracle, and the pair is either reduced along
-its fiber path or stuck, which then means it is a genuinely new generator
-in its degree, and the driver searches for an irredundancy witness of that.
+its fiber path (fiber_certificate) or stuck, which then means it is a
+genuinely new generator in its degree, and the driver searches for an
+irredundancy witness of that.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Iterable, Optional
 
 from .graphs import (
     ComponentClass,
@@ -54,10 +55,7 @@ from .monomials import (
     SquareFreeIdeal,
     mono_div_exact,
     mono_divides,
-    mono_gcd,
-    mono_lcm,
     mono_mul,
-    mono_pow,
 )
 from .oracle import member_lower
 from .taylor import (
@@ -67,7 +65,6 @@ from .taylor import (
     expand,
     poly_add,
     poly_scale_by,
-    product_of,
     run_lengths,
     seq_intersection,
     seq_remove,
@@ -155,70 +152,66 @@ def verify_certificate(ideal: SquareFreeIdeal, cert: Certificate) -> bool:
         return False
 
 
+def _walk(ideal: SquareFreeIdeal, target: ReesBinomial,
+          steps: Iterable[tuple[Sequence, Sequence, Sequence]]) -> list[CertTerm]:
+    """The terms of a walk from target.alpha through the lcm fiber.
+
+    Each step (c, d, d') moves the node c+d to c+d'.  u = M / f_delta starts
+    at target.lhs_coef; a step's term is (u / lhs) * T_c * T_{d,d'}, where
+    T_{d,d'} = lhs T_d - rhs T_d', and the next node's u is that cofactor
+    times rhs.  The walk stops at the first step whose lhs does not divide
+    u, the step that leaves the fiber: fewer terms than steps come back, and
+    len(terms) is that step's 0-based position."""
+    u = target.lhs_coef
+    terms = []
+    for c, d, d2 in steps:
+        sub = taylor_binomial(ideal, d, d2)
+        if not mono_divides(sub.lhs_coef, u):
+            break
+        coef = mono_div_exact(u, sub.lhs_coef)
+        terms.append(CertTerm(coef, c, sub))
+        u = mono_mul(coef, sub.rhs_coef)
+    return terms
+
+
 def split_certificate(ideal: SquareFreeIdeal, partition: BlockPartition,
                       rule_name: str = "split", note: str = "") -> Certificate:
-    """The telescoping certificate of an aligned block partition.
+    """The telescoping certificate of an aligned block partition: a walk
+    that swaps block i's alpha part for its beta part, one block at a time.
 
     Raises HypothesisFails with the 1-based index of the first block whose
-    gcd hypothesis fails.  Blocks with alpha_i == beta_i contribute nothing
-    and are skipped, hypothesis included.
+    gcd hypothesis fails, which is the first swap that leaves the fiber.
+    Blocks with alpha_i == beta_i contribute nothing and are skipped,
+    hypothesis included.
     """
     blocks = partition.blocks
     target = taylor_binomial(ideal, partition.alpha, partition.beta)
-    m = len(blocks)
-    fa = [product_of(ideal, a) for a, _ in blocks]
-    fb = [product_of(ideal, b) for _, b in blocks]
-    full_beta = product_of(ideal, target.beta)
-    g = mono_gcd(product_of(ideal, target.alpha), full_beta)
-
-    one = Monomial.one()
-    prefix_a = [one]
-    for i in range(m):
-        prefix_a.append(mono_mul(prefix_a[-1], fa[i]))
-    suffix_a = [one] * (m + 1)
-    suffix_b = [one] * (m + 1)
-    for i in reversed(range(m)):
-        suffix_a[i] = mono_mul(suffix_a[i + 1], fa[i])
-        suffix_b[i] = mono_mul(suffix_b[i + 1], fb[i])
-
-    terms = []
-    for i in range(m):
-        a_i, b_i = blocks[i]
-        if a_i == b_i:
-            continue
-        g_i = mono_gcd(fa[i], fb[i])
-        hyp = mono_mul(mono_mul(mono_gcd(prefix_a[i], full_beta),
-                                mono_gcd(suffix_a[i], suffix_b[i + 1])), g_i)
-        if not mono_divides(g, hyp):
-            raise HypothesisFails(
-                i + 1, f"gcd hypothesis fails at block {i + 1} of {m}")
-        coef = mono_div_exact(
-            mono_mul(mono_mul(prefix_a[i], suffix_b[i + 1]), g_i), g)
-        tfactor = tuple(sorted(
-            [c for j in range(i + 1, m) for c in blocks[j][0]]
-            + [c for j in range(i) for c in blocks[j][1]]))
-        terms.append(CertTerm(coef, tfactor, taylor_binomial(ideal, a_i, b_i)))
+    moved = [i for i, (a, b) in enumerate(blocks) if a != b]
+    steps = ((tuple(sorted([c for _, b in blocks[:i] for c in b]
+                           + [c for a, _ in blocks[i + 1:] for c in a])),
+              *blocks[i]) for i in moved)
+    terms = _walk(ideal, target, steps)
+    if len(terms) < len(moved):
+        i = moved[len(terms)] + 1
+        raise HypothesisFails(
+            i, f"gcd hypothesis fails at block {i} of {len(blocks)}")
     return Certificate(target, tuple(terms), rule_name, "as-given", note)
 
 
 def fiber_certificate(ideal: SquareFreeIdeal, b: ReesBinomial,
                       path: tuple[Sequence, ...]) -> Certificate:
-    """The certificate of a fiber path alpha = delta_0, ..., delta_m = beta.
-
-    With M = lcm(f_alpha, f_beta), T_{alpha,beta} = (M/f_alpha) T_alpha
-    - (M/f_beta) T_beta, and the path telescopes it into one term per step
-    delta -> delta': with common part c, d = delta - c and d' = delta' - c,
-    (M/f_delta) T_delta - (M/f_delta') T_delta' equals
-    M / (f_c lcm(f_d, f_d')) * T_c * T_{d,d'}."""
-    big = mono_lcm(product_of(ideal, b.alpha), product_of(ideal, b.beta))
-    terms = []
+    """The certificate of a fiber path alpha = delta_0, ..., delta_m = beta:
+    a walk whose step delta -> delta' keeps the common part c and swaps
+    delta - c for delta' - c.  Raises ValueError if the path leaves the
+    fiber."""
+    steps = []
     for delta, delta2 in zip(path, path[1:]):
         common = seq_intersection(delta, delta2)
-        d, d2 = seq_remove(delta, common), seq_remove(delta2, common)
-        step_lcm = mono_lcm(product_of(ideal, d), product_of(ideal, d2))
-        coef = mono_div_exact(big, mono_mul(product_of(ideal, common),
-                                            step_lcm))
-        terms.append(CertTerm(coef, common, taylor_binomial(ideal, d, d2)))
+        steps.append((common, seq_remove(delta, common),
+                      seq_remove(delta2, common)))
+    terms = _walk(ideal, b, steps)
+    if len(terms) < len(steps):
+        raise ValueError(f"step {len(terms) + 1} leaves the lcm fiber")
     return Certificate(b, tuple(terms), "fiber_path", "as-given",
                        note=f"{len(terms)}-step path in the lcm fiber")
 
@@ -227,15 +220,15 @@ def fiber_certificate(ideal: SquareFreeIdeal, b: ReesBinomial,
 
 def rule_shared_index(ideal: SquareFreeIdeal, alpha: Sequence,
                       beta: Sequence) -> Optional[Certificate]:
-    """Factor the common T-part out of a pair sharing indices: the binomial
-    equals T_{shared} times the binomial of the disjoint remainders."""
+    """Factor the common T-part out of a pair sharing indices: a one-step
+    walk, so the binomial equals T_{shared} times the binomial of the
+    disjoint remainders (cofactor 1)."""
     shared = seq_intersection(alpha, beta)
     if not shared:
         return None
-    sub = taylor_binomial(ideal, seq_remove(alpha, shared),
-                          seq_remove(beta, shared))
     target = taylor_binomial(ideal, alpha, beta)
-    return Certificate(target, (CertTerm(Monomial.one(), shared, sub),),
+    step = (shared, seq_remove(alpha, shared), seq_remove(beta, shared))
+    return Certificate(target, tuple(_walk(ideal, target, [step])),
                        "shared_index", "as-given",
                        note=f"common T-factor {list(shared)}")
 
@@ -243,7 +236,9 @@ def rule_shared_index(ideal: SquareFreeIdeal, alpha: Sequence,
 def rule_power_factor(ideal: SquareFreeIdeal, alpha: Sequence,
                       beta: Sequence) -> Optional[Certificate]:
     """When both rows are l-th multiples of a base pair (l >= 2), the
-    binomial is a difference of l-th powers and factors through the base."""
+    binomial is a difference of l-th powers: an l-step walk through
+    base_a^(l-1-j) base_b^j, whose j-th cofactor is ca^(l-1-j) cb^j for
+    T_{base} = ca T_{base_a} - cb T_{base_b}."""
     mults = [m for _, m in run_lengths(alpha)] + [m for _, m in run_lengths(beta)]
     l = 0
     for m in mults:
@@ -254,15 +249,11 @@ def rule_power_factor(ideal: SquareFreeIdeal, alpha: Sequence,
                           for c in [idx] * (m // l)))
     base_b = tuple(sorted(c for idx, m in run_lengths(beta)
                           for c in [idx] * (m // l)))
-    sub = taylor_binomial(ideal, base_a, base_b)
-    ca, cb = sub.lhs_coef, sub.rhs_coef
-    terms = []
-    for j in range(l):
-        coef = mono_mul(mono_pow(ca, l - 1 - j), mono_pow(cb, j))
-        tfactor = tuple(sorted(base_a * (l - 1 - j) + base_b * j))
-        terms.append(CertTerm(coef, tfactor, sub))
     target = taylor_binomial(ideal, alpha, beta)
-    return Certificate(target, tuple(terms), "power_factor", "as-given",
+    steps = [(tuple(sorted(base_a * (l - 1 - j) + base_b * j)), base_a, base_b)
+             for j in range(l)]
+    return Certificate(target, tuple(_walk(ideal, target, steps)),
+                       "power_factor", "as-given",
                        note=f"difference of {l}-th powers of the base pair")
 
 

@@ -180,6 +180,19 @@ def test_bad_input_exits_2_with_one_line(argv, villarreal_file, tmp_path,
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
 
 
+@pytest.mark.parametrize("data", [b"vars: x1\nf1: x1 \xff\n",
+                                  b"\x7fELF\x02\x01\x01\x00\x00\xb0\xc3"],
+                         ids=["byte 0xff", "binary"])
+def test_non_utf8_file_exits_2_with_one_line(data, tmp_path, capsys):
+    path = tmp_path / "bad.ideal"
+    path.write_bytes(data)
+    assert main(["classify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: not UTF-8 text: byte 0x")
+    assert len(captured.err.splitlines()) == 1, captured.err
+
+
 @pytest.mark.parametrize("argv", [BAD_INPUTS[0], BAD_INPUTS[2]],
                          ids=["taylor degree 0", "rt s-max -1"])
 def test_bad_input_exits_2_without_asserts(argv, villarreal_file, tmp_path):
@@ -200,6 +213,26 @@ def test_no_assert_statement_in_the_package():
              for path in sorted(Path(reeskit.__file__).parent.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_no_unused_import_in_the_package():
+    # no linter is a dependency, so this is the unused-import check
+    found = []
+    for path in sorted(Path(reeskit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif (isinstance(node, ast.ImportFrom)
+                    and node.module != "__future__"):
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}"
+                      for name in names if name not in used]
     assert found == []
 
 

@@ -12,7 +12,15 @@ from reeskit.demos import (
     villarreal_ideal,
 )
 from reeskit import reduction
-from reeskit.monomials import Monomial, make_ideal, mono_mul
+from reeskit.monomials import (
+    Monomial,
+    make_ideal,
+    mono_div_exact,
+    mono_divides,
+    mono_gcd,
+    mono_mul,
+    mono_pow,
+)
 from reeskit.reduction import (
     BlockPartition,
     Certificate,
@@ -36,7 +44,7 @@ from reeskit.reduction import (
 )
 from reeskit.graphs import components, induced_subgraph
 from reeskit.oracle import member_lower, relation_type_estimate
-from reeskit.taylor import taylor_binomial, taylor_layer
+from reeskit.taylor import product_of, taylor_binomial, taylor_layer
 
 
 def cycle_ideal(n):
@@ -135,6 +143,111 @@ class TestPowerFactor:
         V = villarreal_ideal()
         assert rule_power_factor(V, (1, 1, 2), (3, 3, 3)) is None
         assert rule_power_factor(V, (1,), (2,)) is None
+
+
+def gcd_hypothesis_split(ideal, partition, rule_name="split", note=""):
+    """split_certificate written with the split lemma's gcd hypothesis and
+    prefix/suffix products, as a reference for the fiber walk."""
+    blocks = partition.blocks
+    target = taylor_binomial(ideal, partition.alpha, partition.beta)
+    m = len(blocks)
+    fa = [product_of(ideal, a) for a, _ in blocks]
+    fb = [product_of(ideal, b) for _, b in blocks]
+    full_beta = product_of(ideal, target.beta)
+    g = mono_gcd(product_of(ideal, target.alpha), full_beta)
+    one = Monomial.one()
+    prefix_a = [one]
+    for i in range(m):
+        prefix_a.append(mono_mul(prefix_a[-1], fa[i]))
+    suffix_a = [one] * (m + 1)
+    suffix_b = [one] * (m + 1)
+    for i in reversed(range(m)):
+        suffix_a[i] = mono_mul(suffix_a[i + 1], fa[i])
+        suffix_b[i] = mono_mul(suffix_b[i + 1], fb[i])
+    terms = []
+    for i in range(m):
+        a_i, b_i = blocks[i]
+        if a_i == b_i:
+            continue
+        g_i = mono_gcd(fa[i], fb[i])
+        hyp = mono_mul(mono_mul(mono_gcd(prefix_a[i], full_beta),
+                                mono_gcd(suffix_a[i], suffix_b[i + 1])), g_i)
+        if not mono_divides(g, hyp):
+            raise HypothesisFails(
+                i + 1, f"gcd hypothesis fails at block {i + 1} of {m}")
+        coef = mono_div_exact(
+            mono_mul(mono_mul(prefix_a[i], suffix_b[i + 1]), g_i), g)
+        tfactor = tuple(sorted(
+            [c for j in range(i + 1, m) for c in blocks[j][0]]
+            + [c for j in range(i) for c in blocks[j][1]]))
+        terms.append(CertTerm(coef, tfactor, taylor_binomial(ideal, a_i, b_i)))
+    return Certificate(target, tuple(terms), rule_name, "as-given", note)
+
+
+def random_partition(rng, n):
+    """1-3 aligned blocks of size 1-2 over 1..n; about one block in five
+    has alpha_i == beta_i, and indices repeat across the rows freely."""
+    blocks = []
+    for _ in range(rng.randint(1, 3)):
+        t = rng.randint(1, 2)
+        a = tuple(sorted(rng.choices(range(1, n + 1), k=t)))
+        b = a if rng.random() < 0.2 else tuple(
+            sorted(rng.choices(range(1, n + 1), k=t)))
+        blocks.append((a, b))
+    return BlockPartition(tuple(blocks))
+
+
+def split_or_failure(split, ideal, partition):
+    try:
+        return split(ideal, partition)
+    except HypothesisFails as exc:
+        return (exc.index, str(exc))
+
+
+def test_walk_matches_the_gcd_hypothesis_split():
+    rng = random.Random(2012)
+    outcomes = {"cert": 0, "fails": 0, "trivial": 0, "shared": 0}
+    for k in range(40):
+        ideal = random_ideal(random.Random(k), 5, 8)
+        for _ in range(60):
+            part = random_partition(rng, ideal.n)
+            if part.alpha == part.beta:
+                continue
+            want = split_or_failure(gcd_hypothesis_split, ideal, part)
+            assert split_or_failure(split_certificate, ideal, part) == want
+            outcomes["cert" if isinstance(want, Certificate) else "fails"] += 1
+            outcomes["trivial"] += any(a == b for a, b in part.blocks)
+            outcomes["shared"] += bool(set(part.alpha) & set(part.beta))
+    assert min(outcomes.values()) > 200, outcomes
+
+
+def test_walk_matches_the_power_and_shared_index_closed_forms():
+    rng = random.Random(2013)
+    checked = 0
+    for k in range(20):
+        ideal = random_ideal(random.Random(k), 5, 8)
+        for _ in range(20):
+            t, l = rng.randint(1, 2), rng.randint(2, 3)
+            base_a, base_b = (tuple(sorted(rng.sample(range(1, ideal.n + 1), t)))
+                              for _ in range(2))
+            if set(base_a) & set(base_b):
+                continue
+            cert = rule_power_factor(ideal, tuple(sorted(base_a * l)),
+                                     tuple(sorted(base_b * l)))
+            base = taylor_binomial(ideal, base_a, base_b)
+            ca, cb = base.lhs_coef, base.rhs_coef
+            assert [(t.coef, t.tfactor, t.sub) for t in cert.terms] == [
+                (mono_mul(mono_pow(ca, l - 1 - j), mono_pow(cb, j)),
+                 tuple(sorted(base_a * (l - 1 - j) + base_b * j)), base)
+                for j in range(l)]
+            shared = tuple(sorted(rng.choices(range(1, ideal.n + 1), k=t)))
+            alpha = tuple(sorted(base_a + shared))
+            beta = tuple(sorted(base_b + shared))
+            (term,) = rule_shared_index(ideal, alpha, beta).terms
+            assert term.coef == Monomial.one()
+            assert term.tfactor == shared and term.sub == base
+            checked += 1
+    assert checked > 150
 
 
 class TestConstantRow:
