@@ -88,7 +88,8 @@ def render_ideal(ideal: SquareFreeIdeal) -> str:
 
 def load_ideal(path) -> SquareFreeIdeal:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # utf-8-sig drops a leading byte-order mark
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise IdealParseError(
             0, f"not UTF-8 text: byte {exc.object[exc.start]:#04x} "

@@ -38,7 +38,8 @@ class VariableTable:
         if len(set(self.names)) != len(self.names):
             raise IdealValidationError("duplicate", "duplicate variable name")
         for name in self.names:
-            if not name or any(ch.isspace() for ch in name):
+            # '#' starts a comment in ideal files
+            if not name or "#" in name or any(ch.isspace() for ch in name):
                 raise IdealValidationError(
                     "bad-variable", f"bad variable name {name!r}")
 

@@ -11,12 +11,12 @@ reachable from (f_beta/g) T_alpha has the shape (M / f_delta) T_delta with
 M = lcm(f_alpha, f_beta) and f_delta dividing M, and a move between fiber
 nodes delta, delta' exists under some layer-<=k rule precisely when their
 multiset distance is at most k, that is, when they share a sub-multiset of
-size s - k.  One union-find over those sub-multisets decides connectivity
-on the finite fiber universe {delta : f_delta | M}, which stays small even
-where the raw rule count is astronomical, and both answers are exact: no
-degree cap is involved, because every rewrite keeps the substituted
-monomial M t^s.  minimal_linear_generators asks the same union-find about
-layer 1.
+size s - k.  One breadth-first search (_path), which opens each of those
+sub-multisets once, decides connectivity on the finite fiber universe
+{delta : f_delta | M} and returns a shortest path, which stays small even
+where the raw rule count is astronomical; the answer is exact: no degree
+cap is involved, because every rewrite keeps the substituted monomial
+M t^s.  minimal_linear_generators asks the same search about layer 1.
 
 relation_type_estimate never builds a layer: modulo layer s - 1 a pair
 whose rows share an index is a single move, so it is only counted; the
@@ -29,19 +29,17 @@ of M still free, one packed integer field per variable of M.  Every
 generator is square-free, so picking index a takes one unit from each
 variable of supp(f_a); generators reaching outside supp(M) never fit, and a
 prefix is cut as soon as the picks still possible cannot fill the slots
-left.  The search yields the fiber in lex order.  A yes verdict searches
-for its fiber path, breadth first, only when the path is read;
-reduction.fiber_certificate turns that path into a Certificate, the one
-proof format that verify_certificate replays.
+left.  The search yields the fiber in lex order.  A yes verdict carries the
+path the search found; reduction.fiber_certificate turns it into a
+Certificate, the one proof format that verify_certificate replays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 from math import comb
-from typing import Hashable, Iterable, Optional, Sequence as Seq
+from typing import Hashable, Iterable, Mapping, Optional, Sequence as Seq
 
 from .monomials import SquareFreeIdeal, mono_divides, mono_lcm
 from .taylor import (
@@ -58,25 +56,16 @@ from .taylor import (
 
 @dataclass(frozen=True)
 class Verdict:
-    """An exact answer about the pair of b modulo layers <= k.  A yes finds
-    its fiber path from alpha to beta only when path is read; chain lists
-    the path's steps as (delta, delta') pairs."""
+    """An exact answer about the pair of b modulo layers <= k.  A yes
+    carries a shortest fiber path from alpha to beta ((alpha, beta) for a
+    single move), a no the empty path; chain lists the path's steps as
+    (delta, delta') pairs."""
 
     status: str  # "yes" | "no"
     note: str = ""
     b: Optional[ReesBinomial] = None
     k: int = 0
-    ideal: Optional[SquareFreeIdeal] = field(default=None, repr=False)
-
-    @cached_property
-    def path(self) -> tuple[Sequence, ...]:
-        if not self.is_yes:
-            return ()
-        alpha, beta = self.b.alpha, self.b.beta
-        if multiset_distance(alpha, beta) <= self.k:
-            return (alpha, beta)
-        universe = _fiber(self.ideal, alpha, beta)
-        return tuple(_bfs_path(universe, alpha, beta, self.k))
+    path: tuple[Sequence, ...] = ()
 
     @property
     def chain(self) -> tuple[tuple[Sequence, Sequence], ...]:
@@ -155,51 +144,34 @@ def _can_fill(free: int, masks: Seq[int], guards: int, slots: int) -> bool:
     return False
 
 
-def _joined(groups: Iterable[Iterable[Hashable]], a: Hashable,
-            b: Hashable) -> bool:
-    """Do a and b end in one class once the members of every group are
-    united?  One union-find with path halving."""
-    parent: dict[Hashable, Hashable] = {}
+def _path(groups: Mapping[Hashable, Iterable[Hashable]], a: Hashable,
+          b: Hashable) -> Optional[list]:
+    """A shortest path from a to b, or None, in the graph on the keys of
+    groups where two items are adjacent when they share a group.
 
-    def find(x: Hashable) -> Hashable:
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for first, *rest in groups:
-        for x in rest:
-            parent[find(x)] = find(first)
-    return find(a) == find(b)
-
-
-def _fiber_joined(universe: list[Sequence], alpha: Sequence, beta: Sequence,
-                  k: int) -> bool:
-    """Are alpha and beta connected in the fiber graph on universe whose
-    edges join nodes at multiset distance at most k?  Such nodes share a
-    sub-multiset of size t = s - k, so one union-find over the
-    t-sub-multisets of every node decides it."""
-    t = len(alpha) - k
-    groups = (set(combinations(delta, t)) for delta in universe)
-    return _joined(groups, alpha[:t], beta[:t])
-
-
-def _bfs_path(universe: list[Sequence], start: Sequence, goal: Sequence,
-              k: int) -> list[Sequence]:
-    """A shortest path from start to goal, which must be reachable, in the
-    fiber graph whose edges join nodes at multiset distance at most k."""
-    parent = {start: start}
-    frontier = [start]
-    while goal not in parent:
+    Breadth first, and each group is opened once: a frontier item takes the
+    items it reaches first in sorted order, so every node's parent is the
+    first frontier item next to it.  The search stops once b has a parent."""
+    members: dict[Hashable, list] = {}
+    for x, keys in groups.items():
+        for g in keys:
+            members.setdefault(g, []).append(x)
+    parent = {a: a}
+    frontier = [a]
+    while b not in parent:
+        if not frontier:
+            return None
         nxt = []
-        for node in frontier:
-            for other in universe:
-                if other not in parent and multiset_distance(node, other) <= k:
-                    parent[other] = node
-                    nxt.append(other)
+        for x in frontier:
+            reached = sorted({y for g in groups.get(x, ())
+                              for y in members.pop(g, ()) if y not in parent})
+            parent.update((y, x) for y in reached)
+            if b in parent:
+                break
+            nxt += reached
         frontier = nxt
-    path = [goal]
-    while path[-1] != start:
+    path = [b]
+    while path[-1] != a:
         path.append(parent[path[-1]])
     return path[::-1]
 
@@ -220,12 +192,16 @@ def member_lower(ideal: SquareFreeIdeal, b: ReesBinomial, k: int,
                 f"cap {cap} below the degree {du} of the start monomial")
 
     if multiset_distance(b.alpha, b.beta) <= k:
-        return Verdict("yes", "single move", b, k, ideal)
+        return Verdict("yes", "single move", b, k, (b.alpha, b.beta))
 
     universe = _fiber(ideal, b.alpha, b.beta)
     note = f"fiber universe {len(universe)} nodes"
-    status = "yes" if _fiber_joined(universe, b.alpha, b.beta, k) else "no"
-    return Verdict(status, note, b, k, ideal)
+    t = b.degree - k
+    path = _path({delta: set(combinations(delta, t)) for delta in universe},
+                 b.alpha, b.beta)
+    if path is None:
+        return Verdict("no", note, b, k)
+    return Verdict("yes", note, b, k, tuple(path))
 
 
 # --- layered relation-type estimation --------------------------------------
@@ -267,8 +243,11 @@ def relation_type_estimate(ideal: SquareFreeIdeal, s_max: int) -> RtReport:
             # beta > alpha with rows disjoint from alpha's: beta[0] > alpha[0]
             rest = [a for a in range(alpha[0] + 1, n + 1) if a not in alpha]
             for beta in combinations_with_replacement(rest, s):
-                if not _fiber_joined(_fiber(ideal, alpha, beta), alpha, beta,
-                                     s - 1):
+                # modulo layer s - 1 two nodes are adjacent when they share
+                # an index
+                universe = _fiber(ideal, alpha, beta)
+                if _path({delta: set(delta) for delta in universe},
+                         alpha, beta) is None:
                     no += 1
                     if first_no is None:
                         first_no = taylor_binomial(ideal, alpha, beta)
@@ -303,8 +282,12 @@ def minimal_linear_generators(ideal: SquareFreeIdeal) -> list[ReesBinomial]:
            for b in kept}
     for b in list(kept):
         big = lcm[b.alpha, b.beta]
-        moves = [x.alpha + x.beta for x in kept
-                 if x is not b and mono_divides(lcm[x.alpha, x.beta], big)]
-        if _joined(moves, b.alpha[0], b.beta[0]):
+        groups: dict[int, list[Sequence]] = {}
+        for x in kept:
+            if x is not b and mono_divides(lcm[x.alpha, x.beta], big):
+                move = x.alpha + x.beta
+                for i in move:
+                    groups.setdefault(i, []).append(move)
+        if _path(groups, b.alpha[0], b.beta[0]) is not None:
             kept.remove(b)
     return kept

@@ -62,12 +62,10 @@ from .taylor import (
     ReesBinomial,
     Sequence,
     check_sequence,
-    expand,
-    poly_add,
-    poly_scale_by,
     run_lengths,
     seq_intersection,
     seq_remove,
+    seq_union,
     swap_binomial,
     taylor_binomial,
 )
@@ -138,16 +136,18 @@ def verify_certificate(ideal: SquareFreeIdeal, cert: Certificate) -> bool:
     """Exact check: the target and every sub-binomial are genuine Taylor
     binomials of the ideal and the certificate identity holds in S."""
     try:
-        if taylor_binomial(ideal, cert.target.alpha, cert.target.beta) != cert.target:
-            return False
-        total: dict = {}
-        for term in cert.terms:
-            if taylor_binomial(ideal, term.sub.alpha, term.sub.beta) != term.sub:
+        # the terms minus the target, keyed by (x-part, T-part), must cancel
+        total: Counter = Counter()
+        for coef, tfactor, sub, sign in (
+                (Monomial.one(), (), cert.target, -1),
+                *((t.coef, t.tfactor, t.sub, 1) for t in cert.terms)):
+            if taylor_binomial(ideal, sub.alpha, sub.beta) != sub:
                 return False
-            total = poly_add(
-                total, poly_scale_by(expand(term.sub), 1, term.coef, term.tfactor))
-        return poly_add(total, poly_scale_by(expand(cert.target), -1,
-                                             Monomial.one())) == {}
+            total[mono_mul(coef, sub.lhs_coef),
+                  seq_union(tfactor, sub.alpha)] += sign
+            total[mono_mul(coef, sub.rhs_coef),
+                  seq_union(tfactor, sub.beta)] -= sign
+        return not any(total.values())
     except ValueError:
         return False
 

@@ -9,9 +9,7 @@ the associated binomial is
 where f_gamma is the product of the generators indexed by gamma and
 g = gcd(f_alpha, f_beta).  The first term always carries alpha.
 
-An RTMonomial couples an x-coefficient with a T-multiset; RTPolynomial is a
-plain dict mapping RTMonomial to a nonzero integer coefficient.  All
-polynomial identities in the package are verified with these exact types.
+An RTMonomial couples an x-coefficient with a T-multiset.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from .monomials import (
 )
 
 Sequence = tuple[int, ...]
-RTPolynomial = dict["RTMonomial", int]
 
 
 def check_sequence(seq: Iterable[int], n: int) -> Sequence:
@@ -170,33 +167,6 @@ def taylor_layer(ideal: SquareFreeIdeal, s: int) -> list[ReesBinomial]:
             out.append(ReesBinomial(a, b, mono_div_exact(fb, g),
                                     mono_div_exact(fa, g)))
     return out
-
-
-# --- exact polynomial bookkeeping -----------------------------------------
-
-def expand(b: ReesBinomial) -> RTPolynomial:
-    u, v = b.terms()
-    poly: RTPolynomial = {u: 1}
-    poly[v] = poly.get(v, 0) - 1
-    return {m: c for m, c in poly.items() if c != 0}
-
-
-def poly_add(p: RTPolynomial, q: RTPolynomial) -> RTPolynomial:
-    out = dict(p)
-    for m, c in q.items():
-        out[m] = out.get(m, 0) + c
-        if out[m] == 0:
-            del out[m]
-    return out
-
-
-def poly_scale_by(p: RTPolynomial, k: int, coef: Monomial,
-                  tfactor: Sequence = ()) -> RTPolynomial:
-    """k * coef * T_tfactor * p."""
-    if k == 0:
-        return {}
-    factor = RTMonomial(coef, tuple(sorted(tfactor)))
-    return {rt_mul(factor, m): k * c for m, c in p.items()}
 
 
 # --- rendering ------------------------------------------------------------

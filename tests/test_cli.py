@@ -193,6 +193,15 @@ def test_non_utf8_file_exits_2_with_one_line(data, tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1, captured.err
 
 
+def test_byte_order_mark_is_ignored(villarreal_file, tmp_path, capsys):
+    bom = tmp_path / "bom.ideal"
+    bom.write_bytes(b"\xef\xbb\xbf" + Path(villarreal_file).read_bytes())
+    assert main(["classify", villarreal_file]) == 0
+    plain = capsys.readouterr().out
+    assert main(["classify", str(bom)]) == 0
+    assert capsys.readouterr().out == plain
+
+
 @pytest.mark.parametrize("argv", [BAD_INPUTS[0], BAD_INPUTS[2]],
                          ids=["taylor degree 0", "rt s-max -1"])
 def test_bad_input_exits_2_without_asserts(argv, villarreal_file, tmp_path):

@@ -187,6 +187,12 @@ class TestIdealValidation:
             validate_ideal(table, (m(v5=1),))
         assert err.value.reason == "bad-variable"
 
+    def test_comment_sign_in_variable_name(self):
+        # '#' would start a comment in the rendered ideal file
+        with pytest.raises(IdealValidationError) as err:
+            make_ideal(["a#1", "b", "c"], [[0, 1], [1, 2]])
+        assert err.value.reason == "bad-variable"
+
     def test_generator_index_is_one_based(self):
         ideal = make_ideal(["a", "b", "c"], [[0, 1], [1, 2]])
         with pytest.raises(IndexError):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -303,6 +304,87 @@ class TestUnionFindDecision:
                     assert member_lower(I, b, k).status == expected, (n, k)
 
 
+def reference_joined(groups, a, b):
+    """Union-find reference: do a and b end in one class once the members
+    of every group are united?"""
+    parent = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for first, *rest in groups:
+        for x in rest:
+            parent[find(x)] = find(first)
+    return find(a) == find(b)
+
+
+def reference_fiber_joined(universe, alpha, beta, k):
+    t = len(alpha) - k
+    groups = (set(itertools.combinations(delta, t)) for delta in universe)
+    return reference_joined(groups, alpha[:t], beta[:t])
+
+
+def reference_bfs_path(universe, start, goal, k):
+    """Quadratic reference path: each frontier node, in order, takes every
+    unvisited node of universe within multiset distance k."""
+    parent = {start: start}
+    frontier = [start]
+    while goal not in parent:
+        nxt = []
+        for node in frontier:
+            for other in universe:
+                if other not in parent and multiset_distance(node, other) <= k:
+                    parent[other] = node
+                    nxt.append(other)
+        frontier = nxt
+    path = [goal]
+    while path[-1] != start:
+        path.append(parent[path[-1]])
+    return tuple(path[::-1])
+
+
+class TestPathSearch:
+    def test_shortest_path_or_none(self):
+        groups = {1: "ab", 2: "bc", 3: "cd", 4: "ad", 5: "e", 6: "e"}
+        assert oracle._path(groups, 1, 3) == [1, 2, 3]
+        assert oracle._path(groups, 2, 4) == [2, 1, 4]  # the sorted first
+        assert oracle._path(groups, 1, 1) == [1]
+        assert oracle._path(groups, 1, 6) is None
+        assert oracle._path(groups, 1, 7) is None  # an item with no group
+
+    def check(self, I, b, k):
+        universe = oracle._fiber(I, b.alpha, b.beta)
+        verdict = member_lower(I, b, k)
+        joined = reference_fiber_joined(universe, b.alpha, b.beta, k)
+        assert verdict.is_yes == joined, (b.alpha, b.beta, k)
+        expected = reference_bfs_path(universe, b.alpha, b.beta, k) \
+            if joined else ()
+        assert verdict.path == expected, (b.alpha, b.beta, k)
+        return len(expected)
+
+    def test_matches_union_find_and_quadratic_bfs_on_random_ideals(self):
+        # every k < s that needs the fiber, on a stride through layers 2..4
+        tally = Counter()
+        for seed in range(12):
+            I = random_ideal(random.Random(seed), 5, 8)
+            for s in (2, 3, 4):
+                for b in taylor_layer(I, s)[seed::29]:
+                    for k in range(1, multiset_distance(b.alpha, b.beta)):
+                        tally[self.check(I, b, k)] += 1
+        # no, two-node and longer paths all occur
+        assert tally[0] and tally[3] and tally[4], tally
+
+    def test_matches_union_find_and_quadratic_bfs_on_family(self):
+        for n in (5, 6, 7):
+            I = family_ideal(n)
+            for b in (family_f_binomial(n), family_corrected_g(n)[0]):
+                for k in range(1, multiset_distance(b.alpha, b.beta)):
+                    self.check(I, b, k)
+
+
 class TestLazyChain:
     CASES = (  # (alpha, beta, k, status, note, chain length)
         ((1,), (2,), 1, "yes", "single move", 1),
@@ -358,24 +440,21 @@ class TestLazyChain:
         assert out.chain[0].rule_name == "fiber_path"
         assert len(calls) == 1
 
-    def test_path_is_searched_only_when_read(self, monkeypatch):
+    def test_one_fiber_per_call(self, monkeypatch):
         calls = []
-        original = oracle._bfs_path
+        original = oracle._fiber
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(oracle, "_bfs_path", counting)
-        assert relation_type_estimate(pentagon_ideal(), 3).certified_lower == 3
+        monkeypatch.setattr(oracle, "_fiber", counting)
         V = villarreal_ideal()
         b = taylor_binomial(V, (1, 2), (3, 4))
         verdict = member_lower(V, b, 1)
         assert verdict.is_yes and verdict.note != "single move"
-        assert calls == []
+        assert len(verdict.path) == 3
         assert certifies(V, verdict)
-        assert len(calls) == 1
-        verdict.chain, verdict.path  # both cached after the first read
         assert len(calls) == 1
 
 

@@ -9,9 +9,7 @@ from reeskit.taylor import (
     RTMonomial,
     check_sequence,
     enumerate_sequences,
-    expand,
     multiset_distance,
-    poly_add,
     product_of,
     render_binomial,
     render_rtmonomial,
@@ -127,21 +125,6 @@ def test_weighted_degree():
     u, v = taylor_binomial(V, (1,), (2,)).terms()
     # both sides of a relation have the same weighted degree
     assert weighted_degree(V, u) == weighted_degree(V, v)
-
-
-class TestExpandAndPolyOps:
-    def test_expand_two_terms(self):
-        V = villarreal_ideal()
-        b = taylor_binomial(V, (1,), (2,))
-        p = expand(b)
-        assert len(p) == 2
-        assert set(p.values()) == {1, -1}
-
-    def test_poly_add_cancels(self):
-        V = villarreal_ideal()
-        b = taylor_binomial(V, (1,), (2,))
-        p = poly_add(expand(b), expand(swap_binomial(b)))
-        assert p == {}
 
 
 def test_render_tpart():
