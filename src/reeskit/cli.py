@@ -189,7 +189,7 @@ def cmd_classify(args) -> int:
         report = classify(ideal)
     if args.dot:
         try:
-            with open(args.dot, "w") as fh:
+            with open(args.dot, "w", encoding="utf-8") as fh:
                 fh.write(to_dot(ideal, build_graph(ideal)))
         except OSError as exc:
             raise BadInput(exc) from None

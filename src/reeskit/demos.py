@@ -185,6 +185,8 @@ def random_shape_ideal(shape: str, n: int, extra_vars: int = 0,
     shape is exact by construction.  extra_vars private variables are
     sprinkled over random generators on top.
     """
+    if extra_vars < 0:
+        raise ValueError(f"extra_vars must be at least 0, got {extra_vars}")
     rng = random.Random(seed)
     edges: list[tuple[int, int]] = []
     if shape == "forest":

@@ -21,7 +21,7 @@ one-step walk and rule_power_factor an l-step one.
 
 The named rules are sufficient conditions with documented search spaces.
 rule_block_disjoint tries every aligned two-block partition, which already
-covers the exchanged pair, and small three-block ones; rule_constant_row
+covers the exchanged pair and every longer split; rule_constant_row
 tries the pair as given and with the roles of alpha and beta exchanged
 (a swapped match flips the orientation of every sub-binomial, which absorbs
 the sign).  The four shape rules of the theory (2x2, 3x2, a leaf of a tree,
@@ -288,44 +288,40 @@ def _distinct_submultisets(seq: Sequence, t: int) -> list[Sequence]:
     return sorted(set(itertools.combinations(seq, t)))
 
 
-def _aligned(alpha: Sequence, beta: Sequence, m: int):
-    """Yield the aligned m-block partitions of (alpha, beta) as block tuples,
-    ordered by the first block's size, then its alpha part, then its beta
-    part, and the remaining blocks likewise."""
-    if m == 1:
-        yield ((alpha, beta),)
-        return
-    for t in range(1, len(alpha) - m + 2):
+def _aligned(alpha: Sequence, beta: Sequence):
+    """Yield the aligned two-block partitions of (alpha, beta) as block
+    tuples, ordered by the first block's size, then its alpha part, then its
+    beta part."""
+    for t in range(1, len(alpha)):
         for sub_a in _distinct_submultisets(alpha, t):
             rest_a = seq_remove(alpha, sub_a)
             for sub_b in _distinct_submultisets(beta, t):
-                for rest in _aligned(rest_a, seq_remove(beta, sub_b), m - 1):
-                    yield ((sub_a, sub_b),) + rest
+                yield ((sub_a, sub_b), (rest_a, seq_remove(beta, sub_b)))
 
 
 def rule_block_disjoint(ideal: SquareFreeIdeal, alpha: Sequence,
                         beta: Sequence) -> Optional[Certificate]:
     """Exhaustive aligned-partition search for disjoint rows.
 
-    Tries every aligned two-block partition (both block orders) and, for
-    degree at most 6, every aligned three-block partition, in _aligned's
-    order, keeping the first one whose gcd hypothesis verifies.  The
-    separation conditions in the underlying theory are strictly stronger
-    than the mechanical hypothesis, so gating on the hypothesis itself both
-    covers them and stays sound.
+    Tries every aligned two-block partition (both block orders) in
+    _aligned's order, keeping the first one whose gcd hypothesis verifies.
+    Longer splits add nothing: a swap c+d -> c+d' stays in the fiber exactly
+    when f_c * lcm(f_d, f_d') | M, so when an m-block split stays in, its
+    swaps 2 and m give f_{beta_1} f_{alpha_{>1}} | M and f_{beta_1}
+    f_{beta_{>1}} | M, and the two-block coarsening that merges blocks 2..m
+    (same first swap) stays in too.  The separation conditions in the theory
+    are strictly stronger than the mechanical hypothesis, so gating on the
+    hypothesis itself both covers them and stays sound.
     """
     if seq_intersection(alpha, beta):
         return None
-    for m, note in ((2, "two aligned blocks"), (3, "three aligned blocks")):
-        if m == 3 and len(alpha) > 6:
-            break
-        for blocks in _aligned(alpha, beta, m):
-            try:
-                return split_certificate(
-                    ideal, BlockPartition(blocks),
-                    rule_name="block_disjoint", note=note)
-            except HypothesisFails:
-                continue
+    for blocks in _aligned(alpha, beta):
+        try:
+            return split_certificate(
+                ideal, BlockPartition(blocks),
+                rule_name="block_disjoint", note="two aligned blocks")
+        except HypothesisFails:
+            continue
     return None
 
 

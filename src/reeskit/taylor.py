@@ -7,7 +7,9 @@ the associated binomial is
     T_{alpha,beta} = (f_beta / g) T_alpha - (f_alpha / g) T_beta,
 
 where f_gamma is the product of the generators indexed by gamma and
-g = gcd(f_alpha, f_beta).  The first term always carries alpha.
+g = gcd(f_alpha, f_beta), so f_alpha / g and f_beta / g are the positive
+and negative parts of one exponent difference, f_alpha / f_beta.  The
+first term always carries alpha.
 
 An RTMonomial couples an x-coefficient with a T-multiset.
 """
@@ -22,8 +24,6 @@ from typing import Iterable, Iterator
 from .monomials import (
     Monomial,
     SquareFreeIdeal,
-    mono_div_exact,
-    mono_gcd,
     mono_mul,
     mono_product,
     render_monomial,
@@ -130,16 +130,21 @@ class ReesBinomial:
 
 def taylor_binomial(ideal: SquareFreeIdeal, alpha: Iterable[int],
                     beta: Iterable[int]) -> ReesBinomial:
+    """One pass over f_alpha / f_beta's exponents gives both coefficients."""
     a = check_sequence(alpha, ideal.n)
     b = check_sequence(beta, ideal.n)
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {a!r} vs {b!r}")
     if a == b:
         raise ValueError(f"equal sequences give the zero binomial: {a!r}")
-    fa = product_of(ideal, a)
-    fb = product_of(ideal, b)
-    g = mono_gcd(fa, fb)
-    return ReesBinomial(a, b, mono_div_exact(fb, g), mono_div_exact(fa, g))
+    diff: dict[int, int] = {}
+    for seq, sign in ((a, 1), (b, -1)):
+        for i in seq:
+            for v, e in ideal.generator(i).exps:
+                diff[v] = diff.get(v, 0) + sign * e
+    return ReesBinomial(
+        a, b, Monomial.from_dict({v: -e for v, e in diff.items()}),
+        Monomial.from_dict(diff))
 
 
 def swap_binomial(b: ReesBinomial) -> ReesBinomial:
@@ -158,15 +163,8 @@ def taylor_layer(ideal: SquareFreeIdeal, s: int) -> list[ReesBinomial]:
     """All T_{alpha,beta} with alpha < beta lexicographically in layer s."""
     if s < 1:
         raise ValueError(f"layer must be at least 1, got {s}")
-    seqs = list(enumerate_sequences(ideal.n, s))
-    prods = [product_of(ideal, a) for a in seqs]
-    out = []
-    for i, (a, fa) in enumerate(zip(seqs, prods)):
-        for b, fb in zip(seqs[i + 1:], prods[i + 1:]):
-            g = mono_gcd(fa, fb)
-            out.append(ReesBinomial(a, b, mono_div_exact(fb, g),
-                                    mono_div_exact(fa, g)))
-    return out
+    return [taylor_binomial(ideal, a, b) for a, b
+            in itertools.combinations(enumerate_sequences(ideal.n, s), 2)]
 
 
 # --- rendering ------------------------------------------------------------

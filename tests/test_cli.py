@@ -62,6 +62,23 @@ def test_classify_dot_output(villarreal_file, tmp_path, capsys):
     assert "y1 -- y2" in text
 
 
+def test_classify_dot_is_utf8_under_a_c_locale(tmp_path):
+    # the DOT file is written in the encoding load_ideal reads, whatever
+    # the locale says
+    path = tmp_path / "sub.ideal"
+    path.write_text("vars: x₁ y z\nf1: x₁ y\nf2: y z\n",
+                    encoding="utf-8")
+    dot = tmp_path / "g.dot"
+    src = str(Path(reeskit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUTF8="0",
+               PYTHONCOERCECLOCALE="0", LC_ALL="C")
+    proc = subprocess.run([sys.executable, "-m", "reeskit.cli", "classify",
+                           str(path), "--dot", str(dot)],
+                          capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "x₁" in dot.read_bytes().decode("utf-8")
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["classify", "/no/such/file.ideal"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -165,6 +182,7 @@ BAD_INPUTS = [
     ["reduce", "{file}", "--alpha", "1,x", "--beta", "2,4"],
     ["random", "--graph-shape", "odd-cycle", "--n", "2"],
     ["demo", "family", "--n", "4"],
+    ["random", "--graph-shape", "forest", "--n", "3", "--vars", "-2"],
 ]
 
 

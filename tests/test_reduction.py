@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import random
 
 import pytest
@@ -44,7 +45,15 @@ from reeskit.reduction import (
 )
 from reeskit.graphs import components, induced_subgraph
 from reeskit.oracle import member_lower, relation_type_estimate
-from reeskit.taylor import product_of, taylor_binomial, taylor_layer
+from reeskit.taylor import (
+    enumerate_sequences,
+    product_of,
+    seq_intersection,
+    seq_remove,
+    seq_union,
+    taylor_binomial,
+    taylor_layer,
+)
 
 
 def cycle_ideal(n):
@@ -275,7 +284,61 @@ class TestConstantRow:
         assert rule_constant_row(V, (1, 2), (3, 4)) is None
 
 
+def three_block_partitions(alpha, beta):
+    """Every aligned three-block partition of (alpha, beta): blocks are
+    pairs of equal-size sub-multisets, listed once per distinct choice."""
+    def subs(seq, t):
+        return sorted(set(itertools.combinations(seq, t)))
+
+    s = len(alpha)
+    for t1 in range(1, s - 1):
+        for a1, b1 in itertools.product(subs(alpha, t1), subs(beta, t1)):
+            rest_a, rest_b = seq_remove(alpha, a1), seq_remove(beta, b1)
+            for t2 in range(1, s - t1):
+                for a2, b2 in itertools.product(subs(rest_a, t2),
+                                                subs(rest_b, t2)):
+                    yield ((a1, b1), (a2, b2),
+                           (seq_remove(rest_a, a2), seq_remove(rest_b, b2)))
+
+
+def splits(ideal, blocks):
+    try:
+        split_certificate(ideal, BlockPartition(blocks))
+    except HypothesisFails:
+        return False
+    return True
+
+
+# (ideal, layers): a stride of random ideals keeps the sweep near 2 s
+COARSENING_CASES = {
+    "villarreal": (villarreal_ideal(), (3, 4)),
+    "pentagon": (pentagon_ideal(), (3, 4)),
+    "path4": (path_ideal(4), (3, 4)),
+    **{f"random{k}": (random_ideal(random.Random(k), 5, 8), (3,))
+       for k in range(0, 30, 5)},
+}
+
+
 class TestBlockDisjoint:
+    @pytest.mark.parametrize("ideal, layers", list(COARSENING_CASES.values()),
+                             ids=list(COARSENING_CASES))
+    def test_every_three_block_split_coarsens_to_two(self, ideal, layers):
+        # rule_block_disjoint searches two-block splits only: a three-block
+        # split that stays in the fiber must have a two-block coarsening,
+        # merging its last two blocks, that stays in too
+        accepted = 0
+        for s in layers:
+            for a, b in itertools.combinations(
+                    enumerate_sequences(ideal.n, s), 2):
+                if seq_intersection(a, b):
+                    continue
+                for first, (a2, b2), (a3, b3) in three_block_partitions(a, b):
+                    if splits(ideal, (first, (a2, b2), (a3, b3))):
+                        accepted += 1
+                        assert splits(ideal, (first, (seq_union(a2, a3),
+                                                      seq_union(b2, b3))))
+        assert accepted > 0
+
     def test_path_pair_splits(self):
         P = path_ideal(4)
         cert = rule_block_disjoint(P, (1, 2), (3, 4))
@@ -289,7 +352,7 @@ class TestBlockDisjoint:
         V = villarreal_ideal()
         assert rule_block_disjoint(V, (1, 3), (2, 4)) is None
 
-    def test_three_block_fallback(self):
+    def test_path_pair_split_verifies(self):
         P = path_ideal(6)  # 6 generators on a path
         cert = rule_block_disjoint(P, (1, 3, 5), (2, 4, 6))
         if cert is not None:

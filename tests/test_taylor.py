@@ -1,11 +1,18 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reeskit.demos import random_ideal, villarreal_ideal
-from reeskit.monomials import Monomial, make_ideal
+from reeskit.demos import (
+    path_ideal,
+    pentagon_ideal,
+    random_ideal,
+    villarreal_ideal,
+)
+from reeskit.monomials import Monomial, make_ideal, mono_div_exact, mono_gcd
 from reeskit.taylor import (
+    ReesBinomial,
     RTMonomial,
     check_sequence,
     enumerate_sequences,
@@ -111,6 +118,60 @@ class TestTaylorBinomial:
         assert s.alpha == b.beta and s.beta == b.alpha
         assert s.lhs_coef == b.rhs_coef
         assert substitute_check(V, s)
+
+
+def reference_binomial(ideal, alpha, beta):
+    """T_{alpha,beta} by the textbook formula: two products, their gcd and
+    two exact divisions."""
+    a = check_sequence(alpha, ideal.n)
+    b = check_sequence(beta, ideal.n)
+    if len(a) != len(b):
+        raise ValueError(f"length mismatch: {a!r} vs {b!r}")
+    if a == b:
+        raise ValueError(f"equal sequences give the zero binomial: {a!r}")
+    fa = product_of(ideal, a)
+    fb = product_of(ideal, b)
+    g = mono_gcd(fa, fb)
+    return ReesBinomial(a, b, mono_div_exact(fb, g), mono_div_exact(fa, g))
+
+
+FORMULA_IDEALS = {"villarreal": villarreal_ideal(), "pentagon": pentagon_ideal(),
+                  "path4": path_ideal(4),
+                  **{f"random{k}": random_ideal(random.Random(k), 5, 8)
+                     for k in range(0, 40, 8)}}
+on_formula_ideals = pytest.mark.parametrize(
+    "ideal", list(FORMULA_IDEALS.values()), ids=list(FORMULA_IDEALS))
+
+
+class TestOneExponentDifference:
+    @on_formula_ideals
+    def test_every_pair_matches_the_reference(self, ideal):
+        for s in (1, 2, 3):
+            seqs = list(enumerate_sequences(ideal.n, s))
+            for a, b in itertools.permutations(seqs, 2):
+                assert taylor_binomial(ideal, a, b) == \
+                    reference_binomial(ideal, a, b)
+
+    @on_formula_ideals
+    def test_layer_matches_the_reference_in_lex_order(self, ideal):
+        for s in (1, 2, 3):
+            seqs = sorted(itertools.combinations_with_replacement(
+                range(1, ideal.n + 1), s))
+            assert taylor_layer(ideal, s) == [
+                reference_binomial(ideal, a, b)
+                for a, b in itertools.combinations(seqs, 2)]
+
+    @pytest.mark.parametrize("alpha, beta", [((1,), (2, 3)), ((1, 2), (1, 2)),
+                                             ((1, 5), (2, 3))],
+                             ids=["length mismatch", "equal rows",
+                                  "index out of range"])
+    def test_errors_match_the_reference(self, alpha, beta):
+        V = villarreal_ideal()
+        with pytest.raises(ValueError) as expected:
+            reference_binomial(V, alpha, beta)
+        with pytest.raises(ValueError) as got:
+            taylor_binomial(V, alpha, beta)
+        assert str(got.value) == str(expected.value)
 
 
 def test_taylor_layer_sizes():
