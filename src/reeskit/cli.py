@@ -395,6 +395,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys.stdout, "reconfigure"):  # escape what the locale cannot encode
+        sys.stdout.reconfigure(errors="backslashreplace")
     args = _parser().parse_args(argv)
     # the handler is looked up per call, so module-level wrappers see it
     try:

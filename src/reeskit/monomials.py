@@ -6,11 +6,13 @@ vectors, so equality and hashing are structural and gcd/lcm/divisibility are
 exact.  Variable indices are 0-based positions into a VariableTable; ideal
 generators are 1-indexed in every user-facing signature, matching the
 T_1..T_n convention used by the rest of the package.
+Only the Monomial constructor, Monomial.from_dict and SquareFreeIdeal check
+their input; arithmetic results are built unchecked by _monomial.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 
@@ -106,11 +108,18 @@ class Monomial:
         return 0
 
 
+def _monomial(exps: tuple[tuple[int, int], ...]) -> Monomial:
+    """A Monomial from pairs already sorted and positive, unchecked."""
+    m = object.__new__(Monomial)
+    object.__setattr__(m, "exps", exps)
+    return m
+
+
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     out = a.as_dict()
     for v, e in b.exps:
         out[v] = out.get(v, 0) + e
-    return Monomial.from_dict(out)
+    return _monomial(tuple(sorted(out.items())))
 
 
 def mono_pow(a: Monomial, k: int) -> Monomial:
@@ -118,12 +127,12 @@ def mono_pow(a: Monomial, k: int) -> Monomial:
         raise ValueError(f"negative exponent {k}")
     if k == 0:
         return Monomial.one()
-    return Monomial(tuple((v, e * k) for v, e in a.exps))
+    return _monomial(tuple((v, e * k) for v, e in a.exps))
 
 
 def mono_gcd(a: Monomial, b: Monomial) -> Monomial:
     bd = b.as_dict()
-    return Monomial(tuple(
+    return _monomial(tuple(
         (v, min(e, bd[v])) for v, e in a.exps if v in bd))
 
 
@@ -131,7 +140,7 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     out = a.as_dict()
     for v, e in b.exps:
         out[v] = max(out.get(v, 0), e)
-    return Monomial.from_dict(out)
+    return _monomial(tuple(sorted(out.items())))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
@@ -151,7 +160,7 @@ def mono_div_exact(a: Monomial, b: Monomial) -> Monomial:
             del out[v]
         else:
             out[v] = have - e
-    return Monomial.from_dict(out)
+    return _monomial(tuple(sorted(out.items())))
 
 
 def mono_coprime(a: Monomial, b: Monomial) -> bool:
@@ -163,7 +172,7 @@ def mono_product(monos: Iterable[Monomial]) -> Monomial:
     for m in monos:
         for v, e in m.exps:
             out[v] = out.get(v, 0) + e
-    return Monomial.from_dict(out)
+    return _monomial(tuple(sorted(out.items())))
 
 
 def render_monomial(m: Monomial, table: VariableTable) -> str:
@@ -182,14 +191,16 @@ class SquareFreeIdeal:
 
     Generators are validated at construction: nonempty, square-free,
     pairwise distinct, and none divides another (so the listed set is the
-    unique minimal monomial generating set).
+    unique minimal monomial generating set).  Then supports[i - 1] is the
+    support of f_i, the table the Taylor and fiber layers count f_seq from.
     """
 
     table: VariableTable
     gens: tuple[Monomial, ...]
+    supports: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        validate_ideal(self.table, self.gens)
+        object.__setattr__(self, "supports", validate_ideal(self.table, self.gens))
 
     @property
     def n(self) -> int:
@@ -205,7 +216,10 @@ class SquareFreeIdeal:
         return tuple(g.degree for g in self.gens)
 
 
-def validate_ideal(table: VariableTable, gens: tuple[Monomial, ...]) -> None:
+def validate_ideal(table: VariableTable,
+                   gens: tuple[Monomial, ...]) -> tuple[frozenset[int], ...]:
+    """Check the generators; return their supports, in order.  They are
+    square-free, so f_i | f_j exactly when supp(f_i) <= supp(f_j)."""
     if not gens:
         raise IdealValidationError("empty", "no generators given")
     seen = set()
@@ -225,11 +239,13 @@ def validate_ideal(table: VariableTable, gens: tuple[Monomial, ...]) -> None:
             raise IdealValidationError(
                 "duplicate", f"generator f{k} repeats an earlier generator")
         seen.add(g)
-    for i, a in enumerate(gens, start=1):
-        for j, b in enumerate(gens, start=1):
-            if i != j and mono_divides(a, b):
+    supports = tuple(g.support for g in gens)
+    for i, a in enumerate(supports, start=1):
+        for j, b in enumerate(supports, start=1):
+            if i != j and a <= b:
                 raise IdealValidationError(
                     "divisibility", f"generator f{i} divides f{j}")
+    return supports
 
 
 def make_ideal(var_names: Iterable[str],

@@ -41,13 +41,13 @@ from itertools import combinations, combinations_with_replacement
 from math import comb
 from typing import Hashable, Iterable, Mapping, Optional, Sequence as Seq
 
-from .monomials import SquareFreeIdeal, mono_divides, mono_lcm
+from .monomials import SquareFreeIdeal
 from .taylor import (
     ReesBinomial,
     Sequence,
+    _exponents,
     enumerate_sequences,
     multiset_distance,
-    product_of,
     taylor_binomial,
     taylor_layer,
     weighted_degree,
@@ -91,24 +91,28 @@ def _fiber(ideal: SquareFreeIdeal, alpha: Sequence,
            beta: Sequence) -> list[Sequence]:
     """{delta : f_delta | lcm(f_alpha, f_beta)} in lex order.
 
-    The capacity still free is one integer with a field per variable of
-    the lcm, each field topped by a guard bit; subtracting a generator's
-    mask borrows a guard bit exactly when the generator does not fit."""
-    big = mono_lcm(product_of(ideal, alpha), product_of(ideal, beta))
+    The lcm and the masks come from the support table; the rows are not
+    checked.  The capacity still free is one integer with a field per
+    variable of the lcm, each field topped by a guard bit; subtracting a
+    generator's mask borrows a guard bit exactly when it does not fit."""
+    big = _exponents(ideal, alpha)
+    for v, e in _exponents(ideal, beta).items():
+        if e > big.get(v, 0):
+            big[v] = e
     s = len(alpha)
     width = s.bit_length() + 1
     guard = 1 << (width - 1)
     shift: dict[int, int] = {}
     full = guards = 0
-    for pos, (v, e) in enumerate(big.exps):
+    for pos, (v, e) in enumerate(big.items()):
         shift[v] = width * pos
         full |= (guard | e) << shift[v]
         guards |= guard << shift[v]
     index, masks = [], []
-    for a, g in enumerate(ideal.gens, start=1):
-        if all(v in shift for v, _ in g.exps):
+    for a, sup in enumerate(ideal.supports, start=1):
+        if sup <= shift.keys():
             index.append(a)
-            masks.append(sum(1 << shift[v] for v, _ in g.exps))
+            masks.append(sum(1 << shift[v] for v in sup))
     out: list[Sequence] = []
     stack: list[tuple[Sequence, int, int]] = [((), full, 0)]
     while stack:
@@ -275,16 +279,17 @@ def minimal_linear_generators(ideal: SquareFreeIdeal) -> list[ReesBinomial]:
 
     On the layer-1 fiber of M = lcm(f_i, f_j) a kept T_{k,l} moves
     (M/f_k) T_k to (M/f_l) T_l exactly when lcm(f_k, f_l) divides M, so
-    T_{i,j} is dropped when such moves join i to j."""
+    T_{i,j} is dropped when such moves join i to j.  Square-free: an lcm is
+    a union of supports and divisibility is inclusion."""
     kept = list(taylor_layer(ideal, 1))
-    lcm = {(b.alpha, b.beta): mono_lcm(product_of(ideal, b.alpha),
-                                       product_of(ideal, b.beta))
+    sup = ideal.supports
+    lcm = {(b.alpha, b.beta): sup[b.alpha[0] - 1] | sup[b.beta[0] - 1]
            for b in kept}
     for b in list(kept):
         big = lcm[b.alpha, b.beta]
         groups: dict[int, list[Sequence]] = {}
         for x in kept:
-            if x is not b and mono_divides(lcm[x.alpha, x.beta], big):
+            if x is not b and lcm[x.alpha, x.beta] <= big:
                 move = x.alpha + x.beta
                 for i in move:
                     groups.setdefault(i, []).append(move)

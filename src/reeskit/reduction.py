@@ -61,6 +61,7 @@ from .oracle import member_lower
 from .taylor import (
     ReesBinomial,
     Sequence,
+    _binomial,
     check_sequence,
     run_lengths,
     seq_intersection,
@@ -90,7 +91,8 @@ class BlockPartition:
         if not self.blocks:
             raise ValueError("empty partition")
         for a, b in self.blocks:
-            if not (a and b and len(a) == len(b)):
+            if not (a and b and len(a) == len(b) and list(a) == sorted(a)
+                    and list(b) == sorted(b)):
                 raise ValueError(f"bad block {(a, b)!r}")
 
     @property
@@ -134,7 +136,8 @@ def swap_certificate(cert: Certificate) -> Certificate:
 
 def verify_certificate(ideal: SquareFreeIdeal, cert: Certificate) -> bool:
     """Exact check: the target and every sub-binomial are genuine Taylor
-    binomials of the ideal and the certificate identity holds in S."""
+    binomials of the ideal (their rows checked, as the certificate may come
+    from outside) and the certificate identity holds in S."""
     try:
         # the terms minus the target, keyed by (x-part, T-part), must cancel
         total: Counter = Counter()
@@ -152,20 +155,19 @@ def verify_certificate(ideal: SquareFreeIdeal, cert: Certificate) -> bool:
         return False
 
 
-def _walk(ideal: SquareFreeIdeal, target: ReesBinomial,
-          steps: Iterable[tuple[Sequence, Sequence, Sequence]]) -> list[CertTerm]:
+def _walk(target: ReesBinomial,
+          steps: Iterable[tuple[Sequence, ReesBinomial]]) -> list[CertTerm]:
     """The terms of a walk from target.alpha through the lcm fiber.
 
-    Each step (c, d, d') moves the node c+d to c+d'.  u = M / f_delta starts
-    at target.lhs_coef; a step's term is (u / lhs) * T_c * T_{d,d'}, where
-    T_{d,d'} = lhs T_d - rhs T_d', and the next node's u is that cofactor
-    times rhs.  The walk stops at the first step whose lhs does not divide
-    u, the step that leaves the fiber: fewer terms than steps come back, and
-    len(terms) is that step's 0-based position."""
+    Each step (c, T_{d,d'}) moves the node c+d to c+d'.  u = M / f_delta
+    starts at target.lhs_coef; a step's term is (u / lhs) * T_c * T_{d,d'},
+    where T_{d,d'} = lhs T_d - rhs T_d', and the next node's u is that
+    cofactor times rhs.  The walk stops at the first step whose lhs does not
+    divide u, the step that leaves the fiber: fewer terms than steps come
+    back, and len(terms) is that step's 0-based position."""
     u = target.lhs_coef
     terms = []
-    for c, d, d2 in steps:
-        sub = taylor_binomial(ideal, d, d2)
+    for c, sub in steps:
         if not mono_divides(sub.lhs_coef, u):
             break
         coef = mono_div_exact(u, sub.lhs_coef)
@@ -184,18 +186,24 @@ def split_certificate(ideal: SquareFreeIdeal, partition: BlockPartition,
     Blocks with alpha_i == beta_i contribute nothing and are skipped,
     hypothesis included.
     """
-    blocks = partition.blocks
     target = taylor_binomial(ideal, partition.alpha, partition.beta)
+    return Certificate(target, _split(ideal, target, partition.blocks),
+                       rule_name, "as-given", note)
+
+
+def _split(ideal: SquareFreeIdeal, target: ReesBinomial,
+           blocks: tuple[tuple[Sequence, Sequence], ...]) -> tuple[CertTerm, ...]:
+    """split_certificate's terms for sorted blocks of target's checked rows."""
     moved = [i for i, (a, b) in enumerate(blocks) if a != b]
     steps = ((tuple(sorted([c for _, b in blocks[:i] for c in b]
                            + [c for a, _ in blocks[i + 1:] for c in a])),
-              *blocks[i]) for i in moved)
-    terms = _walk(ideal, target, steps)
+              _binomial(ideal, *blocks[i])) for i in moved)
+    terms = _walk(target, steps)
     if len(terms) < len(moved):
         i = moved[len(terms)] + 1
         raise HypothesisFails(
             i, f"gcd hypothesis fails at block {i} of {len(blocks)}")
-    return Certificate(target, tuple(terms), rule_name, "as-given", note)
+    return tuple(terms)
 
 
 def fiber_certificate(ideal: SquareFreeIdeal, b: ReesBinomial,
@@ -207,9 +215,9 @@ def fiber_certificate(ideal: SquareFreeIdeal, b: ReesBinomial,
     steps = []
     for delta, delta2 in zip(path, path[1:]):
         common = seq_intersection(delta, delta2)
-        steps.append((common, seq_remove(delta, common),
-                      seq_remove(delta2, common)))
-    terms = _walk(ideal, b, steps)
+        steps.append((common, taylor_binomial(
+            ideal, seq_remove(delta, common), seq_remove(delta2, common))))
+    terms = _walk(b, steps)
     if len(terms) < len(steps):
         raise ValueError(f"step {len(terms) + 1} leaves the lcm fiber")
     return Certificate(b, tuple(terms), "fiber_path", "as-given",
@@ -227,8 +235,8 @@ def rule_shared_index(ideal: SquareFreeIdeal, alpha: Sequence,
     if not shared:
         return None
     target = taylor_binomial(ideal, alpha, beta)
-    step = (shared, seq_remove(alpha, shared), seq_remove(beta, shared))
-    return Certificate(target, tuple(_walk(ideal, target, [step])),
+    sub = _binomial(ideal, seq_remove(alpha, shared), seq_remove(beta, shared))
+    return Certificate(target, tuple(_walk(target, [(shared, sub)])),
                        "shared_index", "as-given",
                        note=f"common T-factor {list(shared)}")
 
@@ -250,9 +258,10 @@ def rule_power_factor(ideal: SquareFreeIdeal, alpha: Sequence,
     base_b = tuple(sorted(c for idx, m in run_lengths(beta)
                           for c in [idx] * (m // l)))
     target = taylor_binomial(ideal, alpha, beta)
-    steps = [(tuple(sorted(base_a * (l - 1 - j) + base_b * j)), base_a, base_b)
+    base = _binomial(ideal, base_a, base_b)
+    steps = [(tuple(sorted(base_a * (l - 1 - j) + base_b * j)), base)
              for j in range(l)]
-    return Certificate(target, tuple(_walk(ideal, target, steps)),
+    return Certificate(target, tuple(_walk(target, steps)),
                        "power_factor", "as-given",
                        note=f"difference of {l}-th powers of the base pair")
 
@@ -311,15 +320,17 @@ def rule_block_disjoint(ideal: SquareFreeIdeal, alpha: Sequence,
     f_{beta_{>1}} | M, and the two-block coarsening that merges blocks 2..m
     (same first swap) stays in too.  The separation conditions in the theory
     are strictly stronger than the mechanical hypothesis, so gating on the
-    hypothesis itself both covers them and stays sound.
+    hypothesis itself both covers them and stays sound.  The target is
+    built once, for all partitions.
     """
     if seq_intersection(alpha, beta):
         return None
-    for blocks in _aligned(alpha, beta):
+    target = taylor_binomial(ideal, alpha, beta)
+    for blocks in _aligned(target.alpha, target.beta):
         try:
-            return split_certificate(
-                ideal, BlockPartition(blocks),
-                rule_name="block_disjoint", note="two aligned blocks")
+            return Certificate(target, _split(ideal, target, blocks),
+                               "block_disjoint", "as-given",
+                               "two aligned blocks")
         except HypothesisFails:
             continue
     return None

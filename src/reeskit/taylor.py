@@ -17,15 +17,14 @@ An RTMonomial couples an x-coefficient with a T-multiset.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .monomials import (
     Monomial,
     SquareFreeIdeal,
+    _monomial,
     mono_mul,
-    mono_product,
     render_monomial,
 )
 
@@ -58,22 +57,25 @@ def seq_union(a: Sequence, b: Sequence) -> Sequence:
 
 def seq_remove(a: Sequence, sub: Sequence) -> Sequence:
     """Multiset difference a minus sub; sub must be contained in a."""
-    count = Counter(a)
-    count.subtract(Counter(sub))
-    if any(c < 0 for c in count.values()):
-        raise ValueError(f"{sub!r} is not a sub-multiset of {a!r}")
-    return tuple(sorted(count.elements()))
+    out = list(a)
+    for x in sub:
+        if x not in out:
+            raise ValueError(f"{sub!r} is not a sub-multiset of {a!r}")
+        out.remove(x)
+    return tuple(out)
 
 
 def seq_intersection(a: Sequence, b: Sequence) -> Sequence:
-    return tuple(sorted((Counter(a) & Counter(b)).elements()))
+    """Multiset intersection, in the order of a."""
+    rest = list(b)
+    return tuple(rest.pop(rest.index(x)) for x in a if x in rest)
 
 
 def multiset_distance(a: Sequence, b: Sequence) -> int:
     """For equal-length sequences: how many entries of a are not matched in b."""
     if len(a) != len(b):
         raise ValueError("rows must have equal length")
-    return len(a) - sum((Counter(a) & Counter(b)).values())
+    return len(a) - len(seq_intersection(a, b))
 
 
 def enumerate_sequences(n: int, s: int) -> Iterator[Sequence]:
@@ -83,9 +85,24 @@ def enumerate_sequences(n: int, s: int) -> Iterator[Sequence]:
     return itertools.combinations_with_replacement(range(1, n + 1), s)
 
 
+def _exponents(ideal: SquareFreeIdeal, seq: Sequence,
+               minus: Sequence = ()) -> dict[int, int]:
+    """The exponents of f_seq / f_minus, counted from the support table;
+    the rows are not checked."""
+    out: dict[int, int] = {}
+    supports = ideal.supports
+    for row, sign in ((seq, 1), (minus, -1)):
+        for a in row:
+            for v in supports[a - 1]:
+                out[v] = out.get(v, 0) + sign
+    return out
+
+
 def product_of(ideal: SquareFreeIdeal, seq: Sequence) -> Monomial:
     """f_seq: the product of the generators indexed by seq (with repetition)."""
-    return mono_product(ideal.generator(a) for a in seq)
+    for a in seq:
+        ideal.generator(a)  # IndexError outside 1..n
+    return _monomial(tuple(sorted(_exponents(ideal, seq).items())))
 
 
 @dataclass(frozen=True)
@@ -130,21 +147,23 @@ class ReesBinomial:
 
 def taylor_binomial(ideal: SquareFreeIdeal, alpha: Iterable[int],
                     beta: Iterable[int]) -> ReesBinomial:
-    """One pass over f_alpha / f_beta's exponents gives both coefficients."""
+    """T_{alpha,beta} for rows from outside the engine: both are checked to
+    be distinct non-decreasing sequences over 1..n of one length."""
     a = check_sequence(alpha, ideal.n)
     b = check_sequence(beta, ideal.n)
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {a!r} vs {b!r}")
     if a == b:
         raise ValueError(f"equal sequences give the zero binomial: {a!r}")
-    diff: dict[int, int] = {}
-    for seq, sign in ((a, 1), (b, -1)):
-        for i in seq:
-            for v, e in ideal.generator(i).exps:
-                diff[v] = diff.get(v, 0) + sign * e
-    return ReesBinomial(
-        a, b, Monomial.from_dict({v: -e for v, e in diff.items()}),
-        Monomial.from_dict(diff))
+    return _binomial(ideal, a, b)
+
+
+def _binomial(ideal: SquareFreeIdeal, a: Sequence, b: Sequence) -> ReesBinomial:
+    """T_{a,b} of rows already checked: the exponents of f_a / f_b give both
+    coefficients."""
+    diff = sorted(_exponents(ideal, a, b).items())
+    return ReesBinomial(a, b, _monomial(tuple((v, -e) for v, e in diff if e < 0)),
+                        _monomial(tuple((v, e) for v, e in diff if e > 0)))
 
 
 def swap_binomial(b: ReesBinomial) -> ReesBinomial:
@@ -163,7 +182,7 @@ def taylor_layer(ideal: SquareFreeIdeal, s: int) -> list[ReesBinomial]:
     """All T_{alpha,beta} with alpha < beta lexicographically in layer s."""
     if s < 1:
         raise ValueError(f"layer must be at least 1, got {s}")
-    return [taylor_binomial(ideal, a, b) for a, b
+    return [_binomial(ideal, a, b) for a, b
             in itertools.combinations(enumerate_sequences(ideal.n, s), 2)]
 
 

@@ -79,6 +79,26 @@ def test_classify_dot_is_utf8_under_a_c_locale(tmp_path):
     assert "x₁" in dot.read_bytes().decode("utf-8")
 
 
+@pytest.mark.parametrize("args", [["taylor", "--degree", "1"],
+                                  ["reduce", "--alpha", "1,1", "--beta", "2,2"],
+                                  ["rt"]], ids=["taylor", "reduce", "rt"])
+def test_non_ascii_names_print_under_a_c_locale(tmp_path, args):
+    # the villarreal square with x1 renamed: each command prints a binomial
+    # naming it, which an ASCII stdout writes as an escape
+    path = tmp_path / "sub.ideal"
+    path.write_text("vars: x₁ x2 x3 x4 x5 x6 x7\nf1: x₁ x2 x3\nf2: x2 x4 x5\n"
+                    "f3: x5 x6 x7\nf4: x3 x6 x7\n", encoding="utf-8")
+    src = str(Path(reeskit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUTF8="0",
+               PYTHONCOERCECLOCALE="0", LC_ALL="C")
+    proc = subprocess.run([sys.executable, "-m", "reeskit.cli", args[0],
+                           str(path), *args[1:]],
+                          capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert b"Traceback" not in proc.stderr
+    assert b"x\\u2081" in proc.stdout
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["classify", "/no/such/file.ideal"]) == 2
     assert "error:" in capsys.readouterr().err

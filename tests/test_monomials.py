@@ -1,6 +1,16 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from reeskit.demos import (
+    family_ideal,
+    path_ideal,
+    pentagon_ideal,
+    random_ideal,
+    triangle_ideal,
+    villarreal_ideal,
+)
 from reeskit.monomials import (
     IdealValidationError,
     Monomial,
@@ -41,6 +51,15 @@ class TestMonomialBasics:
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError):
             Monomial(((2, 1), (0, 1)))
+
+    @pytest.mark.parametrize("exps", [((0, -1),), ((2, 1), (0, 1)),
+                                      ((1, 1), (1, 2)), ((-1, 1),),
+                                      ((0, 0),)])
+    def test_malformed_message(self, exps):
+        # the constructor keeps its check; arithmetic results skip it
+        with pytest.raises(ValueError) as err:
+            Monomial(exps)
+        assert str(err.value) == f"malformed exponent tuple {exps!r}"
 
     def test_degree_and_support(self):
         a = m(v0=2, v3=1)
@@ -117,6 +136,16 @@ def test_cofactors_are_coprime(a, b):
 @given(monomials, monomials, monomials)
 def test_gcd_is_associative(a, b, c):
     assert mono_gcd(mono_gcd(a, b), c) == mono_gcd(a, mono_gcd(b, c))
+
+
+@given(monomials, monomials, st.integers(min_value=0, max_value=3))
+def test_unchecked_results_pass_the_constructor_check(a, b, k):
+    # arithmetic builds its results without the check; each one must be a
+    # tuple the checked constructor accepts, and equal to what it builds
+    ab = mono_mul(a, b)
+    for r in (ab, mono_gcd(a, b), mono_lcm(a, b), mono_div_exact(ab, b),
+              mono_pow(a, k), mono_product([a, b, a])):
+        assert Monomial(r.exps) == r
 
 
 @given(monomials, monomials, monomials)
@@ -197,3 +226,30 @@ class TestIdealValidation:
         ideal = make_ideal(["a", "b", "c"], [[0, 1], [1, 2]])
         with pytest.raises(IndexError):
             ideal.generator(0)
+
+
+SUPPORT_IDEALS = {"villarreal": villarreal_ideal(), "pentagon": pentagon_ideal(),
+                  "triangle": triangle_ideal(), "path4": path_ideal(4),
+                  "family6": family_ideal(6),
+                  **{f"random{k}": random_ideal(random.Random(k), 5, 8)
+                     for k in range(0, 60, 6)}}
+
+
+class TestSupportTable:
+    @pytest.mark.parametrize("ideal", list(SUPPORT_IDEALS.values()),
+                             ids=list(SUPPORT_IDEALS))
+    def test_matches_the_generators(self, ideal):
+        assert len(ideal.supports) == ideal.n
+        for i in range(1, ideal.n + 1):
+            assert ideal.supports[i - 1] == ideal.generator(i).support
+
+    def test_not_part_of_equality_or_repr(self):
+        a = make_ideal(["a", "b", "c"], [[0, 1], [1, 2]])
+        b = make_ideal(["a", "b", "c"], [[0, 1], [1, 2]])
+        assert a == b and hash(a) == hash(b)
+        assert "supports" not in repr(a)
+
+    def test_validate_ideal_returns_the_supports(self):
+        ideal = make_ideal(["a", "b", "c"], [[0, 1], [1, 2]])
+        assert validate_ideal(ideal.table, ideal.gens) == (
+            frozenset({0, 1}), frozenset({1, 2}))

@@ -23,13 +23,17 @@ from reeskit.oracle import (
     minimal_linear_generators,
     relation_type_estimate,
 )
-from reeskit.monomials import mono_div_exact, mono_divides, mono_lcm
+from reeskit.monomials import (
+    mono_div_exact,
+    mono_divides,
+    mono_lcm,
+    mono_product,
+)
 from reeskit.reduction import fiber_certificate, verify_certificate
 from reeskit.taylor import (
     RTMonomial,
     enumerate_sequences,
     multiset_distance,
-    product_of,
     rt_mul,
     seq_remove,
     taylor_binomial,
@@ -104,15 +108,20 @@ def filter_layer(seqs, prods, big):
     return [delta for delta, f in zip(seqs, prods) if mono_divides(f, big)]
 
 
+def f_of(ideal, seq):
+    """f_seq by the Monomial formulas, independent of the support table."""
+    return mono_product(ideal.generator(a) for a in seq)
+
+
 def layer_products(ideal, s):
     seqs = list(enumerate_sequences(ideal.n, s))
-    return seqs, [product_of(ideal, delta) for delta in seqs]
+    return seqs, [f_of(ideal, delta) for delta in seqs]
 
 
 def reference_decision(ideal, b, k, seqs, prods):
     """Reference membership: breadth-first search on the filtered fiber,
     joining nodes at multiset distance at most k."""
-    big = mono_lcm(product_of(ideal, b.alpha), product_of(ideal, b.beta))
+    big = mono_lcm(f_of(ideal, b.alpha), f_of(ideal, b.beta))
     fiber = filter_layer(seqs, prods, big)
     seen = {b.alpha}
     frontier = [b.alpha]
@@ -267,12 +276,24 @@ class TestFiber:
                     checked += 1
         assert checked == 7191
 
+    @pytest.mark.parametrize("ideal", [path_ideal(4), pentagon_ideal()],
+                             ids=["path4", "pentagon"])
+    def test_matches_layer_filter_on_named_ideals(self, ideal):
+        # every pair of layers 2..4: the lcm and the masks come from the
+        # support table, the reference from Monomial products
+        for s in (2, 3, 4):
+            seqs, prods = layer_products(ideal, s)
+            for i, j in itertools.combinations(range(len(seqs)), 2):
+                expected = filter_layer(seqs, prods, mono_lcm(prods[i], prods[j]))
+                assert oracle._fiber(ideal, seqs[i], seqs[j]) == expected, \
+                    (s, seqs[i], seqs[j])
+
     def test_matches_layer_filter_on_family(self):
         for n in (5, 6, 7, 8):
             I = family_ideal(n)
             for b in (family_f_binomial(n), family_corrected_g(n)[0]):
                 seqs, prods = layer_products(I, b.degree)
-                big = mono_lcm(product_of(I, b.alpha), product_of(I, b.beta))
+                big = mono_lcm(f_of(I, b.alpha), f_of(I, b.beta))
                 fiber = oracle._fiber(I, b.alpha, b.beta)
                 assert fiber == filter_layer(seqs, prods, big)
                 assert fiber == [b.alpha, b.beta]

@@ -352,6 +352,22 @@ class TestBlockDisjoint:
         V = villarreal_ideal()
         assert rule_block_disjoint(V, (1, 3), (2, 4)) is None
 
+    @pytest.mark.parametrize("ideal, alpha, beta", [
+        (villarreal_ideal(), (1, 3), (2, 4)),
+        (pentagon_ideal(), (1, 1, 4), (2, 3, 5)),
+        (path_ideal(4), (1, 2), (3, 4))], ids=["villarreal", "pentagon", "path4"])
+    def test_one_target_per_pair(self, monkeypatch, ideal, alpha, beta):
+        # every aligned partition shares the pair's target binomial
+        built = []
+
+        def counting(ideal, a, b):
+            built.append((a, b))
+            return taylor_binomial(ideal, a, b)
+        monkeypatch.setattr(reduction, "taylor_binomial", counting)
+        cert = rule_block_disjoint(ideal, alpha, beta)
+        assert built == [(alpha, beta)]
+        assert cert is None or verify_certificate(ideal, cert)
+
     def test_path_pair_split_verifies(self):
         P = path_ideal(6)  # 6 generators on a path
         cert = rule_block_disjoint(P, (1, 3, 5), (2, 4, 6))
@@ -557,6 +573,84 @@ class TestVerifyCertificate:
         bad = dataclasses.replace(
             cert, terms=(dataclasses.replace(term, sub=fake_sub),))
         assert not verify_certificate(V, bad)
+
+
+class TestChecksAtTheBoundary:
+    """The engine builds sub-binomials without re-checking their rows; every
+    public entry point still checks what it is given."""
+
+    @pytest.mark.parametrize("bad", [0, 5], ids=["index 0", "index n+1"])
+    def test_verify_rejects_a_row_outside_the_ideal(self, bad):
+        # T_{(1,4),(1,2)} = T_1 * T_{4,2}, with 4 renamed: index 0 would read
+        # f_4 (the last generator) if the row went unchecked, so this
+        # certificate is consistent apart from the index itself
+        V = villarreal_ideal()
+        cert = rule_shared_index(V, (1, 4), (1, 2))
+        (term,) = cert.terms
+        assert term.sub.alpha == (4,)
+        rename = {4: bad}
+        target = dataclasses.replace(
+            cert.target, alpha=tuple(sorted(rename.get(a, a)
+                                            for a in cert.target.alpha)))
+        sub = dataclasses.replace(term.sub, alpha=(bad,))
+        bad_cert = dataclasses.replace(
+            cert, target=target,
+            terms=(dataclasses.replace(term, sub=sub),))
+        assert verify_certificate(V, bad_cert) is False
+
+    def test_verify_rejects_a_scaled_binomial(self):
+        # target and sub-binomial both times x1: the identity still holds,
+        # but neither is the Taylor binomial of its rows
+        V = villarreal_ideal()
+        cert = rule_shared_index(V, (1, 2), (1, 4))
+        x1 = Monomial.from_dict({0: 1})
+
+        def scaled(b):
+            return dataclasses.replace(b, lhs_coef=mono_mul(b.lhs_coef, x1),
+                                       rhs_coef=mono_mul(b.rhs_coef, x1))
+        (term,) = cert.terms
+        bad_cert = dataclasses.replace(
+            cert, target=scaled(cert.target),
+            terms=(dataclasses.replace(term, sub=scaled(term.sub)),))
+        assert verify_certificate(V, bad_cert) is False
+        only_sub = dataclasses.replace(
+            cert, terms=(dataclasses.replace(term, sub=scaled(term.sub)),))
+        assert verify_certificate(V, only_sub) is False
+
+    @pytest.mark.parametrize("alpha, beta, message", [
+        ((0, 1), (2, 3), "index 0 outside 1..4"),
+        ((1, 5), (2, 3), "index 5 outside 1..4"),
+        ((2, 1), (3, 4), "sequence (2, 1) is not non-decreasing"),
+        ((1,), (2, 3), "rows must have equal length"),
+        ((1, 2), (1, 2), "equal rows give the zero binomial"),
+    ])
+    def test_reduce_to_normal_messages(self, alpha, beta, message):
+        with pytest.raises(ValueError) as err:
+            reduce_to_normal(villarreal_ideal(), alpha, beta)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("rule", [rule_shared_index, rule_power_factor,
+                                      rule_block_disjoint],
+                             ids=lambda r: r.__name__)
+    @pytest.mark.parametrize("bad", [0, 5], ids=["index 0", "index n+1"])
+    def test_rules_check_the_rows_they_build_on(self, rule, bad):
+        rows = {rule_shared_index: ((1, bad), (1, 2)),
+                rule_power_factor: ((bad, bad), (2, 2)),
+                rule_block_disjoint: ((1, bad), (2, 3))}[rule]
+        with pytest.raises(ValueError, match=f"index {bad} outside 1..4"):
+            rule(villarreal_ideal(), *rows)
+
+    def test_unsorted_block_rejected(self):
+        with pytest.raises(ValueError):
+            split_certificate(villarreal_ideal(),
+                              BlockPartition((((2, 1), (3, 4)),)))
+
+    @pytest.mark.parametrize("bad", [0, 5], ids=["index 0", "index n+1"])
+    def test_fiber_path_node_outside_the_ideal(self, bad):
+        V = villarreal_ideal()
+        b = taylor_binomial(V, (1, 2), (3, 4))
+        with pytest.raises(ValueError, match=f"index {bad} outside 1..4"):
+            fiber_certificate(V, b, ((1, 2), (1, bad), (3, 4)))
 
 
 class TestIrredundancyWitness:

@@ -10,7 +10,13 @@ from reeskit.demos import (
     random_ideal,
     villarreal_ideal,
 )
-from reeskit.monomials import Monomial, make_ideal, mono_div_exact, mono_gcd
+from reeskit.monomials import (
+    Monomial,
+    make_ideal,
+    mono_div_exact,
+    mono_gcd,
+    mono_product,
+)
 from reeskit.taylor import (
     ReesBinomial,
     RTMonomial,
@@ -67,6 +73,23 @@ def test_product_of():
     V = villarreal_ideal()
     prod = product_of(V, (1, 2))
     assert prod.exponent(1) == 2  # x2 appears in both f1 and f2
+
+
+@pytest.mark.parametrize("name", ["villarreal", "pentagon", "path4", "random8"])
+def test_product_of_matches_the_generator_product(name):
+    # product_of counts exponents from the support table
+    ideal = FORMULA_IDEALS[name]
+    for s in (1, 2, 3):
+        for seq in enumerate_sequences(ideal.n, s):
+            assert product_of(ideal, seq) == mono_product(
+                ideal.generator(a) for a in seq)
+    assert product_of(ideal, ()) == Monomial.one()
+
+
+@pytest.mark.parametrize("seq", [(0,), (1, 5)])
+def test_product_of_rejects_an_index_outside_the_ideal(seq):
+    with pytest.raises(IndexError):
+        product_of(villarreal_ideal(), seq)
 
 
 class TestRTMonomialArithmetic:
@@ -162,9 +185,11 @@ class TestOneExponentDifference:
                 for a, b in itertools.combinations(seqs, 2)]
 
     @pytest.mark.parametrize("alpha, beta", [((1,), (2, 3)), ((1, 2), (1, 2)),
-                                             ((1, 5), (2, 3))],
+                                             ((1, 5), (2, 3)), ((0, 1), (2, 3)),
+                                             ((1, 2), (4, 3)), ((), ())],
                              ids=["length mismatch", "equal rows",
-                                  "index out of range"])
+                                  "index out of range", "index zero",
+                                  "unsorted row", "empty rows"])
     def test_errors_match_the_reference(self, alpha, beta):
         V = villarreal_ideal()
         with pytest.raises(ValueError) as expected:
