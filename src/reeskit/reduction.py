@@ -17,12 +17,13 @@ and the split lemma's gcd hypothesis g | gcd(P, f_beta) *
 gcd(f(alpha_{>=i}), Q) * g_i holds exactly when g | P*Q*g_i (compare
 exponents variable by variable), i.e. exactly when the walk stays in the
 fiber.  fiber_certificate walks the oracle's path, rule_shared_index is a
-one-step walk and rule_power_factor an l-step one.
+one-step walk and rule_power_factor an l-step one.  The rules split with
+_split on targets they checked; split_certificate serves outside callers.
 
 The named rules are sufficient conditions with documented search spaces.
 rule_block_disjoint tries every aligned two-block partition, which already
 covers the exchanged pair and every longer split; rule_constant_row
-tries the pair as given and with the roles of alpha and beta exchanged
+tries the pair as given, then with the roles of alpha and beta exchanged
 (a swapped match flips the orientation of every sub-binomial, which absorbs
 the sign).  The four shape rules of the theory (2x2, 3x2, a leaf of a tree,
 a segment of a unique odd cycle) are guards over rule_block_disjoint that
@@ -33,7 +34,8 @@ reduce_to_normal drives four of the eight rules in a fixed priority order
 to the top pair it asks the oracle, and the pair is either reduced along
 its fiber path (fiber_certificate) or stuck, which then means it is a
 genuinely new generator in its degree, and the driver searches for an
-irredundancy witness of that.
+irredundancy witness of that.  The witness's row conditions are _shape,
+for IrredundancyWitness.check and for each of _pattern's candidates.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from .monomials import (
     Monomial,
     SquareFreeIdeal,
     mono_div_exact,
-    mono_divides,
     mono_mul,
 )
 from .oracle import member_lower
@@ -163,14 +164,15 @@ def _walk(target: ReesBinomial,
     starts at target.lhs_coef; a step's term is (u / lhs) * T_c * T_{d,d'},
     where T_{d,d'} = lhs T_d - rhs T_d', and the next node's u is that
     cofactor times rhs.  The walk stops at the first step whose lhs does not
-    divide u, the step that leaves the fiber: fewer terms than steps come
-    back, and len(terms) is that step's 0-based position."""
+    divide u exactly, the step that leaves the fiber: fewer terms than steps
+    come back, and len(terms) is that step's 0-based position."""
     u = target.lhs_coef
     terms = []
     for c, sub in steps:
-        if not mono_divides(sub.lhs_coef, u):
+        try:
+            coef = mono_div_exact(u, sub.lhs_coef)
+        except ValueError:
             break
-        coef = mono_div_exact(u, sub.lhs_coef)
         terms.append(CertTerm(coef, c, sub))
         u = mono_mul(coef, sub.rhs_coef)
     return terms
@@ -210,8 +212,10 @@ def fiber_certificate(ideal: SquareFreeIdeal, b: ReesBinomial,
                       path: tuple[Sequence, ...]) -> Certificate:
     """The certificate of a fiber path alpha = delta_0, ..., delta_m = beta:
     a walk whose step delta -> delta' keeps the common part c and swaps
-    delta - c for delta' - c.  Raises ValueError if the path leaves the
-    fiber."""
+    delta - c for delta' - c.  Raises ValueError if the path does not run
+    from b.alpha to b.beta or leaves the fiber."""
+    if len(path) < 2 or path[0] != b.alpha or path[-1] != b.beta:
+        raise ValueError(f"path does not run from {b.alpha!r} to {b.beta!r}")
     steps = []
     for delta, delta2 in zip(path, path[1:]):
         common = seq_intersection(delta, delta2)
@@ -247,17 +251,13 @@ def rule_power_factor(ideal: SquareFreeIdeal, alpha: Sequence,
     binomial is a difference of l-th powers: an l-step walk through
     base_a^(l-1-j) base_b^j, whose j-th cofactor is ca^(l-1-j) cb^j for
     T_{base} = ca T_{base_a} - cb T_{base_b}."""
-    mults = [m for _, m in run_lengths(alpha)] + [m for _, m in run_lengths(beta)]
-    l = 0
-    for m in mults:
-        l = math.gcd(l, m)
+    runs = (run_lengths(alpha), run_lengths(beta))
+    l = math.gcd(*(m for row in runs for _, m in row))
     if l < 2:
         return None
-    base_a = tuple(sorted(c for idx, m in run_lengths(alpha)
-                          for c in [idx] * (m // l)))
-    base_b = tuple(sorted(c for idx, m in run_lengths(beta)
-                          for c in [idx] * (m // l)))
     target = taylor_binomial(ideal, alpha, beta)
+    base_a, base_b = (tuple(idx for idx, m in row for _ in range(m // l))
+                      for row in runs)
     base = _binomial(ideal, base_a, base_b)
     steps = [(tuple(sorted(base_a * (l - 1 - j) + base_b * j)), base)
              for j in range(l)]
@@ -266,31 +266,24 @@ def rule_power_factor(ideal: SquareFreeIdeal, alpha: Sequence,
                        note=f"difference of {l}-th powers of the base pair")
 
 
-def _constant_row_impl(ideal: SquareFreeIdeal, alpha: Sequence,
-                       beta: Sequence) -> Optional[Certificate]:
-    if len(set(alpha)) != 1 or len(alpha) < 2:
-        return None
-    a1 = alpha[0]
-    pick = next((b for b in beta if b != a1), None)
-    if pick is None:
-        return None
-    rest = seq_remove(beta, (pick,))
-    blocks = BlockPartition((((a1,), (pick,)),
-                             ((a1,) * (len(alpha) - 1), rest)))
-    return split_certificate(
-        ideal, blocks, rule_name="constant_row",
-        note=f"peel ({a1},{pick}) off the constant row")
-
-
 def rule_constant_row(ideal: SquareFreeIdeal, alpha: Sequence,
                       beta: Sequence) -> Optional[Certificate]:
-    """One row constant: peel a single (a1, b1) pair; the gcd hypothesis of
-    this split holds unconditionally for square-free generators."""
-    cert = _constant_row_impl(ideal, alpha, beta)
-    if cert is not None:
-        return cert
-    cert = _constant_row_impl(ideal, beta, alpha)
-    return swap_certificate(cert) if cert is not None else None
+    """One row constant, alpha's tried first: peel a single (a1, b1) pair,
+    b1 the other row's first index != a1; the gcd hypothesis of this split
+    holds unconditionally for square-free generators.  A certificate for
+    (beta, alpha) is swapped back."""
+    for const, other, swapped in ((alpha, beta, False), (beta, alpha, True)):
+        if len(const) < 2 or len(set(const)) != 1:
+            continue
+        target = taylor_binomial(ideal, const, other)
+        a1 = const[0]
+        pick = next(c for c in other if c != a1)  # the rows differ
+        blocks = (((a1,), (pick,)), (const[1:], seq_remove(other, (pick,))))
+        cert = Certificate(target, _split(ideal, target, blocks),
+                           "constant_row", "as-given",
+                           f"peel ({a1},{pick}) off the constant row")
+        return swap_certificate(cert) if swapped else cert
+    return None
 
 
 def _distinct_submultisets(seq: Sequence, t: int) -> list[Sequence]:
@@ -363,8 +356,9 @@ def rule_three_by_two(ideal: SquareFreeIdeal, alpha: Sequence,
 
 def _induced_class(ideal: SquareFreeIdeal, alpha: Sequence,
                    beta: Sequence) -> Optional[ComponentClass]:
-    """The class of the induced generator graph when it is connected."""
-    sub = induced_subgraph(ideal, alpha, beta)
+    """The class of the checked rows' induced generator graph if connected."""
+    sub = induced_subgraph(ideal, check_sequence(alpha, ideal.n),
+                           check_sequence(beta, ideal.n))
     comps = components(sub)
     return classify_component(sub, comps[0]) if len(comps) == 1 else None
 
@@ -419,24 +413,34 @@ class IrredundancyWitness:
     role_swapped: bool = False
 
     def check(self, ideal: SquareFreeIdeal) -> bool:
+        """The pattern on rows over 1..n, confirmed by the oracle."""
         s = len(self.avec)
-        if s < 2 or len(self.xvars) != s or len(self.zvars) != s:
+        if (len(self.xvars) != s or len(self.zvars) != s
+                or not _shape(self.alpha, self.beta, self.avec, self.b1,
+                              self.b2, self.role_swapped)):
             return False
-        distinct = self.beta if self.role_swapped else self.alpha
-        special = self.alpha if self.role_swapped else self.beta
-        if tuple(sorted(distinct)) != self.avec:
-            return False
-        if len(set(self.avec)) != s:
-            return False
-        if tuple(sorted(special)) != tuple(sorted((self.b1,) * (s - 1) + (self.b2,))):
-            return False
-        if self.b1 == self.b2 or set(self.avec) & {self.b1, self.b2}:
+        try:
+            check_sequence(self.alpha, ideal.n)
+            check_sequence(self.beta, ideal.n)
+        except ValueError:
             return False
         seps = _separators(ideal, self.avec, self.b1, self.b2)
         if not all(x in xs and z in zs for (xs, zs), x, z
                    in zip(seps, self.xvars, self.zvars)):
             return False
         return _confirmed(ideal, self.alpha, self.beta)
+
+
+def _shape(alpha: Sequence, beta: Sequence, avec: Sequence, b1: int, b2: int,
+           swapped: bool) -> bool:
+    """The pattern's row conditions: the distinct row (beta when swapped)
+    sorts to avec, s >= 2 pairwise distinct indices; the other row is
+    (b1^{s-1}, b2) with b1 != b2; the two rows share no index."""
+    distinct, special = (beta, alpha) if swapped else (alpha, beta)
+    s = len(avec)
+    return (s >= 2 and tuple(sorted(distinct)) == avec and len(set(avec)) == s
+            and b1 != b2 and not set(avec) & {b1, b2}
+            and sorted(special) == sorted((b1,) * (s - 1) + (b2,)))
 
 
 def _separators(ideal: SquareFreeIdeal, avec: Sequence, b1: int,
@@ -461,29 +465,18 @@ def _confirmed(ideal: SquareFreeIdeal, alpha: Sequence, beta: Sequence) -> bool:
 
 def _pattern(ideal: SquareFreeIdeal, alpha: Sequence,
              beta: Sequence) -> Optional[IrredundancyWitness]:
-    """The irredundancy pattern of the pair, without the oracle: both role
-    assignments are searched, and per entry the first separating variable
-    in table order is taken."""
-    alpha = tuple(alpha)
-    beta = tuple(beta)
+    """The irredundancy pattern of the checked rows, without the oracle:
+    both row roles, with the other row's two indices as (b1, b2) in both
+    orders (smaller first), are tried against _shape, and per entry the
+    first separating variable in table order is taken."""
     for a_row, b_row, swapped in ((alpha, beta, False), (beta, alpha, True)):
-        s = len(a_row)
-        if s < 2 or len(set(a_row)) != s:
+        if len(set(b_row)) != 2:
             continue
-        if set(a_row) & set(b_row):
-            continue
-        counts = Counter(b_row)
-        if len(counts) != 2:
-            continue
-        if s == 2:
-            candidates = [(b_row[0], b_row[1]), (b_row[1], b_row[0])]
-        else:
-            by_mult = {m: idx for idx, m in counts.items()}
-            if sorted(counts.values()) != [1, s - 1]:
-                continue
-            candidates = [(by_mult[s - 1], by_mult[1])]
         avec = tuple(sorted(a_row))
-        for b1, b2 in candidates:
+        lo, hi = sorted(set(b_row))
+        for b1, b2 in ((lo, hi), (hi, lo)):
+            if not _shape(alpha, beta, avec, b1, b2, swapped):
+                continue
             seps = _separators(ideal, avec, b1, b2)
             if all(xs and zs for xs, zs in seps):
                 return IrredundancyWitness(
@@ -495,8 +488,9 @@ def _pattern(ideal: SquareFreeIdeal, alpha: Sequence,
 def irredundancy_witness(ideal: SquareFreeIdeal, alpha: Sequence,
                          beta: Sequence) -> Optional[IrredundancyWitness]:
     """The pair's _pattern, returned only when the oracle confirms the pair
-    (see _confirmed)."""
-    w = _pattern(ideal, alpha, beta)
+    (see _confirmed); rows are checked as the rules check them."""
+    w = _pattern(ideal, check_sequence(alpha, ideal.n),
+                 check_sequence(beta, ideal.n))
     return w if w is not None and _confirmed(ideal, w.alpha, w.beta) else None
 
 
@@ -549,14 +543,12 @@ def reduce_to_normal(ideal: SquareFreeIdeal, alpha: Sequence,
     if len(a) == 1:
         return ReductionOutcome("reduced", (), terminal_degree=1)
     chain: list[Certificate] = []
-    expressed: set = set()
     queue: list[tuple[Sequence, Sequence]] = [(a, b)]
     queued = {_pair_key(a, b)}
-    is_top = True
     while queue:
         pa, pb = queue.pop(0)
         cert = _dispatch(ideal, pa, pb)
-        if cert is None and is_top:
+        if cert is None and not chain:  # the top pair
             top = taylor_binomial(ideal, pa, pb)
             verdict = member_lower(ideal, top, top.degree - 1)
             if verdict.is_no:
@@ -565,21 +557,18 @@ def reduce_to_normal(ideal: SquareFreeIdeal, alpha: Sequence,
                     "stuck", (), stuck_pair=(pa, pb),
                     witness=_pattern(ideal, pa, pb))
             cert = fiber_certificate(ideal, top, verdict.path)
-        is_top = False
         if cert is None:
             continue
-        expressed.add(_pair_key(pa, pb))
         chain.append(cert)
         for term in cert.terms:
             if term.sub.degree < 2:
                 continue
             sub_key = _pair_key(term.sub.alpha, term.sub.beta)
-            if sub_key not in expressed and sub_key not in queued:
+            if sub_key not in queued:
                 queued.add(sub_key)
                 queue.append((term.sub.alpha, term.sub.beta))
-    terminal = 1
-    for cert in chain:
-        for term in cert.terms:
-            if _pair_key(term.sub.alpha, term.sub.beta) not in expressed:
-                terminal = max(terminal, term.sub.degree)
+    expressed = {_pair_key(c.target.alpha, c.target.beta) for c in chain}
+    terminal = max((t.sub.degree for c in chain for t in c.terms
+                    if _pair_key(t.sub.alpha, t.sub.beta) not in expressed),
+                   default=1)
     return ReductionOutcome("reduced", tuple(chain), terminal_degree=terminal)

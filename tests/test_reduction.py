@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import itertools
@@ -282,6 +283,53 @@ class TestConstantRow:
     def test_no_constant_row(self):
         V = villarreal_ideal()
         assert rule_constant_row(V, (1, 2), (3, 4)) is None
+
+
+def constant_row_by_partition(ideal, alpha, beta):
+    """rule_constant_row written as a public split_certificate of a
+    BlockPartition, swapped back when the constant row is beta."""
+    for const, other, swapped in ((alpha, beta, False), (beta, alpha, True)):
+        if len(set(const)) != 1 or len(const) < 2:
+            continue
+        a1 = const[0]
+        pick = next((b for b in other if b != a1), None)
+        if pick is None:
+            continue
+        cert = split_certificate(
+            ideal, BlockPartition((((a1,), (pick,)),
+                                   ((a1,) * (len(const) - 1),
+                                    seq_remove(other, (pick,))))),
+            rule_name="constant_row",
+            note=f"peel ({a1},{pick}) off the constant row")
+        return swap_certificate(cert) if swapped else cert
+    return None
+
+
+# named ideals and a stride of random ones, compared on layers 2..3
+PATTERN_IDEALS = {
+    "villarreal": villarreal_ideal(),
+    "pentagon": pentagon_ideal(),
+    "triangle": triangle_ideal(),
+    "path4": path_ideal(4),
+    **{f"random{k}": random_ideal(random.Random(k), 5, 8)
+       for k in range(0, 40, 7)},
+}
+
+
+def ordered_layer_pairs(ideal):
+    for s in (2, 3):
+        yield from itertools.permutations(enumerate_sequences(ideal.n, s), 2)
+
+
+@pytest.mark.parametrize("ideal", list(PATTERN_IDEALS.values()),
+                         ids=list(PATTERN_IDEALS))
+def test_constant_row_matches_the_partition_split(ideal):
+    hits = 0
+    for alpha, beta in ordered_layer_pairs(ideal):
+        cert = rule_constant_row(ideal, alpha, beta)
+        assert cert == constant_row_by_partition(ideal, alpha, beta)
+        hits += cert is not None
+    assert hits > 0
 
 
 def three_block_partitions(alpha, beta):
@@ -629,16 +677,30 @@ class TestChecksAtTheBoundary:
             reduce_to_normal(villarreal_ideal(), alpha, beta)
         assert str(err.value) == message
 
-    @pytest.mark.parametrize("rule", [rule_shared_index, rule_power_factor,
-                                      rule_block_disjoint],
-                             ids=lambda r: r.__name__)
+    @pytest.mark.parametrize("rule", [
+        rule_shared_index, rule_power_factor, rule_block_disjoint,
+        rule_constant_row, rule_two_by_two, rule_three_by_two,
+        rule_tree_leaf, rule_odd_cycle_step], ids=lambda r: r.__name__)
     @pytest.mark.parametrize("bad", [0, 5], ids=["index 0", "index n+1"])
     def test_rules_check_the_rows_they_build_on(self, rule, bad):
+        # each pair passes the rule's guard, so the rule builds on its rows
         rows = {rule_shared_index: ((1, bad), (1, 2)),
                 rule_power_factor: ((bad, bad), (2, 2)),
-                rule_block_disjoint: ((1, bad), (2, 3))}[rule]
+                rule_block_disjoint: ((1, bad), (2, 3)),
+                rule_constant_row: ((bad, bad), (2, 3)),
+                rule_two_by_two: ((1, 1, bad), (2, 3, 3)),
+                rule_three_by_two: ((1, 1, 2, bad), (3, 3, 4, 4)),
+                rule_tree_leaf: ((1, bad), (2, 3)),
+                rule_odd_cycle_step: ((1, 1, 2, bad), (3, 3, 4, 4))}[rule]
         with pytest.raises(ValueError, match=f"index {bad} outside 1..4"):
             rule(villarreal_ideal(), *rows)
+
+    @pytest.mark.parametrize("alpha, beta", [((2, 2), (3, 1)),
+                                             ((3, 1), (2, 2))])
+    def test_constant_row_checks_the_other_row(self, alpha, beta):
+        # sorting the other row would certify (2,2)|(1,3) instead
+        with pytest.raises(ValueError, match=r"\(3, 1\) is not non-decreasing"):
+            rule_constant_row(villarreal_ideal(), alpha, beta)
 
     def test_unsorted_block_rejected(self):
         with pytest.raises(ValueError):
@@ -680,6 +742,15 @@ class TestIrredundancyWitness:
                                                w.xvars[2]))
         assert not broken.check(P)
 
+    @pytest.mark.parametrize("bad", [0, 9], ids=["index 0", "index 9"])
+    def test_rows_outside_the_ideal(self, bad):
+        V = villarreal_ideal()
+        w = IrredundancyWitness((1, 2), (3, bad), (1, 2), 3, bad, (0, 0),
+                                (0, 0))
+        assert w.check(V) is False
+        with pytest.raises(ValueError, match=f"index {bad} outside 1..4"):
+            irredundancy_witness(V, (1, 2), (3, bad))
+
     @pytest.mark.parametrize("seed, alpha, beta", [
         (1063, (2, 5), (3, 4)),
         (1113, (1, 4), (2, 5)),
@@ -720,6 +791,80 @@ class TestIrredundancyWitness:
         assert out.witness == irredundancy_witness(P, (1, 1, 4), (2, 3, 5))
 
 
+def pattern_by_counting(ideal, alpha, beta):
+    """_pattern written with the other row's multiplicities counted."""
+    for a_row, b_row, swapped in ((alpha, beta, False), (beta, alpha, True)):
+        s = len(a_row)
+        if s < 2 or len(set(a_row)) != s or set(a_row) & set(b_row):
+            continue
+        counts = collections.Counter(b_row)
+        if len(counts) != 2:
+            continue
+        if s == 2:
+            candidates = [(b_row[0], b_row[1]), (b_row[1], b_row[0])]
+        else:
+            by_mult = {m: idx for idx, m in counts.items()}
+            if sorted(counts.values()) != [1, s - 1]:
+                continue
+            candidates = [(by_mult[s - 1], by_mult[1])]
+        avec = tuple(sorted(a_row))
+        for b1, b2 in candidates:
+            seps = reduction._separators(ideal, avec, b1, b2)
+            if all(xs and zs for xs, zs in seps):
+                return IrredundancyWitness(
+                    alpha, beta, avec, b1, b2, tuple(xs[0] for xs, _ in seps),
+                    tuple(zs[0] for _, zs in seps), swapped)
+    return None
+
+
+def check_by_rows(w, ideal):
+    """IrredundancyWitness.check with each row condition written out."""
+    s = len(w.avec)
+    if s < 2 or len(w.xvars) != s or len(w.zvars) != s:
+        return False
+    distinct = w.beta if w.role_swapped else w.alpha
+    special = w.alpha if w.role_swapped else w.beta
+    if tuple(sorted(distinct)) != w.avec or len(set(w.avec)) != s:
+        return False
+    if tuple(sorted(special)) != tuple(sorted((w.b1,) * (s - 1) + (w.b2,))):
+        return False
+    if w.b1 == w.b2 or set(w.avec) & {w.b1, w.b2}:
+        return False
+    seps = reduction._separators(ideal, w.avec, w.b1, w.b2)
+    if not all(x in xs and z in zs
+               for (xs, zs), x, z in zip(seps, w.xvars, w.zvars)):
+        return False
+    return reduction._confirmed(ideal, w.alpha, w.beta)
+
+
+@pytest.mark.parametrize("ideal", list(PATTERN_IDEALS.values()),
+                         ids=list(PATTERN_IDEALS))
+def test_pattern_and_check_match_the_written_out_rows(ideal, monkeypatch):
+    # both sides ask the same oracle, so it is left out: only the row
+    # conditions are compared, on the pattern's candidates and on every
+    # (b1, b2) drawn from the other row, each with its first separators
+    monkeypatch.setattr(reduction, "_confirmed", lambda *args: True)
+    found, accepted, refused = 0, 0, 0
+    for alpha, beta in ordered_layer_pairs(ideal):
+        w = reduction._pattern(ideal, alpha, beta)
+        assert w == pattern_by_counting(ideal, alpha, beta)
+        found += w is not None
+        for swapped in (False, True):
+            avec, other = (beta, alpha) if swapped else (alpha, beta)
+            for b1, b2 in itertools.product(sorted(set(other)), repeat=2):
+                seps = reduction._separators(ideal, avec, b1, b2)
+                cand = IrredundancyWitness(
+                    alpha, beta, avec, b1, b2,
+                    tuple(xs[0] if xs else 0 for xs, _ in seps),
+                    tuple(zs[0] if zs else 0 for _, zs in seps), swapped)
+                ok = cand.check(ideal)
+                assert ok == check_by_rows(cand, ideal), cand
+                accepted += ok
+                refused += not ok
+    # a pair with a pattern has an accepted candidate and vice versa
+    assert refused and (found > 0) == (accepted > 0)
+
+
 class TestFiberCertificate:
     def test_single_move_is_one_term(self):
         V = villarreal_ideal()
@@ -750,12 +895,22 @@ class TestFiberCertificate:
         assert checked > 500
 
     def test_broken_path_fails_verification(self):
+        # a truncated path is refused when the certificate is built
         V = villarreal_ideal()
         b = taylor_binomial(V, (1, 2), (3, 4))
         verdict = member_lower(V, b, 1)
         assert len(verdict.path) == 3
-        short = fiber_certificate(V, b, verdict.path[:2])
-        assert not verify_certificate(V, short)
+        with pytest.raises(ValueError, match="does not run from"):
+            fiber_certificate(V, b, verdict.path[:2])
+
+    @pytest.mark.parametrize("path", [
+        ((1, 2), (1, 4)), ((1, 2),), (), ((1, 4), (3, 4)),
+        ((1, 4), (1, 2), (3, 4))])
+    def test_path_must_run_from_alpha_to_beta(self, path):
+        P = pentagon_ideal()
+        b = taylor_binomial(P, (1, 2), (3, 4))
+        with pytest.raises(ValueError, match="does not run from"):
+            fiber_certificate(P, b, path)
 
 
 class TestReduceToNormal:
