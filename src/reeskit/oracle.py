@@ -16,12 +16,13 @@ sub-multisets once, decides connectivity on the finite fiber universe
 {delta : f_delta | M} and returns a shortest path, which stays small even
 where the raw rule count is astronomical; the answer is exact: no degree
 cap is involved, because every rewrite keeps the substituted monomial
-M t^s.  minimal_linear_generators asks the same search about layer 1.
+M t^s.  relation_type_estimate and minimal_linear_generators need only a
+yes or a no, so they join index classes (_joined) instead.
 
 relation_type_estimate never builds a layer: modulo layer s - 1 a pair
 whose rows share an index is a single move, so it is only counted; the
-fiber decides the pairs with disjoint rows, and only a layer's witness
-becomes a binomial.
+fiber, drawn only until the join, decides the pairs with disjoint rows,
+and only a layer's witness becomes a binomial.
 
 The fiber is enumerated directly, never by filtering the whole layer: a
 depth-first search over non-decreasing index sequences tracks the capacity
@@ -29,9 +30,9 @@ of M still free, one packed integer field per variable of M.  Every
 generator is square-free, so picking index a takes one unit from each
 variable of supp(f_a); generators reaching outside supp(M) never fit, and a
 prefix is cut as soon as the picks still possible cannot fill the slots
-left.  The search yields the fiber in lex order.  A yes verdict carries the
-path the search found; reduction.fiber_certificate turns it into a
-Certificate, the one proof format that verify_certificate replays.
+left.  It yields the fiber lazily, in lex order.  A yes verdict carries its
+path; reduction.fiber_certificate turns it into a Certificate, the one proof
+format that verify_certificate replays.
 """
 
 from __future__ import annotations
@@ -88,8 +89,8 @@ class Verdict:
 # --- fiber-based layered membership ---------------------------------------
 
 def _fiber(ideal: SquareFreeIdeal, alpha: Sequence,
-           beta: Sequence) -> list[Sequence]:
-    """{delta : f_delta | lcm(f_alpha, f_beta)} in lex order.
+           beta: Sequence) -> Iterable[Sequence]:
+    """Yield {delta : f_delta | lcm(f_alpha, f_beta)} in lex order, lazily.
 
     The lcm and the masks come from the support table; the rows are not
     checked.  The capacity still free is one integer with a field per
@@ -113,7 +114,6 @@ def _fiber(ideal: SquareFreeIdeal, alpha: Sequence,
         if sup <= shift.keys():
             index.append(a)
             masks.append(sum(1 << shift[v] for v in sup))
-    out: list[Sequence] = []
     stack: list[tuple[Sequence, int, int]] = [((), full, 0)]
     while stack:
         prefix, free, first = stack.pop()
@@ -125,13 +125,12 @@ def _fiber(ideal: SquareFreeIdeal, alpha: Sequence,
                 continue
             seq = prefix + (index[j],)
             if not left:
-                out.append(seq)
+                yield seq
             # with one slot left the bound only asks whether some generator
             # still fits, which the child's own scan answers
             elif left == 1 or _can_fill(rest, masks[j:], guards, left):
                 kids.append((seq, rest, j))
         stack.extend(reversed(kids))
-    return out
 
 
 def _can_fill(free: int, masks: Seq[int], guards: int, slots: int) -> bool:
@@ -180,6 +179,21 @@ def _path(groups: Mapping[Hashable, Iterable[Hashable]], a: Hashable,
     return path[::-1]
 
 
+def _joined(blocks: Iterable[Iterable[Hashable]], a: Hashable,
+            b: Hashable) -> bool:
+    """Do the blocks join a and b?  Each block merges its entries' classes;
+    True once the merged class holds both, so no later block is read."""
+    if a == b:
+        return True
+    cls: dict[Hashable, set] = {}
+    for block in blocks:
+        merged = set().union(*(cls.get(x, (x,)) for x in block))
+        if a in merged and b in merged:
+            return True
+        cls.update(dict.fromkeys(merged, merged))
+    return False
+
+
 def member_lower(ideal: SquareFreeIdeal, b: ReesBinomial, k: int,
                  cap: Optional[int] = None) -> Verdict:
     """Does the layer-s pair of b rewrite into one another modulo all
@@ -198,7 +212,7 @@ def member_lower(ideal: SquareFreeIdeal, b: ReesBinomial, k: int,
     if multiset_distance(b.alpha, b.beta) <= k:
         return Verdict("yes", "single move", b, k, (b.alpha, b.beta))
 
-    universe = _fiber(ideal, b.alpha, b.beta)
+    universe = list(_fiber(ideal, b.alpha, b.beta))
     note = f"fiber universe {len(universe)} nodes"
     t = b.degree - k
     path = _path({delta: set(combinations(delta, t)) for delta in universe},
@@ -231,8 +245,11 @@ def relation_type_estimate(ideal: SquareFreeIdeal, s_max: int) -> RtReport:
     layer containing a pair that does not reduce (with a witness binomial,
     the first such pair in taylor_layer order).  A pair whose rows share an
     index is a single move modulo layer s - 1, so it reduces and is only
-    counted; the lcm fiber decides each pair with disjoint rows.  Every
-    verdict is exact, so all layers through s_max are verified.
+    counted.  Modulo layer s - 1 two fiber nodes are adjacent exactly when
+    they share an index, and alpha and beta are nodes, so a pair with
+    disjoint rows reduces exactly when its lcm fiber's nodes, as blocks,
+    join alpha[0] and beta[0]; the fiber is drawn only until that join.
+    Every verdict is exact, so all layers through s_max are verified.
     """
     if s_max < 1:
         raise ValueError(f"s_max must be at least 1, got {s_max}")
@@ -247,11 +264,7 @@ def relation_type_estimate(ideal: SquareFreeIdeal, s_max: int) -> RtReport:
             # beta > alpha with rows disjoint from alpha's: beta[0] > alpha[0]
             rest = [a for a in range(alpha[0] + 1, n + 1) if a not in alpha]
             for beta in combinations_with_replacement(rest, s):
-                # modulo layer s - 1 two nodes are adjacent when they share
-                # an index
-                universe = _fiber(ideal, alpha, beta)
-                if _path({delta: set(delta) for delta in universe},
-                         alpha, beta) is None:
+                if not _joined(_fiber(ideal, alpha, beta), alpha[0], beta[0]):
                     no += 1
                     if first_no is None:
                         first_no = taylor_binomial(ideal, alpha, beta)
@@ -279,20 +292,16 @@ def minimal_linear_generators(ideal: SquareFreeIdeal) -> list[ReesBinomial]:
 
     On the layer-1 fiber of M = lcm(f_i, f_j) a kept T_{k,l} moves
     (M/f_k) T_k to (M/f_l) T_l exactly when lcm(f_k, f_l) divides M, so
-    T_{i,j} is dropped when such moves join i to j.  Square-free: an lcm is
-    a union of supports and divisibility is inclusion."""
+    T_{i,j} is dropped when such moves join i to j (_joined).  Square-free:
+    an lcm is a union of supports and divisibility is inclusion."""
     kept = list(taylor_layer(ideal, 1))
     sup = ideal.supports
     lcm = {(b.alpha, b.beta): sup[b.alpha[0] - 1] | sup[b.beta[0] - 1]
            for b in kept}
     for b in list(kept):
         big = lcm[b.alpha, b.beta]
-        groups: dict[int, list[Sequence]] = {}
-        for x in kept:
-            if x is not b and lcm[x.alpha, x.beta] <= big:
-                move = x.alpha + x.beta
-                for i in move:
-                    groups.setdefault(i, []).append(move)
-        if _path(groups, b.alpha[0], b.beta[0]) is not None:
+        moves = (x.alpha + x.beta for x in kept
+                 if x is not b and lcm[x.alpha, x.beta] <= big)
+        if _joined(moves, b.alpha[0], b.beta[0]):
             kept.remove(b)
     return kept

@@ -22,13 +22,13 @@ _split on targets they checked; split_certificate serves outside callers.
 
 The named rules are sufficient conditions with documented search spaces.
 rule_block_disjoint tries every aligned two-block partition, which already
-covers the exchanged pair and every longer split; rule_constant_row
-tries the pair as given, then with the roles of alpha and beta exchanged
-(a swapped match flips the orientation of every sub-binomial, which absorbs
-the sign).  The four shape rules of the theory (2x2, 3x2, a leaf of a tree,
-a segment of a unique odd cycle) are guards over rule_block_disjoint that
+covers the exchanged pair and every longer split; rule_constant_row tries
+the pair as given, then with the roles of alpha and beta exchanged (a
+swapped match flips the orientation of every sub-binomial, which absorbs the
+sign).  The four shape rules of the theory (2x2, 3x2, a leaf of a tree, a
+segment of a unique odd cycle) are guards over rule_block_disjoint that
 rename its certificate: the splits their proofs peel are among those it
-tries.  Every rule returns one Certificate or None.
+tries.  Each rule checks its rows first; it returns a Certificate or None.
 reduce_to_normal drives four of the eight rules in a fixed priority order
 (the shape rules cannot fire after rule_block_disjoint); when none applies
 to the top pair it asks the oracle, and the pair is either reduced along
@@ -63,6 +63,7 @@ from .taylor import (
     ReesBinomial,
     Sequence,
     _binomial,
+    check_rows,
     check_sequence,
     run_lengths,
     seq_intersection,
@@ -235,10 +236,11 @@ def rule_shared_index(ideal: SquareFreeIdeal, alpha: Sequence,
     """Factor the common T-part out of a pair sharing indices: a one-step
     walk, so the binomial equals T_{shared} times the binomial of the
     disjoint remainders (cofactor 1)."""
+    alpha, beta = check_rows(ideal, alpha, beta)
     shared = seq_intersection(alpha, beta)
     if not shared:
         return None
-    target = taylor_binomial(ideal, alpha, beta)
+    target = _binomial(ideal, alpha, beta)
     sub = _binomial(ideal, seq_remove(alpha, shared), seq_remove(beta, shared))
     return Certificate(target, tuple(_walk(target, [(shared, sub)])),
                        "shared_index", "as-given",
@@ -251,11 +253,12 @@ def rule_power_factor(ideal: SquareFreeIdeal, alpha: Sequence,
     binomial is a difference of l-th powers: an l-step walk through
     base_a^(l-1-j) base_b^j, whose j-th cofactor is ca^(l-1-j) cb^j for
     T_{base} = ca T_{base_a} - cb T_{base_b}."""
+    alpha, beta = check_rows(ideal, alpha, beta)
     runs = (run_lengths(alpha), run_lengths(beta))
     l = math.gcd(*(m for row in runs for _, m in row))
     if l < 2:
         return None
-    target = taylor_binomial(ideal, alpha, beta)
+    target = _binomial(ideal, alpha, beta)
     base_a, base_b = (tuple(idx for idx, m in row for _ in range(m // l))
                       for row in runs)
     base = _binomial(ideal, base_a, base_b)
@@ -272,10 +275,11 @@ def rule_constant_row(ideal: SquareFreeIdeal, alpha: Sequence,
     b1 the other row's first index != a1; the gcd hypothesis of this split
     holds unconditionally for square-free generators.  A certificate for
     (beta, alpha) is swapped back."""
+    alpha, beta = check_rows(ideal, alpha, beta)
     for const, other, swapped in ((alpha, beta, False), (beta, alpha, True)):
         if len(const) < 2 or len(set(const)) != 1:
             continue
-        target = taylor_binomial(ideal, const, other)
+        target = _binomial(ideal, const, other)
         a1 = const[0]
         pick = next(c for c in other if c != a1)  # the rows differ
         blocks = (((a1,), (pick,)), (const[1:], seq_remove(other, (pick,))))
@@ -316,9 +320,10 @@ def rule_block_disjoint(ideal: SquareFreeIdeal, alpha: Sequence,
     hypothesis itself both covers them and stays sound.  The target is
     built once, for all partitions.
     """
+    alpha, beta = check_rows(ideal, alpha, beta)
     if seq_intersection(alpha, beta):
         return None
-    target = taylor_binomial(ideal, alpha, beta)
+    target = _binomial(ideal, alpha, beta)
     for blocks in _aligned(target.alpha, target.beta):
         try:
             return Certificate(target, _split(ideal, target, blocks),
@@ -339,6 +344,7 @@ def rule_two_by_two(ideal: SquareFreeIdeal, alpha: Sequence,
     """Two distinct indices on each side, disjoint, degree >= 3: a guard
     over rule_block_disjoint, whose search contains the peel of one copy of
     each row's heaviest index."""
+    alpha, beta = check_rows(ideal, alpha, beta)
     if len(alpha) < 3 or len(set(alpha)) != 2 or len(set(beta)) != 2:
         return None
     return _as_rule(rule_block_disjoint(ideal, alpha, beta), "two_by_two")
@@ -349,6 +355,7 @@ def rule_three_by_two(ideal: SquareFreeIdeal, alpha: Sequence,
     """Three distinct indices against two, disjoint, degree >= 4: a guard
     over rule_block_disjoint, whose search contains the single and double
     peels of the heaviest indices."""
+    alpha, beta = check_rows(ideal, alpha, beta)
     if len(alpha) < 4 or {len(set(alpha)), len(set(beta))} != {3, 2}:
         return None
     return _as_rule(rule_block_disjoint(ideal, alpha, beta), "three_by_two")
@@ -356,9 +363,12 @@ def rule_three_by_two(ideal: SquareFreeIdeal, alpha: Sequence,
 
 def _induced_class(ideal: SquareFreeIdeal, alpha: Sequence,
                    beta: Sequence) -> Optional[ComponentClass]:
-    """The class of the checked rows' induced generator graph if connected."""
-    sub = induced_subgraph(ideal, check_sequence(alpha, ideal.n),
-                           check_sequence(beta, ideal.n))
+    """The class of the rows' induced generator graph, checked first, if
+    the rows are disjoint and the graph connected."""
+    alpha, beta = check_rows(ideal, alpha, beta)
+    if seq_intersection(alpha, beta):
+        return None
+    sub = induced_subgraph(ideal, alpha, beta)
     comps = components(sub)
     return classify_component(sub, comps[0]) if len(comps) == 1 else None
 
@@ -367,8 +377,6 @@ def rule_tree_leaf(ideal: SquareFreeIdeal, alpha: Sequence,
                    beta: Sequence) -> Optional[Certificate]:
     """Disjoint rows whose induced generator graph is a tree: a guard over
     rule_block_disjoint, whose search contains the split at a leaf."""
-    if seq_intersection(alpha, beta):
-        return None
     cls = _induced_class(ideal, alpha, beta)
     if cls is None or cls.kind != "forest":
         return None
@@ -380,10 +388,8 @@ def rule_odd_cycle_step(ideal: SquareFreeIdeal, alpha: Sequence,
     """Disjoint rows, degree >= 4, whose induced generator graph is exactly
     one odd cycle of length >= 5: a guard over rule_block_disjoint, whose
     search contains the split at a cycle segment b1 - a1 - a2 - b2."""
-    if seq_intersection(alpha, beta) or len(alpha) < 4:
-        return None
     cls = _induced_class(ideal, alpha, beta)
-    if (cls is None or cls.kind != "unique_odd_cycle"
+    if (cls is None or len(alpha) < 4 or cls.kind != "unique_odd_cycle"
             or len(cls.cycle) != len(cls.vertices) or len(cls.cycle) < 5):
         return None
     return _as_rule(rule_block_disjoint(ideal, alpha, beta), "odd_cycle_step")
@@ -420,8 +426,7 @@ class IrredundancyWitness:
                               self.b2, self.role_swapped)):
             return False
         try:
-            check_sequence(self.alpha, ideal.n)
-            check_sequence(self.beta, ideal.n)
+            check_rows(ideal, self.alpha, self.beta)
         except ValueError:
             return False
         seps = _separators(ideal, self.avec, self.b1, self.b2)

@@ -145,17 +145,23 @@ class ReesBinomial:
                 RTMonomial(self.rhs_coef, self.beta))
 
 
-def taylor_binomial(ideal: SquareFreeIdeal, alpha: Iterable[int],
-                    beta: Iterable[int]) -> ReesBinomial:
-    """T_{alpha,beta} for rows from outside the engine: both are checked to
-    be distinct non-decreasing sequences over 1..n of one length."""
+def check_rows(ideal: SquareFreeIdeal, alpha: Iterable[int],
+               beta: Iterable[int]) -> tuple[Sequence, Sequence]:
+    """Rows from outside the engine, checked to be distinct non-decreasing
+    sequences over 1..n of one length; returned as tuples."""
     a = check_sequence(alpha, ideal.n)
     b = check_sequence(beta, ideal.n)
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {a!r} vs {b!r}")
     if a == b:
         raise ValueError(f"equal sequences give the zero binomial: {a!r}")
-    return _binomial(ideal, a, b)
+    return a, b
+
+
+def taylor_binomial(ideal: SquareFreeIdeal, alpha: Iterable[int],
+                    beta: Iterable[int]) -> ReesBinomial:
+    """T_{alpha,beta} for rows from outside the engine (see check_rows)."""
+    return _binomial(ideal, *check_rows(ideal, alpha, beta))
 
 
 def _binomial(ideal: SquareFreeIdeal, a: Sequence, b: Sequence) -> ReesBinomial:

@@ -13,6 +13,7 @@ from reeskit.demos import (
     path_ideal,
     pentagon_ideal,
     random_ideal,
+    random_shape_ideal,
     triangle_ideal,
     villarreal_ideal,
 )
@@ -271,7 +272,8 @@ class TestFiber:
                 for i, j in pairs[k % 13::13]:
                     expected = filter_layer(
                         seqs, prods, mono_lcm(prods[i], prods[j]))
-                    assert oracle._fiber(I, seqs[i], seqs[j]) == expected, \
+                    fiber = oracle._fiber(I, seqs[i], seqs[j])
+                    assert list(fiber) == expected, \
                         (k, seqs[i], seqs[j])
                     checked += 1
         assert checked == 7191
@@ -285,7 +287,8 @@ class TestFiber:
             seqs, prods = layer_products(ideal, s)
             for i, j in itertools.combinations(range(len(seqs)), 2):
                 expected = filter_layer(seqs, prods, mono_lcm(prods[i], prods[j]))
-                assert oracle._fiber(ideal, seqs[i], seqs[j]) == expected, \
+                fiber = oracle._fiber(ideal, seqs[i], seqs[j])
+                assert list(fiber) == expected, \
                     (s, seqs[i], seqs[j])
 
     def test_matches_layer_filter_on_family(self):
@@ -294,7 +297,7 @@ class TestFiber:
             for b in (family_f_binomial(n), family_corrected_g(n)[0]):
                 seqs, prods = layer_products(I, b.degree)
                 big = mono_lcm(f_of(I, b.alpha), f_of(I, b.beta))
-                fiber = oracle._fiber(I, b.alpha, b.beta)
+                fiber = list(oracle._fiber(I, b.alpha, b.beta))
                 assert fiber == filter_layer(seqs, prods, big)
                 assert fiber == [b.alpha, b.beta]
 
@@ -377,7 +380,7 @@ class TestPathSearch:
         assert oracle._path(groups, 1, 7) is None  # an item with no group
 
     def check(self, I, b, k):
-        universe = oracle._fiber(I, b.alpha, b.beta)
+        universe = list(oracle._fiber(I, b.alpha, b.beta))
         verdict = member_lower(I, b, k)
         joined = reference_fiber_joined(universe, b.alpha, b.beta, k)
         assert verdict.is_yes == joined, (b.alpha, b.beta, k)
@@ -552,6 +555,81 @@ class TestRelationTypeEstimate:
         assert report.certified_lower == 3
         assert [len(args[1]) for args in built] == [2, 3]
         assert report.witness == original(*built[-1])
+
+
+def path_sweep(ideal, s_max):
+    """The sweep as it was before it stopped early: every disjoint pair
+    draws its whole fiber and _path searches it, each node grouped by its
+    indices."""
+    n = ideal.n
+    tallies, lower, witness = {}, 1, None
+    for s in range(2, s_max + 1):
+        no, first_no = 0, None
+        for alpha in enumerate_sequences(n, s):
+            rest = [a for a in range(alpha[0] + 1, n + 1) if a not in alpha]
+            for beta in itertools.combinations_with_replacement(rest, s):
+                universe = list(oracle._fiber(ideal, alpha, beta))
+                if oracle._path({delta: set(delta) for delta in universe},
+                                alpha, beta) is None:
+                    no += 1
+                    if first_no is None:
+                        first_no = taylor_binomial(ideal, alpha, beta)
+        tallies[s] = (len(taylor_layer(ideal, s)) - no, no)
+        if no:
+            lower, witness = s, first_no
+    return oracle.RtReport(lower, witness, s_max, tallies)
+
+
+class TestEarlyStop:
+    def test_joined_on_hand_made_blocks(self):
+        blocks = [(1, 2), (3, 4), (4, 4), (2, 3)]
+        assert oracle._joined([], 5, 5)  # a == b
+        assert not oracle._joined(blocks, 1, 5)  # 5 is in no block
+        assert not oracle._joined(blocks[:3], 1, 4)
+        assert oracle._joined(blocks, 1, 4)  # joined by the last block
+        assert oracle._joined(blocks, 3, 4)
+
+    def test_stops_at_the_joining_block(self):
+        def blocks():
+            yield (1, 2)
+            yield (2, 3)
+            raise AssertionError("a block after the join was read")
+
+        assert oracle._joined(blocks(), 1, 3)
+        assert oracle._joined(blocks(), 2, 2)
+
+    def test_sweep_matches_the_path_sweep(self):
+        ideals = [random_ideal(random.Random(k), 5, 8)
+                  for k in range(0, 40, 8)]
+        ideals += [random_shape_ideal(shape, 5, seed=3)
+                   for shape in ("forest", "odd-cycle", "even-cycle")]
+        lowers = []
+        for I in ideals:
+            s_max = default_s_max(I.n)
+            report = relation_type_estimate(I, s_max)
+            assert report == path_sweep(I, s_max)
+            lowers.append(report.certified_lower)
+        assert 1 in lowers and max(lowers) > 1, lowers  # yes and no pairs
+
+    def test_draws_fewer_nodes_than_the_fibers_hold(self, monkeypatch):
+        original = oracle._fiber
+        drawn, held = [], []
+
+        def counting(*args):
+            held.append(len(list(original(*args))))
+            for delta in original(*args):
+                drawn.append(delta)
+                yield delta
+
+        monkeypatch.setattr(oracle, "_fiber", counting)
+        counts = []
+        for _ in range(2):
+            drawn.clear()
+            held.clear()
+            report = relation_type_estimate(pentagon_ideal(), 4)
+            assert report.certified_lower == 3
+            counts.append((len(drawn), sum(held)))
+        assert counts[0] == counts[1] == (1566, 9435)
 
 
 class TestFiberWitness:

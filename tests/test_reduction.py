@@ -405,13 +405,16 @@ class TestBlockDisjoint:
         (pentagon_ideal(), (1, 1, 4), (2, 3, 5)),
         (path_ideal(4), (1, 2), (3, 4))], ids=["villarreal", "pentagon", "path4"])
     def test_one_target_per_pair(self, monkeypatch, ideal, alpha, beta):
-        # every aligned partition shares the pair's target binomial
+        # every aligned partition shares the pair's target binomial; the
+        # blocks' binomials are shorter than the target
         built = []
+        original = reduction._binomial
 
         def counting(ideal, a, b):
-            built.append((a, b))
-            return taylor_binomial(ideal, a, b)
-        monkeypatch.setattr(reduction, "taylor_binomial", counting)
+            if len(a) == len(alpha):
+                built.append((a, b))
+            return original(ideal, a, b)
+        monkeypatch.setattr(reduction, "_binomial", counting)
         cert = rule_block_disjoint(ideal, alpha, beta)
         assert built == [(alpha, beta)]
         assert cert is None or verify_certificate(ideal, cert)
@@ -694,6 +697,22 @@ class TestChecksAtTheBoundary:
                 rule_odd_cycle_step: ((1, 1, 2, bad), (3, 3, 4, 4))}[rule]
         with pytest.raises(ValueError, match=f"index {bad} outside 1..4"):
             rule(villarreal_ideal(), *rows)
+
+    @pytest.mark.parametrize("rule", [
+        rule_shared_index, rule_power_factor, rule_block_disjoint,
+        rule_constant_row, rule_two_by_two, rule_three_by_two,
+        rule_tree_leaf, rule_odd_cycle_step], ids=lambda r: r.__name__)
+    @pytest.mark.parametrize("alpha, beta, message", [
+        ((1, 9), (2, 3), "index 9 outside 1..4"),
+        ((2, 1), (3, 4), r"\(2, 1\) is not non-decreasing"),
+        ((1,), (2, 3), "length mismatch"),
+    ], ids=["index 9", "unsorted row", "length mismatch"])
+    def test_rules_check_the_rows_whatever_their_guard(self, rule, alpha,
+                                                       beta, message):
+        # most of these pairs fail the rule's guard; the rows are checked
+        # before it
+        with pytest.raises(ValueError, match=message):
+            rule(villarreal_ideal(), alpha, beta)
 
     @pytest.mark.parametrize("alpha, beta", [((2, 2), (3, 1)),
                                              ((3, 1), (2, 2))])
