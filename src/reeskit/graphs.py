@@ -34,9 +34,6 @@ class GeneratorGraph:
     def neighbors(self, v: int) -> list[int]:
         return list(self._adjacency.get(v, ()))
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return j in self._adjacency.get(i, ())
-
 
 def _graph_on(ideal: SquareFreeIdeal, vertices: Iterable[int]) -> GeneratorGraph:
     verts = tuple(sorted(set(vertices)))

@@ -2,7 +2,7 @@
 
 A monomial is a sorted tuple of (variable index, exponent) pairs with
 strictly positive exponents.  Everything is integer arithmetic on exponent
-vectors, so equality and hashing are structural and gcd/lcm/divisibility are
+vectors, so equality and hashing are structural and gcd and divisibility are
 exact.  Variable indices are 0-based positions into a VariableTable; ideal
 generators are 1-indexed in every user-facing signature, matching the
 T_1..T_n convention used by the rest of the package.
@@ -52,10 +52,6 @@ class VariableTable:
         return self.names.index(name)
 
 
-def default_table(num_vars: int, prefix: str = "x") -> VariableTable:
-    return VariableTable(tuple(f"{prefix}{i}" for i in range(1, num_vars + 1)))
-
-
 @dataclass(frozen=True)
 class Monomial:
     """A monomial as a sorted sparse exponent vector."""
@@ -101,12 +97,6 @@ class Monomial:
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.exps)
 
-    def exponent(self, var: int) -> int:
-        for v, e in self.exps:
-            if v == var:
-                return e
-        return 0
-
 
 def _monomial(exps: tuple[tuple[int, int], ...]) -> Monomial:
     """A Monomial from pairs already sorted and positive, unchecked."""
@@ -134,13 +124,6 @@ def mono_gcd(a: Monomial, b: Monomial) -> Monomial:
     bd = b.as_dict()
     return _monomial(tuple(
         (v, min(e, bd[v])) for v, e in a.exps if v in bd))
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    out = a.as_dict()
-    for v, e in b.exps:
-        out[v] = max(out.get(v, 0), e)
-    return _monomial(tuple(sorted(out.items())))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
@@ -211,9 +194,6 @@ class SquareFreeIdeal:
         if not 1 <= i <= self.n:
             raise IndexError(f"generator index {i} out of range 1..{self.n}")
         return self.gens[i - 1]
-
-    def gen_degrees(self) -> tuple[int, ...]:
-        return tuple(g.degree for g in self.gens)
 
 
 def validate_ideal(table: VariableTable,

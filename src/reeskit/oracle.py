@@ -26,12 +26,15 @@ and only a layer's witness becomes a binomial.
 
 The fiber is enumerated directly, never by filtering the whole layer: a
 depth-first search over non-decreasing index sequences tracks the capacity
-of M still free, one packed integer field per variable of M.  Every
-generator is square-free, so picking index a takes one unit from each
+of M still free, one packed integer field per variable of M (_capacity).
+Every generator is square-free, so picking index a takes one unit from each
 variable of supp(f_a); generators reaching outside supp(M) never fit, and a
 prefix is cut as soon as the picks still possible cannot fill the slots
-left.  It yields the fiber lazily, in lex order.  A yes verdict carries its
-path; reduction.fiber_certificate turns it into a Certificate, the one proof
+left.  It yields the fiber lazily, in lex order.  The same capacity decides
+a single node (_in_fiber), the package's one fiber-membership test: a walk
+stays in the fiber exactly when its nodes do, so reduction.py tests nodes
+with it and its walks only compute.  A yes verdict carries its path;
+reduction.fiber_certificate turns it into a Certificate, the one proof
 format that verify_certificate replays.
 """
 
@@ -47,6 +50,7 @@ from .taylor import (
     ReesBinomial,
     Sequence,
     _exponents,
+    check_rows,
     enumerate_sequences,
     multiset_distance,
     taylor_binomial,
@@ -88,14 +92,14 @@ class Verdict:
 
 # --- fiber-based layered membership ---------------------------------------
 
-def _fiber(ideal: SquareFreeIdeal, alpha: Sequence,
-           beta: Sequence) -> Iterable[Sequence]:
-    """Yield {delta : f_delta | lcm(f_alpha, f_beta)} in lex order, lazily.
-
-    The lcm and the masks come from the support table; the rows are not
-    checked.  The capacity still free is one integer with a field per
-    variable of the lcm, each field topped by a guard bit; subtracting a
-    generator's mask borrows a guard bit exactly when it does not fit."""
+def _capacity(ideal: SquareFreeIdeal, alpha: Sequence, beta: Sequence
+              ) -> tuple[int, int, int, list[int], list[int]]:
+    """(s, full, guards, index, masks) for M = lcm(f_alpha, f_beta) and
+    s = len(alpha), from the support table, rows unchecked.  full holds each
+    exponent of M in a field under a guard bit; masks[j] has a unit in each
+    field of f_{index[j]}, for the generators inside supp(M).  Fields are
+    wider than s, so up to s subtractions borrow across no field, and a
+    guard bit stays set exactly while the picks fit."""
     big = _exponents(ideal, alpha)
     for v, e in _exponents(ideal, beta).items():
         if e > big.get(v, 0):
@@ -103,17 +107,39 @@ def _fiber(ideal: SquareFreeIdeal, alpha: Sequence,
     s = len(alpha)
     width = s.bit_length() + 1
     guard = 1 << (width - 1)
-    shift: dict[int, int] = {}
+    unit: dict[int, int] = {}  # variable -> the lowest bit of its field
     full = guards = 0
     for pos, (v, e) in enumerate(big.items()):
-        shift[v] = width * pos
-        full |= (guard | e) << shift[v]
-        guards |= guard << shift[v]
-    index, masks = [], []
+        unit[v] = 1 << (width * pos)
+        full += (guard | e) * unit[v]
+        guards += guard * unit[v]
+    index, masks, inside, bit = [], [], unit.keys(), unit.__getitem__
     for a, sup in enumerate(ideal.supports, start=1):
-        if sup <= shift.keys():
+        if sup <= inside:
             index.append(a)
-            masks.append(sum(1 << shift[v] for v in sup))
+            masks.append(sum(map(bit, sup)))
+    return s, full, guards, index, masks
+
+
+def _in_fiber(capacity: tuple, node: Seq[int]) -> bool:
+    """Is node, in any order, of length s with f_node | M?  A node of another
+    length or with an index without a mask (outside supp(M) or 1..n) is
+    refused before any subtraction."""
+    s, free, guards, index, masks = capacity
+    if len(node) != s:
+        return False
+    for a in node:
+        if a not in index:
+            return False
+        free -= masks[index.index(a)]
+    return free & guards == guards
+
+
+def _fiber(ideal: SquareFreeIdeal, alpha: Sequence,
+           beta: Sequence) -> Iterable[Sequence]:
+    """Yield {delta : f_delta | lcm(f_alpha, f_beta)} in lex order, lazily,
+    by a depth-first search over the pair's _capacity."""
+    s, full, guards, index, masks = _capacity(ideal, alpha, beta)
     stack: list[tuple[Sequence, int, int]] = [((), full, 0)]
     while stack:
         prefix, free, first = stack.pop()
@@ -199,8 +225,9 @@ def member_lower(ideal: SquareFreeIdeal, b: ReesBinomial, k: int,
     """Does the layer-s pair of b rewrite into one another modulo all
     relation layers of degree at most k?  Exact yes/no on the lcm fiber.
 
-    cap is kept for older callers and only validated: no fiber search is
-    ever cut off by degree."""
+    b's rows are checked first.  cap is kept for older callers and only
+    validated: no fiber search is ever cut off by degree."""
+    check_rows(ideal, b.alpha, b.beta)
     if k < 1:
         raise ValueError("layer bound k must be at least 1")
     if cap is not None:

@@ -9,16 +9,17 @@ exact polynomial arithmetic.  Every certificate is a walk through the lcm
 fiber (the delta with f_delta | M = lcm(f_alpha, f_beta)), built by _walk:
 a step (c, d, d') moves the node c+d to c+d', and with u = M / f_delta at
 each node the steps telescope (Diaconis & Sturmfels, Ann. Statist. 26
-(1998), Thm 3.1).  A cofactor is a monomial exactly when the step stays in
-the fiber.  split_certificate swaps an aligned block partition's blocks one
-at a time; with P = f(alpha_{<i}), Q = f(beta_{>i}), g_i = gcd(f_{alpha_i},
+(1998), Thm 3.1).  A step's cofactor M / (f_c lcm(f_d, f_d')) is a monomial
+exactly when both its nodes lie in the fiber.  That membership is one
+predicate, oracle._in_fiber, and _walk only computes: split_certificate and
+fiber_certificate test their walks' nodes, rule_block_disjoint its
+partitions' inner nodes, and the other rules' walks stay in by construction.
+For a split with P = f(alpha_{<i}), Q = f(beta_{>i}), g_i = gcd(f_{alpha_i},
 f_{beta_i}) and g = gcd(f_alpha, f_beta), block i's cofactor is P*Q*g_i/g,
-and the split lemma's gcd hypothesis g | gcd(P, f_beta) *
-gcd(f(alpha_{>=i}), Q) * g_i holds exactly when g | P*Q*g_i (compare
-exponents variable by variable), i.e. exactly when the walk stays in the
-fiber.  fiber_certificate walks the oracle's path, rule_shared_index is a
-one-step walk and rule_power_factor an l-step one.  The rules split with
-_split on targets they checked; split_certificate serves outside callers.
+and the split lemma's gcd hypothesis g | gcd(P, f_beta) * gcd(f(alpha_{>=i}),
+Q) * g_i holds exactly when g | P*Q*g_i, i.e. exactly when the node after
+swap i lies in the fiber.  The rules split with _split on targets they
+checked; split_certificate serves outside callers.
 
 The named rules are sufficient conditions with documented search spaces.
 rule_block_disjoint tries every aligned two-block partition, which already
@@ -58,7 +59,7 @@ from .monomials import (
     mono_div_exact,
     mono_mul,
 )
-from .oracle import member_lower
+from .oracle import _capacity, _in_fiber, member_lower
 from .taylor import (
     ReesBinomial,
     Sequence,
@@ -157,26 +158,22 @@ def verify_certificate(ideal: SquareFreeIdeal, cert: Certificate) -> bool:
         return False
 
 
-def _walk(target: ReesBinomial,
-          steps: Iterable[tuple[Sequence, ReesBinomial]]) -> list[CertTerm]:
+def _walk(target: ReesBinomial, steps: Iterable[tuple[Sequence, ReesBinomial]]
+          ) -> tuple[CertTerm, ...]:
     """The terms of a walk from target.alpha through the lcm fiber.
 
     Each step (c, T_{d,d'}) moves the node c+d to c+d'.  u = M / f_delta
     starts at target.lhs_coef; a step's term is (u / lhs) * T_c * T_{d,d'},
     where T_{d,d'} = lhs T_d - rhs T_d', and the next node's u is that
-    cofactor times rhs.  The walk stops at the first step whose lhs does not
-    divide u exactly, the step that leaves the fiber: fewer terms than steps
-    come back, and len(terms) is that step's 0-based position."""
+    cofactor times rhs.  The walk only computes, one term per step: every
+    node must lie in the fiber, as the caller has made sure."""
     u = target.lhs_coef
     terms = []
     for c, sub in steps:
-        try:
-            coef = mono_div_exact(u, sub.lhs_coef)
-        except ValueError:
-            break
+        coef = mono_div_exact(u, sub.lhs_coef)
         terms.append(CertTerm(coef, c, sub))
         u = mono_mul(coef, sub.rhs_coef)
-    return terms
+    return tuple(terms)
 
 
 def split_certificate(ideal: SquareFreeIdeal, partition: BlockPartition,
@@ -185,48 +182,58 @@ def split_certificate(ideal: SquareFreeIdeal, partition: BlockPartition,
     that swaps block i's alpha part for its beta part, one block at a time.
 
     Raises HypothesisFails with the 1-based index of the first block whose
-    gcd hypothesis fails, which is the first swap that leaves the fiber.
-    Blocks with alpha_i == beta_i contribute nothing and are skipped,
-    hypothesis included.
+    gcd hypothesis fails, which is the first swap whose node leaves the
+    fiber.  Blocks with alpha_i == beta_i contribute nothing and are
+    skipped, hypothesis included.
     """
     target = taylor_binomial(ideal, partition.alpha, partition.beta)
+    capacity = _capacity(ideal, target.alpha, target.beta)
+    node = target.alpha
+    for i, (a, b) in enumerate(partition.blocks, start=1):
+        node = seq_remove(node, a) + b
+        if a != b and not _in_fiber(capacity, node):
+            raise HypothesisFails(i, f"gcd hypothesis fails at block {i} of "
+                                     f"{len(partition.blocks)}")
     return Certificate(target, _split(ideal, target, partition.blocks),
                        rule_name, "as-given", note)
 
 
 def _split(ideal: SquareFreeIdeal, target: ReesBinomial,
            blocks: tuple[tuple[Sequence, Sequence], ...]) -> tuple[CertTerm, ...]:
-    """split_certificate's terms for sorted blocks of target's checked rows."""
-    moved = [i for i, (a, b) in enumerate(blocks) if a != b]
-    steps = ((tuple(sorted([c for _, b in blocks[:i] for c in b]
-                           + [c for a, _ in blocks[i + 1:] for c in a])),
-              _binomial(ideal, *blocks[i])) for i in moved)
-    terms = _walk(target, steps)
-    if len(terms) < len(moved):
-        i = moved[len(terms)] + 1
-        raise HypothesisFails(
-            i, f"gcd hypothesis fails at block {i} of {len(blocks)}")
-    return tuple(terms)
+    """split_certificate's terms for sorted blocks of target's checked rows,
+    whose swaps stay in the fiber."""
+    return _walk(target, [(tuple(sorted([c for _, b in blocks[:i] for c in b]
+                                        + [c for a, _ in blocks[i + 1:]
+                                           for c in a])),
+                           _binomial(ideal, a, b))
+                          for i, (a, b) in enumerate(blocks) if a != b])
 
 
 def fiber_certificate(ideal: SquareFreeIdeal, b: ReesBinomial,
                       path: tuple[Sequence, ...]) -> Certificate:
     """The certificate of a fiber path alpha = delta_0, ..., delta_m = beta:
     a walk whose step delta -> delta' keeps the common part c and swaps
-    delta - c for delta' - c.  Raises ValueError if the path does not run
-    from b.alpha to b.beta or leaves the fiber."""
+    delta - c for delta' - c.  Raises ValueError, naming the fault, if the
+    path does not run from b.alpha to b.beta, if a node is not a sorted
+    length-s sequence over 1..n or repeats the node before it, or if step j
+    leaves the fiber."""
     if len(path) < 2 or path[0] != b.alpha or path[-1] != b.beta:
         raise ValueError(f"path does not run from {b.alpha!r} to {b.beta!r}")
+    for node in path:
+        if len(check_sequence(node, ideal.n)) != b.degree:
+            raise ValueError(f"node {node!r} is not of length {b.degree}")
+    capacity = _capacity(ideal, b.alpha, b.beta)
     steps = []
-    for delta, delta2 in zip(path, path[1:]):
+    for j, (delta, delta2) in enumerate(zip(path, path[1:]), start=1):
+        if delta2 == delta:
+            raise ValueError(f"node {delta2!r} repeats the node before it")
+        if not _in_fiber(capacity, delta2):
+            raise ValueError(f"step {j} leaves the lcm fiber")
         common = seq_intersection(delta, delta2)
-        steps.append((common, taylor_binomial(
+        steps.append((common, _binomial(
             ideal, seq_remove(delta, common), seq_remove(delta2, common))))
-    terms = _walk(b, steps)
-    if len(terms) < len(steps):
-        raise ValueError(f"step {len(terms) + 1} leaves the lcm fiber")
-    return Certificate(b, tuple(terms), "fiber_path", "as-given",
-                       note=f"{len(terms)}-step path in the lcm fiber")
+    return Certificate(b, _walk(b, steps), "fiber_path", "as-given",
+                       note=f"{len(steps)}-step path in the lcm fiber")
 
 
 # --- the named rules -------------------------------------------------------
@@ -242,7 +249,7 @@ def rule_shared_index(ideal: SquareFreeIdeal, alpha: Sequence,
         return None
     target = _binomial(ideal, alpha, beta)
     sub = _binomial(ideal, seq_remove(alpha, shared), seq_remove(beta, shared))
-    return Certificate(target, tuple(_walk(target, [(shared, sub)])),
+    return Certificate(target, _walk(target, [(shared, sub)]),
                        "shared_index", "as-given",
                        note=f"common T-factor {list(shared)}")
 
@@ -264,7 +271,7 @@ def rule_power_factor(ideal: SquareFreeIdeal, alpha: Sequence,
     base = _binomial(ideal, base_a, base_b)
     steps = [(tuple(sorted(base_a * (l - 1 - j) + base_b * j)), base)
              for j in range(l)]
-    return Certificate(target, tuple(_walk(target, steps)),
+    return Certificate(target, _walk(target, steps),
                        "power_factor", "as-given",
                        note=f"difference of {l}-th powers of the base pair")
 
@@ -272,9 +279,10 @@ def rule_power_factor(ideal: SquareFreeIdeal, alpha: Sequence,
 def rule_constant_row(ideal: SquareFreeIdeal, alpha: Sequence,
                       beta: Sequence) -> Optional[Certificate]:
     """One row constant, alpha's tried first: peel a single (a1, b1) pair,
-    b1 the other row's first index != a1; the gcd hypothesis of this split
-    holds unconditionally for square-free generators.  A certificate for
-    (beta, alpha) is swapped back."""
+    b1 the other row's first index != a1.  Its node needs no fiber test: it
+    counts a variable of f_{a1} at most s times, as f_const does, and any
+    other v [v in f_{b1}] times, at most as often as f_other.  A certificate
+    for (beta, alpha) is swapped back."""
     alpha, beta = check_rows(ideal, alpha, beta)
     for const, other, swapped in ((alpha, beta, False), (beta, alpha, True)):
         if len(const) < 2 or len(set(const)) != 1:
@@ -290,47 +298,38 @@ def rule_constant_row(ideal: SquareFreeIdeal, alpha: Sequence,
     return None
 
 
-def _distinct_submultisets(seq: Sequence, t: int) -> list[Sequence]:
-    return sorted(set(itertools.combinations(seq, t)))
-
-
-def _aligned(alpha: Sequence, beta: Sequence):
-    """Yield the aligned two-block partitions of (alpha, beta) as block
-    tuples, ordered by the first block's size, then its alpha part, then its
-    beta part."""
-    for t in range(1, len(alpha)):
-        for sub_a in _distinct_submultisets(alpha, t):
-            rest_a = seq_remove(alpha, sub_a)
-            for sub_b in _distinct_submultisets(beta, t):
-                yield ((sub_a, sub_b), (rest_a, seq_remove(beta, sub_b)))
-
-
 def rule_block_disjoint(ideal: SquareFreeIdeal, alpha: Sequence,
                         beta: Sequence) -> Optional[Certificate]:
     """Exhaustive aligned-partition search for disjoint rows.
 
-    Tries every aligned two-block partition (both block orders) in
-    _aligned's order, keeping the first one whose gcd hypothesis verifies.
-    Longer splits add nothing: a swap c+d -> c+d' stays in the fiber exactly
-    when f_c * lcm(f_d, f_d') | M, so when an m-block split stays in, its
-    swaps 2 and m give f_{beta_1} f_{alpha_{>1}} | M and f_{beta_1}
-    f_{beta_{>1}} | M, and the two-block coarsening that merges blocks 2..m
-    (same first swap) stays in too.  The separation conditions in the theory
-    are strictly stronger than the mechanical hypothesis, so gating on the
-    hypothesis itself both covers them and stays sound.  The target is
-    built once, for all partitions.
+    Tries every aligned two-block partition ((sub_a, sub_b), (rest_a,
+    rest_b)), both block orders, by the first block's size, then sub_a, then
+    sub_b, and keeps the first whose gcd hypothesis holds: its walk has one
+    inner node, sub_b + rest_a, so only that node is tested and only the
+    kept partition is split.  Longer splits add nothing: a swap c+d -> c+d'
+    stays in the fiber exactly when f_c * lcm(f_d, f_d') | M, so when an
+    m-block split stays in, its swaps 2 and m give f_{beta_1}
+    f_{alpha_{>1}} | M and f_{beta_1} f_{beta_{>1}} | M, and the two-block
+    coarsening that merges blocks 2..m (same first swap) stays in too.  The
+    separation conditions in the theory are strictly stronger than the
+    mechanical hypothesis, so gating on the hypothesis itself both covers
+    them and stays sound.  The target and the capacity are built once.
     """
     alpha, beta = check_rows(ideal, alpha, beta)
     if seq_intersection(alpha, beta):
         return None
     target = _binomial(ideal, alpha, beta)
-    for blocks in _aligned(target.alpha, target.beta):
-        try:
-            return Certificate(target, _split(ideal, target, blocks),
-                               "block_disjoint", "as-given",
-                               "two aligned blocks")
-        except HypothesisFails:
-            continue
+    capacity = _capacity(ideal, alpha, beta)
+    for t in range(1, len(alpha)):
+        subs_b = sorted(set(itertools.combinations(beta, t)))
+        for sub_a in sorted(set(itertools.combinations(alpha, t))):
+            rest_a = seq_remove(alpha, sub_a)
+            for sub_b in subs_b:
+                if _in_fiber(capacity, sub_b + rest_a):
+                    blocks = ((sub_a, sub_b), (rest_a, seq_remove(beta, sub_b)))
+                    return Certificate(target, _split(ideal, target, blocks),
+                                       "block_disjoint", "as-given",
+                                       "two aligned blocks")
     return None
 
 
@@ -494,8 +493,7 @@ def irredundancy_witness(ideal: SquareFreeIdeal, alpha: Sequence,
                          beta: Sequence) -> Optional[IrredundancyWitness]:
     """The pair's _pattern, returned only when the oracle confirms the pair
     (see _confirmed); rows are checked as the rules check them."""
-    w = _pattern(ideal, check_sequence(alpha, ideal.n),
-                 check_sequence(beta, ideal.n))
+    w = _pattern(ideal, *check_rows(ideal, alpha, beta))
     return w if w is not None and _confirmed(ideal, w.alpha, w.beta) else None
 
 

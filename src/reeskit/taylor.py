@@ -117,10 +117,6 @@ class RTMonomial:
             raise ValueError(f"T-part {self.tpart!r} is not sorted")
 
 
-def rt_mul(a: RTMonomial, b: RTMonomial) -> RTMonomial:
-    return RTMonomial(mono_mul(a.coef, b.coef), seq_union(a.tpart, b.tpart))
-
-
 def weighted_degree(ideal: SquareFreeIdeal, w: RTMonomial) -> int:
     """Total degree after substituting T_i -> f_i t: x-degree plus the sum of
     the degrees of the generators in the T-part."""

@@ -25,22 +25,32 @@ from reeskit.oracle import (
     relation_type_estimate,
 )
 from reeskit.monomials import (
+    Monomial,
     mono_div_exact,
     mono_divides,
-    mono_lcm,
+    mono_mul,
     mono_product,
 )
 from reeskit.reduction import fiber_certificate, verify_certificate
 from reeskit.taylor import (
+    ReesBinomial,
     RTMonomial,
     enumerate_sequences,
     multiset_distance,
-    rt_mul,
+    product_of,
     seq_remove,
+    seq_union,
     taylor_binomial,
     taylor_layer,
     weighted_degree,
 )
+
+
+def mono_lcm(a, b):
+    """lcm(a, b), exponent by exponent."""
+    ea, eb = a.as_dict(), b.as_dict()
+    return Monomial.from_dict({v: max(ea.get(v, 0), eb.get(v, 0))
+                               for v in ea.keys() | eb.keys()})
 
 
 def layer_rules(ideal, s):
@@ -56,9 +66,9 @@ def apply_step(w, step):
     if Counter(src.tpart) - Counter(w.tpart) or \
             not mono_divides(src.coef, w.coef):
         raise ValueError("rewrite step does not apply")
-    rest = RTMonomial(mono_div_exact(w.coef, src.coef),
-                      seq_remove(w.tpart, src.tpart))
-    return rt_mul(rest, dst)
+    return RTMonomial(
+        mono_mul(mono_div_exact(w.coef, src.coef), dst.coef),
+        seq_union(seq_remove(w.tpart, src.tpart), dst.tpart))
 
 
 def replay_chain(u, chain):
@@ -243,6 +253,20 @@ class TestMemberLower:
         verdict = member_lower(I5, F, 2 * 5 - 8)
         assert verdict.is_no
 
+    @pytest.mark.parametrize("cap", [None, 0])
+    @pytest.mark.parametrize("alpha, beta, message", [
+        ((0, 1), (2, 3), "index 0 outside 1..4"),
+        ((2, 1), (3, 4), r"sequence \(2, 1\) is not non-decreasing"),
+        ((1, 5), (2, 3), "index 5 outside 1..4"),
+    ], ids=["index 0", "unsorted row", "index n+1"])
+    def test_checks_the_rows_it_is_given(self, alpha, beta, message, cap):
+        # a ReesBinomial built directly: unchecked, index 0 would read f_4,
+        # (2, 1) would be decided as another pair and 5 would not exist
+        V = villarreal_ideal()
+        b = ReesBinomial(alpha, beta, V.generator(3), V.generator(1))
+        with pytest.raises(ValueError, match=message):
+            member_lower(V, b, 1, cap)
+
     def test_agrees_with_direct_congruence_search(self):
         # the fiber structure argument must match a plain BFS over rules
         rng = random.Random(91)
@@ -256,6 +280,71 @@ class TestMemberLower:
             assert fiber.is_yes == (direct is not None), (b.alpha, b.beta)
             assert fiber.is_yes != fiber.is_no
             assert not fiber.is_unknown
+
+
+# ideals with n <= 5 for the node predicate, compared on layers 2..4
+PREDICATE_IDEALS = {
+    "villarreal": villarreal_ideal(),
+    "pentagon": pentagon_ideal(),
+    "triangle": triangle_ideal(),
+    "path4": path_ideal(4),
+    **{f"random{k}": random_ideal(random.Random(k), 5, 8)
+       for k in range(0, 30, 6)},
+    **{shape: random_shape_ideal(shape, 5, seed=1)
+       for shape in ("forest", "odd-cycle", "even-cycle")},
+}
+
+
+def lcm_divisors(ideal, alpha, beta, nodes):
+    """Reference membership: which nodes have f_node | lcm(f_alpha, f_beta),
+    by exact division."""
+    big = mono_lcm(product_of(ideal, alpha), product_of(ideal, beta))
+    return [mono_divides(product_of(ideal, node), big) for node in nodes]
+
+
+class TestInFiber:
+    """oracle._in_fiber, the one node predicate, against exact division."""
+
+    @pytest.mark.parametrize("ideal", list(PREDICATE_IDEALS.values()),
+                             ids=list(PREDICATE_IDEALS))
+    def test_matches_exact_division(self, ideal):
+        # every layer-s node against a stride of the layer's pairs
+        for s in (2, 3, 4):
+            seqs = list(enumerate_sequences(ideal.n, s))
+            pairs = list(itertools.combinations(seqs, 2))
+            for alpha, beta in pairs[::max(1, len(pairs) // 150)]:
+                capacity = oracle._capacity(ideal, alpha, beta)
+                got = [oracle._in_fiber(capacity, node) for node in seqs]
+                assert got == lcm_divisors(ideal, alpha, beta, seqs), \
+                    (alpha, beta)
+
+    @pytest.mark.parametrize("s", [3, 4, 7, 8])
+    def test_field_boundaries(self, s):
+        # s = 3, 7 fill a field's width, s = 4, 8 start a wider one; a
+        # generator repeated s times meets its exponent exactly or passes it
+        V = villarreal_ideal()
+        pairs = [((1,) * s, (3,) * s), ((1,) * s, (2,) * s),
+                 ((1,) * (s - 1) + (3,), (4,) * s)]
+        for alpha, beta in pairs:
+            capacity = oracle._capacity(V, alpha, beta)
+            assert oracle._in_fiber(capacity, alpha)
+            assert oracle._in_fiber(capacity, beta)
+            nodes = list(enumerate_sequences(V.n, s))
+            assert [oracle._in_fiber(capacity, node) for node in nodes] == \
+                lcm_divisors(V, alpha, beta, nodes), (alpha, beta)
+        capacity = oracle._capacity(V, (1,) * (s - 1) + (3,), (4,) * s)
+        assert not oracle._in_fiber(capacity, (1,) * s)  # x1 only s - 1 times
+        assert oracle._in_fiber(capacity, (4,) * s)
+
+    @pytest.mark.parametrize("node", [(1, 2), (2, 3), (0, 1), (1, 5),
+                                      (-1, 1), (1,), (1, 1, 1), (1, 1, 3)])
+    def test_unmasked_index_or_wrong_length_never_fits(self, node):
+        # M = f1^2 f3^2: f2 = x2x4x5 reaches outside supp(M); 0, -1 and 5
+        # have no generator; f_(1,1,3) divides M, but not in layer 2
+        V = villarreal_ideal()
+        capacity = oracle._capacity(V, (1, 1), (3, 3))
+        assert not oracle._in_fiber(capacity, node)
+        assert oracle._in_fiber(capacity, (1, 3))
 
 
 class TestFiber:

@@ -367,6 +367,38 @@ COARSENING_CASES = {
 }
 
 
+def block_disjoint_by_trial(ideal, alpha, beta):
+    """rule_block_disjoint as a search that splits every aligned two-block
+    partition with the gcd hypothesis and keeps the first that holds."""
+    alpha, beta = tuple(alpha), tuple(beta)
+    if seq_intersection(alpha, beta):
+        return None
+    for t in range(1, len(alpha)):
+        for sub_a in sorted(set(itertools.combinations(alpha, t))):
+            for sub_b in sorted(set(itertools.combinations(beta, t))):
+                part = BlockPartition(((sub_a, sub_b),
+                                       (seq_remove(alpha, sub_a),
+                                        seq_remove(beta, sub_b))))
+                try:
+                    return gcd_hypothesis_split(ideal, part, "block_disjoint",
+                                                "two aligned blocks")
+                except HypothesisFails:
+                    continue
+    return None
+
+
+@pytest.mark.parametrize("ideal", list(PATTERN_IDEALS.values()),
+                         ids=list(PATTERN_IDEALS))
+def test_block_disjoint_matches_the_split_of_every_partition(ideal):
+    # testing each partition's inner node decides as splitting it would
+    hits = 0
+    for alpha, beta in ordered_layer_pairs(ideal):
+        cert = rule_block_disjoint(ideal, alpha, beta)
+        assert cert == block_disjoint_by_trial(ideal, alpha, beta)
+        hits += cert is not None
+    assert hits > 0
+
+
 class TestBlockDisjoint:
     @pytest.mark.parametrize("ideal, layers", list(COARSENING_CASES.values()),
                              ids=list(COARSENING_CASES))
@@ -732,6 +764,41 @@ class TestChecksAtTheBoundary:
         b = taylor_binomial(V, (1, 2), (3, 4))
         with pytest.raises(ValueError, match=f"index {bad} outside 1..4"):
             fiber_certificate(V, b, ((1, 2), (1, bad), (3, 4)))
+
+    @pytest.mark.parametrize("middle, message", [
+        ((2, 1), r"sequence \(2, 1\) is not non-decreasing"),
+        ((1, 2), r"node \(1, 2\) repeats the node before it"),
+        ((1, 2, 3), r"node \(1, 2, 3\) is not of length 2"),
+        ((1, 4), "step 1 leaves the lcm fiber"),
+    ], ids=["unsorted", "repeated", "too long", "outside the fiber"])
+    def test_fiber_path_nodes_are_checked_by_name(self, middle, message):
+        # f1 f4 = x1 x2 x3^2 x6 x7 does not divide lcm(f1 f2, f3 f4)
+        V = villarreal_ideal()
+        b = taylor_binomial(V, (1, 2), (3, 4))
+        with pytest.raises(ValueError, match=message):
+            fiber_certificate(V, b, ((1, 2), middle, (3, 4)))
+
+    def test_fiber_path_node_inside_the_fiber_but_unsorted(self):
+        # the reversed middle node still lies in the fiber, and its walk
+        # would replay with an unsorted T-factor
+        V = villarreal_ideal()
+        b = taylor_binomial(V, (1, 2), (3, 4))
+        start, middle, end = member_lower(V, b, 1).path
+        assert middle[::-1] != middle
+        with pytest.raises(ValueError, match="is not non-decreasing"):
+            fiber_certificate(V, b, (start, middle[::-1], end))
+
+    @pytest.mark.parametrize("alpha, beta, message", [
+        ((1, 3), (2,), "length mismatch"),
+        ((1, 2), (1, 2), "equal sequences give the zero binomial"),
+    ])
+    def test_witness_checks_the_rows_as_the_rules_do(self, alpha, beta,
+                                                     message):
+        V = villarreal_ideal()
+        for search in (irredundancy_witness, rule_shared_index,
+                       rule_block_disjoint):
+            with pytest.raises(ValueError, match=message):
+                search(V, alpha, beta)
 
 
 class TestIrredundancyWitness:
