@@ -4,16 +4,18 @@ A Certificate expresses a target binomial T_{alpha,beta} as an exact sum
 
     T_{alpha,beta} = sum_i  coef_i * T_{tfactor_i} * T_{alpha_i,beta_i}
 
-over lower-degree sub-binomials; verify_certificate replays the identity in
-exact polynomial arithmetic.  Every certificate is a walk through the lcm
-fiber (the delta with f_delta | M = lcm(f_alpha, f_beta)), built by _walk:
-a step (c, d, d') moves the node c+d to c+d', and with u = M / f_delta at
-each node the steps telescope (Diaconis & Sturmfels, Ann. Statist. 26
-(1998), Thm 3.1).  A step's cofactor M / (f_c lcm(f_d, f_d')) is a monomial
-exactly when both its nodes lie in the fiber.  That membership is one
-predicate, oracle._in_fiber, and _walk only computes: split_certificate and
-fiber_certificate test their walks' nodes, rule_block_disjoint its
-partitions' inner nodes, and the other rules' walks stay in by construction.
+over lower-degree sub-binomials; verify_certificate replays the identity
+exactly on packed exponent vectors, where a sub-binomial is genuine when its
+rows check and its coefficients are coprime with lhs f_alpha = rhs f_beta.
+Every certificate is a walk through the lcm fiber (the delta with
+f_delta | M = lcm(f_alpha, f_beta)), built by _walk: a step (c, d, d')
+moves the node c+d to c+d', and with u = M / f_delta at each node the steps
+telescope (Diaconis & Sturmfels, Ann. Statist. 26 (1998), Thm 3.1).  A
+step's cofactor M / (f_c lcm(f_d, f_d')) is a monomial exactly when both its
+nodes lie in the fiber.  That membership is one predicate, oracle._in_fiber,
+and _walk only computes: split_certificate and fiber_certificate test their
+walks' nodes, rule_block_disjoint its partitions' inner nodes, and the other
+rules' walks stay in by construction.
 For a split with P = f(alpha_{<i}), Q = f(beta_{>i}), g_i = gcd(f_{alpha_i},
 f_{beta_i}) and g = gcd(f_alpha, f_beta), block i's cofactor is P*Q*g_i/g,
 and the split lemma's gcd hypothesis g | gcd(P, f_beta) * gcd(f(alpha_{>=i}),
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
@@ -69,7 +71,6 @@ from .taylor import (
     run_lengths,
     seq_intersection,
     seq_remove,
-    seq_union,
     swap_binomial,
     taylor_binomial,
 )
@@ -138,23 +139,48 @@ def swap_certificate(cert: Certificate) -> Certificate:
 
 
 def verify_certificate(ideal: SquareFreeIdeal, cert: Certificate) -> bool:
-    """Exact check: the target and every sub-binomial are genuine Taylor
-    binomials of the ideal (their rows checked, as the certificate may come
-    from outside) and the certificate identity holds in S."""
+    """Exact check that the target and each sub-binomial are genuine Taylor
+    binomials and that the identity holds in S[T]; anything malformed, such
+    as a T-factor that is not a sorted tuple over 1..n, gives False.  Each
+    term is one int key per side, with (top + max(top, L)).bit_length() bits
+    per variable and T_a (top: largest coefficient exponent; L: longest
+    T-factor plus row), so no sum carries; the keys must cancel.  Coprime
+    lhs, rhs with lhs f_alpha = rhs f_beta are f_beta / g, f_alpha / g."""
     try:
-        # the terms minus the target, keyed by (x-part, T-part), must cancel
-        total: Counter = Counter()
-        for coef, tfactor, sub, sign in (
-                (Monomial.one(), (), cert.target, -1),
-                *((t.coef, t.tfactor, t.sub, 1) for t in cert.terms)):
-            if taylor_binomial(ideal, sub.alpha, sub.beta) != sub:
+        items = [(Monomial.one(), (), cert.target, -1),
+                 *((t.coef, t.tfactor, t.sub, 1) for t in cert.terms)]
+        pairs = [p for coef, _, sub, _ in items
+                 for m in (coef, sub.lhs_coef, sub.rhs_coef) for p in m.exps]
+        top = max([e for _, e in pairs], default=0)
+        w = int.bit_length(top + max(  # a float exponent: TypeError
+            top, *[len(tf) + len(sub.alpha) for _, tf, sub, _ in items]))
+        fields = dict.fromkeys(range(len(ideal.table.names)))
+        fields.update(pairs)  # the table's variables, then any others
+        shift = dict(zip(fields, range(0, w * len(fields), w)))
+        units = [1 << b for b in range(0, w * (len(fields) + ideal.n), w)]
+        tunit = units[len(fields) - 1:].__getitem__  # tunit(a): T_a's unit
+        gen = [0, *[sum(map(units.__getitem__, g)) for g in ideal.supports]]
+        high = sum(units[:len(fields)]) << (w - 1)  # each x-field's top bit
+        low = high - (high >> (w - 1))  # + low sets that bit iff the field > 0
+        total: defaultdict = defaultdict(int)
+        for coef, tf, sub, sign in items:
+            if not (isinstance(sub, ReesBinomial) and isinstance(tf, tuple)
+                    and type(coef) is type(sub.lhs_coef) is type(sub.rhs_coef)
+                    is Monomial and (not tf or check_sequence(tf, ideal.n))
+                    and check_rows(ideal, sub.alpha, sub.beta)
+                    == (sub.alpha, sub.beta)):
                 return False
-            total[mono_mul(coef, sub.lhs_coef),
-                  seq_union(tfactor, sub.alpha)] += sign
-            total[mono_mul(coef, sub.rhs_coef),
-                  seq_union(tfactor, sub.beta)] -= sign
+            lhs = sum([e << shift[v] for v, e in sub.lhs_coef.exps])
+            rhs = sum([e << shift[v] for v, e in sub.rhs_coef.exps])
+            if (lhs + sum(map(gen.__getitem__, sub.alpha))
+                    != rhs + sum(map(gen.__getitem__, sub.beta))
+                    or (lhs + low) & (rhs + low) & high):  # not coprime
+                return False
+            x = sum([e << shift[v] for v, e in coef.exps])
+            total[x + lhs + sum(map(tunit, tf + sub.alpha))] += sign
+            total[x + rhs + sum(map(tunit, tf + sub.beta))] -= sign
         return not any(total.values())
-    except ValueError:
+    except (AttributeError, TypeError, ValueError):  # malformed input
         return False
 
 
@@ -213,10 +239,12 @@ def fiber_certificate(ideal: SquareFreeIdeal, b: ReesBinomial,
                       path: tuple[Sequence, ...]) -> Certificate:
     """The certificate of a fiber path alpha = delta_0, ..., delta_m = beta:
     a walk whose step delta -> delta' keeps the common part c and swaps
-    delta - c for delta' - c.  Raises ValueError, naming the fault, if the
-    path does not run from b.alpha to b.beta, if a node is not a sorted
-    length-s sequence over 1..n or repeats the node before it, or if step j
-    leaves the fiber."""
+    delta - c for delta' - c.  Raises ValueError, naming the fault, if b
+    is not the Taylor binomial of its rows, if the path does not run from
+    b.alpha to b.beta, if a node is not a sorted length-s sequence over 1..n
+    or repeats the node before it, or if step j leaves the fiber."""
+    if taylor_binomial(ideal, b.alpha, b.beta) != b:
+        raise ValueError(f"{b!r} is not the Taylor binomial of its rows")
     if len(path) < 2 or path[0] != b.alpha or path[-1] != b.beta:
         raise ValueError(f"path does not run from {b.alpha!r} to {b.beta!r}")
     for node in path:

@@ -51,10 +51,6 @@ def run_lengths(seq: Sequence) -> tuple[tuple[int, int], ...]:
     return tuple((a, len(list(g))) for a, g in itertools.groupby(seq))
 
 
-def seq_union(a: Sequence, b: Sequence) -> Sequence:
-    return tuple(sorted(a + b))
-
-
 def seq_remove(a: Sequence, sub: Sequence) -> Sequence:
     """Multiset difference a minus sub; sub must be contained in a."""
     out = list(a)

@@ -39,7 +39,6 @@ from reeskit.taylor import (
     multiset_distance,
     product_of,
     seq_remove,
-    seq_union,
     taylor_binomial,
     taylor_layer,
     weighted_degree,
@@ -51,6 +50,11 @@ def mono_lcm(a, b):
     ea, eb = a.as_dict(), b.as_dict()
     return Monomial.from_dict({v: max(ea.get(v, 0), eb.get(v, 0))
                                for v in ea.keys() | eb.keys()})
+
+
+def seq_union(a, b):
+    """The multiset union of two index sequences, sorted."""
+    return tuple(sorted(a + b))
 
 
 def layer_rules(ideal, s):

@@ -47,14 +47,19 @@ from reeskit.reduction import (
 from reeskit.graphs import components, induced_subgraph
 from reeskit.oracle import member_lower, relation_type_estimate
 from reeskit.taylor import (
+    ReesBinomial,
     enumerate_sequences,
     product_of,
     seq_intersection,
     seq_remove,
-    seq_union,
     taylor_binomial,
     taylor_layer,
 )
+
+
+def seq_union(a, b):
+    """The multiset union of two index sequences, sorted."""
+    return tuple(sorted(a + b))
 
 
 def cycle_ideal(n):
@@ -988,6 +993,23 @@ class TestFiberCertificate:
         assert len(verdict.path) == 3
         with pytest.raises(ValueError, match="does not run from"):
             fiber_certificate(V, b, verdict.path[:2])
+
+    @pytest.mark.parametrize("fake", [
+        lambda b: ReesBinomial(b.alpha, b.beta, 1, 1),
+        lambda b: dataclasses.replace(
+            b, lhs_coef=mono_mul(b.lhs_coef, Monomial.from_dict({0: 1})),
+            rhs_coef=mono_mul(b.rhs_coef, Monomial.from_dict({0: 1})))],
+        ids=["int coefficients", "scaled by x1"])
+    def test_b_must_be_the_taylor_binomial_of_its_rows(self, fake):
+        # the path is the oracle's, for b's rows; b's coefficients are not
+        # those of its rows
+        V = villarreal_ideal()
+        b = taylor_binomial(V, (1, 2), (3, 4))
+        path = member_lower(V, b, 1).path
+        assert path == ((1, 2), (1, 3), (3, 4))
+        with pytest.raises(ValueError,
+                           match="is not the Taylor binomial of its rows"):
+            fiber_certificate(V, fake(b), path)
 
     @pytest.mark.parametrize("path", [
         ((1, 2), (1, 4)), ((1, 2),), (), ((1, 4), (3, 4)),

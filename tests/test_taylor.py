@@ -30,7 +30,6 @@ from reeskit.taylor import (
     run_lengths,
     seq_intersection,
     seq_remove,
-    seq_union,
     substitute_check,
     swap_binomial,
     taylor_binomial,
@@ -54,7 +53,6 @@ def test_run_lengths():
 
 
 def test_multiset_helpers():
-    assert seq_union((1, 2), (2, 3)) == (1, 2, 2, 3)
     assert seq_remove((1, 2, 2, 3), (2, 3)) == (1, 2)
     assert seq_intersection((1, 2, 2), (2, 2, 3)) == (2, 2)
     assert multiset_distance((1, 2, 2), (2, 2, 3)) == 1
