@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Iterable, Optional
 
@@ -400,10 +401,17 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     # the handler is looked up per call, so module-level wrappers see it
     try:
-        return globals()[f"cmd_{args.command}"](args)
+        code = globals()[f"cmd_{args.command}"](args)
+        sys.stdout.flush()
+        return code
     except BadInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader has gone: the rest of the output goes to devnull, so
+        # the flush at exit raises nothing (Python's signal module docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

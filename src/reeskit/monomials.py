@@ -54,14 +54,15 @@ class VariableTable:
 
 @dataclass(frozen=True)
 class Monomial:
-    """A monomial as a sorted sparse exponent vector."""
+    """A monomial as a sorted sparse exponent vector of ints (no bools)."""
 
     exps: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
         last = -1
         for var, exp in self.exps:
-            if var <= last or exp <= 0 or var < 0:
+            if (type(var) is not int or type(exp) is not int  # refuses bool too
+                    or var <= last or exp <= 0 or var < 0):
                 raise ValueError(f"malformed exponent tuple {self.exps!r}")
             last = var
 
@@ -181,9 +182,25 @@ class SquareFreeIdeal:
     table: VariableTable
     gens: tuple[Monomial, ...]
     supports: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
+    packed: dict[int, tuple[list[int], list[int], int]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "supports", validate_ideal(self.table, self.gens))
+        object.__setattr__(self, "packed", {})
+
+    def layout(self, w: int) -> tuple[list[int], list[int], int]:
+        """(gen, tunit, guards) at field width w, cached in packed: table
+        variable v owns bits [w v, w v + w) and T_a the field after them;
+        gen[a] has a unit in each field of supp(f_a), tunit[a] is T_a's unit
+        (both 0 at a = 0), and guards holds each table field's top bit."""
+        if w not in self.packed:
+            nvars = len(self.table)
+            unit = [1 << b for b in range(0, w * (nvars + self.n), w)]
+            self.packed[w] = (
+                [0, *[sum(map(unit.__getitem__, g)) for g in self.supports]],
+                [0, *unit[nvars:]], sum(unit[:nvars]) << (w - 1))
+        return self.packed[w]
 
     @property
     def n(self) -> int:

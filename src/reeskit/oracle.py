@@ -26,10 +26,11 @@ and only a layer's witness becomes a binomial.
 
 The fiber is enumerated directly, never by filtering the whole layer: a
 depth-first search over non-decreasing index sequences tracks the capacity
-of M still free, one packed integer field per variable of M (_capacity).
-Every generator is square-free, so picking index a takes one unit from each
-variable of supp(f_a); generators reaching outside supp(M) never fit, and a
-prefix is cut as soon as the picks still possible cannot fill the slots
+of M still free, one packed integer field per table variable in the ideal's
+layout at the pair's width (_capacity), which a whole sweep reuses.  Every
+generator is square-free, so picking index a subtracts its mask, a unit in
+each field of supp(f_a); generators reaching outside supp(M) never fit, and
+a prefix is cut as soon as the picks still possible cannot fill the slots
 left.  It yields the fiber lazily, in lex order.  The same capacity decides
 a single node (_in_fiber), the package's one fiber-membership test: a walk
 stays in the fiber exactly when its nodes do, so reduction.py tests nodes
@@ -49,7 +50,6 @@ from .monomials import SquareFreeIdeal
 from .taylor import (
     ReesBinomial,
     Sequence,
-    _exponents,
     check_rows,
     enumerate_sequences,
     multiset_distance,
@@ -93,53 +93,43 @@ class Verdict:
 # --- fiber-based layered membership ---------------------------------------
 
 def _capacity(ideal: SquareFreeIdeal, alpha: Sequence, beta: Sequence
-              ) -> tuple[int, int, int, list[int], list[int]]:
-    """(s, full, guards, index, masks) for M = lcm(f_alpha, f_beta) and
-    s = len(alpha), from the support table, rows unchecked.  full holds each
-    exponent of M in a field under a guard bit; masks[j] has a unit in each
-    field of f_{index[j]}, for the generators inside supp(M).  Fields are
-    wider than s, so up to s subtractions borrow across no field, and a
-    guard bit stays set exactly while the picks fit."""
-    big = _exponents(ideal, alpha)
-    for v, e in _exponents(ideal, beta).items():
-        if e > big.get(v, 0):
-            big[v] = e
+              ) -> tuple[int, int, int, list[int]]:
+    """(s, full, guards, gen) for M = lcm(f_alpha, f_beta), s = len(alpha),
+    rows unchecked, in ideal.layout at width s.bit_length() + 1: full holds
+    each exponent of M (0 off supp(M)) under its guard bit.  A = f_alpha and
+    B = f_beta are sums of masks; the fields where A >= B keep their guard
+    bit in A | G - B, which, less its units, selects A's fields for M.  A
+    field starts at guard + e, guard > s >= e, so up to s subtractions borrow
+    across no field, and a guard bit stays set exactly while the picks fit."""
     s = len(alpha)
-    width = s.bit_length() + 1
-    guard = 1 << (width - 1)
-    unit: dict[int, int] = {}  # variable -> the lowest bit of its field
-    full = guards = 0
-    for pos, (v, e) in enumerate(big.items()):
-        unit[v] = 1 << (width * pos)
-        full += (guard | e) * unit[v]
-        guards += guard * unit[v]
-    index, masks, inside, bit = [], [], unit.keys(), unit.__getitem__
-    for a, sup in enumerate(ideal.supports, start=1):
-        if sup <= inside:
-            index.append(a)
-            masks.append(sum(map(bit, sup)))
-    return s, full, guards, index, masks
+    w = s.bit_length() + 1
+    gen, _, guards = ideal.layout(w)
+    a = sum(map(gen.__getitem__, alpha))
+    b = sum(map(gen.__getitem__, beta))
+    ge = ((a | guards) - b) & guards
+    sel = ge - (ge >> (w - 1))
+    return s, (a & sel) | (b & ~sel) | guards, guards, gen
 
 
 def _in_fiber(capacity: tuple, node: Seq[int]) -> bool:
     """Is node, in any order, of length s with f_node | M?  A node of another
-    length or with an index without a mask (outside supp(M) or 1..n) is
-    refused before any subtraction."""
-    s, free, guards, index, masks = capacity
-    if len(node) != s:
+    length or with an index outside 1..n is refused before any subtraction;
+    a generator reaching outside supp(M) borrows a guard bit."""
+    s, free, guards, gen = capacity
+    if len(node) != s or min(node) < 1 or max(node) >= len(gen):
         return False
-    for a in node:
-        if a not in index:
-            return False
-        free -= masks[index.index(a)]
-    return free & guards == guards
+    return (free - sum(map(gen.__getitem__, node))) & guards == guards
 
 
 def _fiber(ideal: SquareFreeIdeal, alpha: Sequence,
            beta: Sequence) -> Iterable[Sequence]:
     """Yield {delta : f_delta | lcm(f_alpha, f_beta)} in lex order, lazily,
-    by a depth-first search over the pair's _capacity."""
-    s, full, guards, index, masks = _capacity(ideal, alpha, beta)
+    by a depth-first search over the pair's _capacity and the generators
+    that fit in it once."""
+    s, full, guards, gen = _capacity(ideal, alpha, beta)
+    index = [a for a in range(1, len(gen))
+             if (full - gen[a]) & guards == guards]
+    masks = [gen[a] for a in index]
     stack: list[tuple[Sequence, int, int]] = [((), full, 0)]
     while stack:
         prefix, free, first = stack.pop()

@@ -142,10 +142,11 @@ def verify_certificate(ideal: SquareFreeIdeal, cert: Certificate) -> bool:
     """Exact check that the target and each sub-binomial are genuine Taylor
     binomials and that the identity holds in S[T]; anything malformed, such
     as a T-factor that is not a sorted tuple over 1..n, gives False.  Each
-    term is one int key per side, with (top + max(top, L)).bit_length() bits
-    per variable and T_a (top: largest coefficient exponent; L: longest
-    T-factor plus row), so no sum carries; the keys must cancel.  Coprime
-    lhs, rhs with lhs f_alpha = rhs f_beta are f_beta / g, f_alpha / g."""
+    term is one int key per side in ideal.layout at width (top + max(top,
+    L)).bit_length() (top: largest coefficient exponent; L: longest T-factor
+    plus row), so no sum carries: fields for the table variables, T_1..T_n,
+    then coefficient variables outside the table.  The keys must cancel.
+    Coprime lhs, rhs with lhs f_alpha = rhs f_beta are f_beta/g, f_alpha/g."""
     try:
         items = [(Monomial.one(), (), cert.target, -1),
                  *((t.coef, t.tfactor, t.sub, 1) for t in cert.terms)]
@@ -154,13 +155,13 @@ def verify_certificate(ideal: SquareFreeIdeal, cert: Certificate) -> bool:
         top = max([e for _, e in pairs], default=0)
         w = int.bit_length(top + max(  # a float exponent: TypeError
             top, *[len(tf) + len(sub.alpha) for _, tf, sub, _ in items]))
-        fields = dict.fromkeys(range(len(ideal.table.names)))
-        fields.update(pairs)  # the table's variables, then any others
-        shift = dict(zip(fields, range(0, w * len(fields), w)))
-        units = [1 << b for b in range(0, w * (len(fields) + ideal.n), w)]
-        tunit = units[len(fields) - 1:].__getitem__  # tunit(a): T_a's unit
-        gen = [0, *[sum(map(units.__getitem__, g)) for g in ideal.supports]]
-        high = sum(units[:len(fields)]) << (w - 1)  # each x-field's top bit
+        gen, tunit, high = ideal.layout(w)  # high: each x-field's top bit
+        nvars = len(ideal.table)
+        shift = {v: w * v for v, _ in pairs}  # a float variable: TypeError
+        for f, v in enumerate([v for v in shift if int.__index__(v) >= nvars],
+                              nvars + ideal.n):
+            shift[v] = w * f  # outside the table: above the T-fields
+            high |= 1 << (w * f + w - 1)
         low = high - (high >> (w - 1))  # + low sets that bit iff the field > 0
         total: defaultdict = defaultdict(int)
         for coef, tf, sub, sign in items:
@@ -177,8 +178,8 @@ def verify_certificate(ideal: SquareFreeIdeal, cert: Certificate) -> bool:
                     or (lhs + low) & (rhs + low) & high):  # not coprime
                 return False
             x = sum([e << shift[v] for v, e in coef.exps])
-            total[x + lhs + sum(map(tunit, tf + sub.alpha))] += sign
-            total[x + rhs + sum(map(tunit, tf + sub.beta))] -= sign
+            total[x + lhs + sum(map(tunit.__getitem__, tf + sub.alpha))] += sign
+            total[x + rhs + sum(map(tunit.__getitem__, tf + sub.beta))] -= sign
         return not any(total.values())
     except (AttributeError, TypeError, ValueError):  # malformed input
         return False

@@ -254,6 +254,23 @@ def test_bad_input_exits_2_without_asserts(argv, villarreal_file, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_a_closed_stdout_exits_1_without_a_traceback():
+    # the reader of the pipe has gone before the first write, as when
+    # `reeskit demo villarreal | head -3` outlives head
+    src = str(Path(reeskit.__file__).resolve().parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "reeskit.cli", "demo", "villarreal"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr, proc.stderr
+
+
 def test_no_assert_statement_in_the_package():
     # python -O strips them, so no check in src/ may be one
     found = [f"{path.name}:{node.lineno}"

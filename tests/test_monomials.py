@@ -63,6 +63,21 @@ class TestMonomialBasics:
             Monomial(exps)
         assert str(err.value) == f"malformed exponent tuple {exps!r}"
 
+    @pytest.mark.parametrize("exps", [((0, 1.5),), ((0.5, 1),), ((0, 2.0),),
+                                      ((True, 1),), ((0, True),),
+                                      ((1, 1), ("2", 1))])
+    def test_non_int_variable_or_exponent_rejected(self, exps):
+        # a float exponent gave degree 1.5 and a float variable broke
+        # render_monomial; a bool is refused though it is an int
+        with pytest.raises(ValueError) as err:
+            Monomial(exps)
+        assert str(err.value) == f"malformed exponent tuple {exps!r}"
+
+    @pytest.mark.parametrize("exps", [{0: 2.0}, {1.0: 1}, {0: True}])
+    def test_from_dict_rejects_non_int(self, exps):
+        with pytest.raises(ValueError, match="malformed exponent tuple"):
+            Monomial.from_dict(exps)
+
     def test_degree_and_support(self):
         a = m(v0=2, v3=1)
         assert a.degree == 3
@@ -237,6 +252,24 @@ class TestSupportTable:
         b = make_ideal(["a", "b", "c"], [[0, 1], [1, 2]])
         assert a == b and hash(a) == hash(b)
         assert "supports" not in repr(a)
+
+    def test_a_warmed_layout_is_not_part_of_equality_or_repr(self):
+        a = make_ideal(["a", "b", "c"], [[0, 1], [1, 2]])
+        b = make_ideal(["a", "b", "c"], [[0, 1], [1, 2]])
+        a.layout(3)
+        a.layout(22)
+        assert sorted(a.packed) == [3, 22] and not b.packed
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+    @pytest.mark.parametrize("w", [2, 3, 5])
+    def test_layout_fields(self, w):
+        # table variables a, b, c, then T_1, T_2, each in w bits
+        ideal = make_ideal(["a", "b", "c"], [[0, 1], [1, 2]])
+        gen, tunit, guards = ideal.layout(w)
+        assert gen == [0, 1 + (1 << w), (1 << w) + (1 << 2 * w)]
+        assert tunit == [0, 1 << 3 * w, 1 << 4 * w]
+        assert guards == sum(1 << (w * v + w - 1) for v in range(3))
+        assert ideal.layout(w) is ideal.layout(w)
 
     def test_validate_ideal_returns_the_supports(self):
         ideal = make_ideal(["a", "b", "c"], [[0, 1], [1, 2]])

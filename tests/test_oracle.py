@@ -26,6 +26,7 @@ from reeskit.oracle import (
 )
 from reeskit.monomials import (
     Monomial,
+    make_ideal,
     mono_div_exact,
     mono_divides,
     mono_mul,
@@ -296,6 +297,12 @@ PREDICATE_IDEALS = {
        for k in range(0, 30, 6)},
     **{shape: random_shape_ideal(shape, 5, seed=1)
        for shape in ("forest", "odd-cycle", "even-cycle")},
+    # the packed layout gives every table variable a field, also one off
+    # supp(M) or in no generator at all (x3 and x6 of "unused")
+    **{f"{shape}-vars3": random_shape_ideal(shape, 5, extra_vars=3, seed=2)
+       for shape in ("forest", "odd-cycle", "even-cycle")},
+    "unused": make_ideal([f"x{i}" for i in range(1, 7)],
+                         [[0, 1], [1, 3], [3, 4], [0, 4], [1, 4]]),
 }
 
 
@@ -307,7 +314,8 @@ def lcm_divisors(ideal, alpha, beta, nodes):
 
 
 class TestInFiber:
-    """oracle._in_fiber, the one node predicate, against exact division."""
+    """oracle._in_fiber, the one node predicate, and the fiber it draws
+    from the same capacity, against exact division."""
 
     @pytest.mark.parametrize("ideal", list(PREDICATE_IDEALS.values()),
                              ids=list(PREDICATE_IDEALS))
@@ -317,10 +325,12 @@ class TestInFiber:
             seqs = list(enumerate_sequences(ideal.n, s))
             pairs = list(itertools.combinations(seqs, 2))
             for alpha, beta in pairs[::max(1, len(pairs) // 150)]:
+                expected = lcm_divisors(ideal, alpha, beta, seqs)
                 capacity = oracle._capacity(ideal, alpha, beta)
                 got = [oracle._in_fiber(capacity, node) for node in seqs]
-                assert got == lcm_divisors(ideal, alpha, beta, seqs), \
-                    (alpha, beta)
+                assert got == expected, (alpha, beta)
+                assert list(oracle._fiber(ideal, alpha, beta)) == \
+                    list(itertools.compress(seqs, expected)), (alpha, beta)
 
     @pytest.mark.parametrize("s", [3, 4, 7, 8])
     def test_field_boundaries(self, s):
@@ -620,7 +630,6 @@ class TestRelationTypeEstimate:
             [2, 2, 2, 3, 6, 6, 6]
 
     def test_matches_whole_layer_sweep(self):
-        from reeskit.monomials import make_ideal
 
         cases = [(villarreal_ideal(), 3), (pentagon_ideal(), 5),
                  (triangle_ideal(), 3), (path_ideal(4), 3),
@@ -753,7 +762,6 @@ class TestMinimalLinearGenerators:
 
     def test_disjoint_generators_all_kept(self):
         # pairwise coprime generators admit no reductions at all
-        from reeskit.monomials import make_ideal
 
         I = make_ideal(["a", "b", "c", "d"], [[0], [1], [2], [3]])
         kept = minimal_linear_generators(I)

@@ -18,7 +18,7 @@ from reeskit.demos import (
     triangle_ideal,
     villarreal_ideal,
 )
-from reeskit.monomials import Monomial, make_ideal, mono_mul
+from reeskit.monomials import Monomial, _monomial, make_ideal, mono_mul
 from reeskit.reduction import (
     Certificate,
     CertTerm,
@@ -143,6 +143,19 @@ def test_largest_exponent(top):
         assert verify_certificate(V, bad) is reference_verify(V, bad) is holds
 
 
+def test_one_ideal_across_widths():
+    # the layout is cached per field width on the ideal: a wide replay
+    # between two narrow ones must not leak its fields into either
+    V, cert, sub = square_certificate()
+    for top in (1, 2 ** 20, 1, 2 ** 20):
+        big = mono((0, top), (3, 1))
+        for other in (big, mono((0, top + 1), (3, 1)), mono((3, top))):
+            bad = with_pair(cert, (big, (2,), sub), (other, (2,)))
+            assert verify_certificate(V, bad) is reference_verify(V, bad) \
+                is (other == big), (top, other)
+    assert sorted(V.packed) == [2, 3, 22]  # top 1 (and 2), top 2^20
+
+
 @pytest.mark.parametrize("var", [6, 7, 99, 10 ** 9])
 def test_coefficient_variable_outside_the_table(var):
     # the square has x1..x7, variable indices 0..6
@@ -152,6 +165,9 @@ def test_coefficient_variable_outside_the_table(var):
                          (mono((2, 1)), False)):
         bad = with_pair(cert, (c, (3,), sub), (other, (3,)))
         assert verify_certificate(V, bad) is reference_verify(V, bad) is holds
+    # its field lies above the T-fields, so x_var is not T_1
+    bad = with_pair(cert, (mono((var, 1)), (3,), sub), (Monomial.one(), (1, 3)))
+    assert verify_certificate(V, bad) is reference_verify(V, bad) is False
     # a sub-binomial's coefficient is never outside the table
     bad = replace(cert, terms=(replace(cert.terms[0], sub=scaled(
         cert.terms[0].sub, mono((var, 1)))),),
@@ -216,10 +232,16 @@ def test_a_t_factor_must_be_a_sorted_tuple_over_1_to_n(tfactor):
 
 @pytest.mark.parametrize("coef", [None, {0: 1}, ((0, 1),), 1,
                                   SimpleNamespace(exps=((0, 1),)),
-                                  mono((0, 1.5)), mono((0, 2.0))],
+                                  _monomial(((0, 1.5),)),
+                                  _monomial(((0, 2.0),)),
+                                  _monomial(((0.5, 1),)),
+                                  _monomial(((7.5, 1),))],
                          ids=["None", "dict", "tuple", "int", "look-alike",
-                              "exponent 1.5", "exponent 2.0"])
+                              "exponent 1.5", "exponent 2.0", "variable 0.5",
+                              "variable 7.5"])
 def test_a_coefficient_must_be_a_monomial_with_int_exponents(coef):
+    # the Monomial constructor refuses float exponents and variables, so the
+    # last four are built unchecked, as a caller bypassing it could
     V, cert, sub = square_certificate()
     bad = with_pair(cert, (coef, (), sub), (coef, ()))
     assert verify_certificate(V, bad) is False
