@@ -169,6 +169,9 @@ def render_monomial(m: Monomial, table: VariableTable) -> str:
     return "*".join(parts)
 
 
+_CACHED_WIDTH = 16  # the widest layout kept; the fiber's is s.bit_length() + 1
+
+
 @dataclass(frozen=True)
 class SquareFreeIdeal:
     """A square-free monomial ideal given by a minimal generating set.
@@ -190,17 +193,20 @@ class SquareFreeIdeal:
         object.__setattr__(self, "packed", {})
 
     def layout(self, w: int) -> tuple[list[int], list[int], int]:
-        """(gen, tunit, guards) at field width w, cached in packed: table
-        variable v owns bits [w v, w v + w) and T_a the field after them;
-        gen[a] has a unit in each field of supp(f_a), tunit[a] is T_a's unit
-        (both 0 at a = 0), and guards holds each table field's top bit."""
-        if w not in self.packed:
-            nvars = len(self.table)
-            unit = [1 << b for b in range(0, w * (nvars + self.n), w)]
-            self.packed[w] = (
-                [0, *[sum(map(unit.__getitem__, g)) for g in self.supports]],
-                [0, *unit[nvars:]], sum(unit[:nvars]) << (w - 1))
-        return self.packed[w]
+        """(gen, tunit, guards) at field width w: table variable v owns
+        bits [w v, w v + w) and T_a the field after them; gen[a] has a unit
+        in each field of supp(f_a), tunit[a] is T_a's unit (both 0 at
+        a = 0), and guards holds each table field's top bit.  Widths up to
+        _CACHED_WIDTH are cached in packed, wider ones built per call."""
+        if w in self.packed:
+            return self.packed[w]
+        nvars = len(self.table)
+        unit = [1 << b for b in range(0, w * (nvars + self.n), w)]
+        out = ([0, *[sum(map(unit.__getitem__, g)) for g in self.supports]],
+               [0, *unit[nvars:]], sum(unit[:nvars]) << (w - 1))
+        if w <= _CACHED_WIDTH:
+            self.packed[w] = out
+        return out
 
     @property
     def n(self) -> int:

@@ -31,13 +31,15 @@ swapped match flips the orientation of every sub-binomial, which absorbs the
 sign).  The four shape rules of the theory (2x2, 3x2, a leaf of a tree, a
 segment of a unique odd cycle) are guards over rule_block_disjoint that
 rename its certificate: the splits their proofs peel are among those it
-tries.  Each rule checks its rows first; it returns a Certificate or None.
-reduce_to_normal drives four of the eight rules in a fixed priority order
-(the shape rules cannot fire after rule_block_disjoint); when none applies
-to the top pair it asks the oracle, and the pair is either reduced along
-its fiber path (fiber_certificate) or stuck, which then means it is a
-genuinely new generator in its degree, and the driver searches for an
-irredundancy witness of that.  The witness's row conditions are _shape,
+tries.  Each public rule checks its rows, then its guard; it returns a
+Certificate or None.  reduce_to_normal checks the top rows once and drives
+four of the eight rules in a fixed priority order, their bodies run by
+_dispatch on checked targets (the shape rules cannot fire after
+rule_block_disjoint).  When no rule applies to the top pair it asks the
+oracle, and the pair is either reduced along its fiber path
+(fiber_certificate) or stuck, which then means it is a genuinely new
+generator in its degree, and reduce_to_normal looks for an irredundancy
+witness of that.  The witness's row conditions are _shape,
 for IrredundancyWitness.check and for each of _pattern's candidates.
 """
 
@@ -58,8 +60,7 @@ from .graphs import (
 from .monomials import (
     Monomial,
     SquareFreeIdeal,
-    mono_div_exact,
-    mono_mul,
+    _monomial,
 )
 from .oracle import _capacity, _in_fiber, member_lower
 from .taylor import (
@@ -156,18 +157,20 @@ def verify_certificate(ideal: SquareFreeIdeal, cert: Certificate) -> bool:
         w = int.bit_length(top + max(  # a float exponent: TypeError
             top, *[len(tf) + len(sub.alpha) for _, tf, sub, _ in items]))
         gen, tunit, high = ideal.layout(w)  # high: each x-field's top bit
-        nvars = len(ideal.table)
-        shift = {v: w * v for v, _ in pairs}  # a float variable: TypeError
-        for f, v in enumerate([v for v in shift if int.__index__(v) >= nvars],
-                              nvars + ideal.n):
-            shift[v] = w * f  # outside the table: above the T-fields
-            high |= 1 << (w * f + w - 1)
+        n, nvars = ideal.n, len(ideal.table)
+        shift = range(0, w * nvars, w)  # a float variable: TypeError
+        if pairs and not 0 <= min(pairs)[0] <= max(pairs)[0] < nvars:
+            shift = {v: w * v for v, _ in pairs}
+            outside = [v for v in shift if int.__index__(v) >= nvars]
+            for f, v in enumerate(outside, nvars + n):
+                shift[v] = w * f  # outside the table: above the T-fields
+                high |= 1 << (w * f + w - 1)
         low = high - (high >> (w - 1))  # + low sets that bit iff the field > 0
         total: defaultdict = defaultdict(int)
         for coef, tf, sub, sign in items:
             if not (isinstance(sub, ReesBinomial) and isinstance(tf, tuple)
                     and type(coef) is type(sub.lhs_coef) is type(sub.rhs_coef)
-                    is Monomial and (not tf or check_sequence(tf, ideal.n))
+                    is Monomial and (not tf or check_sequence(tf, n))
                     and check_rows(ideal, sub.alpha, sub.beta)
                     == (sub.alpha, sub.beta)):
                 return False
@@ -192,14 +195,22 @@ def _walk(target: ReesBinomial, steps: Iterable[tuple[Sequence, ReesBinomial]]
     Each step (c, T_{d,d'}) moves the node c+d to c+d'.  u = M / f_delta
     starts at target.lhs_coef; a step's term is (u / lhs) * T_c * T_{d,d'},
     where T_{d,d'} = lhs T_d - rhs T_d', and the next node's u is that
-    cofactor times rhs.  The walk only computes, one term per step: every
-    node must lie in the fiber, as the caller has made sure."""
-    u = target.lhs_coef
+    cofactor times rhs.  u is one exponent dict for the whole walk.  The
+    walk only computes, one term per step: every node must lie in the
+    fiber, as the caller has made sure; a step whose lhs does not divide u
+    raises ValueError."""
+    u = dict(target.lhs_coef.exps)
     terms = []
     for c, sub in steps:
-        coef = mono_div_exact(u, sub.lhs_coef)
-        terms.append(CertTerm(coef, c, sub))
-        u = mono_mul(coef, sub.rhs_coef)
+        for v, e in sub.lhs_coef.exps:
+            left = u.pop(v, 0) - e
+            if left < 0:
+                raise ValueError(f"inexact step at node {c!r}")
+            if left:
+                u[v] = left
+        terms.append(CertTerm(_monomial(tuple(sorted(u.items()))), c, sub))
+        for v, e in sub.rhs_coef.exps:
+            u[v] = u.get(v, 0) + e
     return tuple(terms)
 
 
@@ -274,10 +285,15 @@ def rule_shared_index(ideal: SquareFreeIdeal, alpha: Sequence,
     disjoint remainders (cofactor 1)."""
     alpha, beta = check_rows(ideal, alpha, beta)
     shared = seq_intersection(alpha, beta)
-    if not shared:
-        return None
-    target = _binomial(ideal, alpha, beta)
-    sub = _binomial(ideal, seq_remove(alpha, shared), seq_remove(beta, shared))
+    return (_shared_index(_binomial(ideal, alpha, beta), shared)
+            if shared else None)
+
+
+def _shared_index(target: ReesBinomial, shared: Sequence) -> Certificate:
+    # f_shared cancels in f_alpha / f_beta, so the sub keeps the coefficients
+    sub = ReesBinomial(seq_remove(target.alpha, shared),
+                       seq_remove(target.beta, shared),
+                       target.lhs_coef, target.rhs_coef)
     return Certificate(target, _walk(target, [(shared, sub)]),
                        "shared_index", "as-given",
                        note=f"common T-factor {list(shared)}")
@@ -290,11 +306,15 @@ def rule_power_factor(ideal: SquareFreeIdeal, alpha: Sequence,
     base_a^(l-1-j) base_b^j, whose j-th cofactor is ca^(l-1-j) cb^j for
     T_{base} = ca T_{base_a} - cb T_{base_b}."""
     alpha, beta = check_rows(ideal, alpha, beta)
-    runs = (run_lengths(alpha), run_lengths(beta))
+    return _power_factor(ideal, _binomial(ideal, alpha, beta))
+
+
+def _power_factor(ideal: SquareFreeIdeal,
+                  target: ReesBinomial) -> Optional[Certificate]:
+    runs = (run_lengths(target.alpha), run_lengths(target.beta))
     l = math.gcd(*(m for row in runs for _, m in row))
     if l < 2:
         return None
-    target = _binomial(ideal, alpha, beta)
     base_a, base_b = (tuple(idx for idx, m in row for _ in range(m // l))
                       for row in runs)
     base = _binomial(ideal, base_a, base_b)
@@ -313,16 +333,20 @@ def rule_constant_row(ideal: SquareFreeIdeal, alpha: Sequence,
     other v [v in f_{b1}] times, at most as often as f_other.  A certificate
     for (beta, alpha) is swapped back."""
     alpha, beta = check_rows(ideal, alpha, beta)
-    for const, other, swapped in ((alpha, beta, False), (beta, alpha, True)):
+    return _constant_row(ideal, _binomial(ideal, alpha, beta))
+
+
+def _constant_row(ideal: SquareFreeIdeal,
+                  target: ReesBinomial) -> Optional[Certificate]:
+    for const, swapped in ((target.alpha, False), (target.beta, True)):
         if len(const) < 2 or len(set(const)) != 1:
             continue
-        target = _binomial(ideal, const, other)
+        t = swap_binomial(target) if swapped else target
         a1 = const[0]
-        pick = next(c for c in other if c != a1)  # the rows differ
-        blocks = (((a1,), (pick,)), (const[1:], seq_remove(other, (pick,))))
-        cert = Certificate(target, _split(ideal, target, blocks),
-                           "constant_row", "as-given",
-                           f"peel ({a1},{pick}) off the constant row")
+        pick = next(c for c in t.beta if c != a1)  # the rows differ
+        blocks = (((a1,), (pick,)), (const[1:], seq_remove(t.beta, (pick,))))
+        cert = Certificate(t, _split(ideal, t, blocks), "constant_row",
+                           note=f"peel ({a1},{pick}) off the constant row")
         return swap_certificate(cert) if swapped else cert
     return None
 
@@ -347,7 +371,12 @@ def rule_block_disjoint(ideal: SquareFreeIdeal, alpha: Sequence,
     alpha, beta = check_rows(ideal, alpha, beta)
     if seq_intersection(alpha, beta):
         return None
-    target = _binomial(ideal, alpha, beta)
+    return _block_disjoint(ideal, _binomial(ideal, alpha, beta))
+
+
+def _block_disjoint(ideal: SquareFreeIdeal,
+                    target: ReesBinomial) -> Optional[Certificate]:
+    alpha, beta = target.alpha, target.beta
     capacity = _capacity(ideal, alpha, beta)
     for t in range(1, len(alpha)):
         subs_b = sorted(set(itertools.combinations(beta, t)))
@@ -546,17 +575,16 @@ def _pair_key(a: Sequence, b: Sequence):
     return (a, b) if a <= b else (b, a)
 
 
-def _dispatch(ideal: SquareFreeIdeal, a: Sequence,
-              b: Sequence) -> Optional[Certificate]:
-    # Built per call, so every rule name resolves at call time and module
-    # level wrappers (bench/tracer.py) see each attempt.  The four shape
-    # rules are guards over rule_block_disjoint, so they cannot fire after it.
-    for rule in (rule_shared_index, rule_power_factor, rule_constant_row,
-                 rule_block_disjoint):
-        cert = rule(ideal, a, b)
-        if cert is not None:
-            return cert
-    return None
+def _dispatch(ideal: SquareFreeIdeal,
+              target: ReesBinomial) -> Optional[Certificate]:
+    """The first of the shared-index, power-factor, constant-row and
+    block-disjoint bodies that applies to a checked target; the rows are
+    compared once, and a shared index always fires."""
+    shared = seq_intersection(target.alpha, target.beta)
+    if shared:
+        return _shared_index(target, shared)
+    return (_power_factor(ideal, target) or _constant_row(ideal, target)
+            or _block_disjoint(ideal, target))
 
 
 def reduce_to_normal(ideal: SquareFreeIdeal, alpha: Sequence,
@@ -565,7 +593,7 @@ def reduce_to_normal(ideal: SquareFreeIdeal, alpha: Sequence,
     of degree at least 2.  When no rule applies to the top pair, the oracle
     decides it modulo all lower layers: a yes gives its fiber_certificate,
     a no makes it stuck.  Inner pairs that no rule touches simply stay as
-    terminal leaves."""
+    terminal leaves; only the top rows are checked."""
     a = check_sequence(alpha, ideal.n)
     b = check_sequence(beta, ideal.n)
     if len(a) != len(b):
@@ -575,21 +603,21 @@ def reduce_to_normal(ideal: SquareFreeIdeal, alpha: Sequence,
     if len(a) == 1:
         return ReductionOutcome("reduced", (), terminal_degree=1)
     chain: list[Certificate] = []
-    queue: list[tuple[Sequence, Sequence]] = [(a, b)]
+    queue = [_binomial(ideal, a, b)]
     queued = {_pair_key(a, b)}
-    while queue:
-        pa, pb = queue.pop(0)
-        cert = _dispatch(ideal, pa, pb)
+    terminal = 1  # the largest degree of a queued pair no rule expresses
+    for target in queue:  # grows while it is read
+        cert = _dispatch(ideal, target)
         if cert is None and not chain:  # the top pair
-            top = taylor_binomial(ideal, pa, pb)
-            verdict = member_lower(ideal, top, top.degree - 1)
+            verdict = member_lower(ideal, target, target.degree - 1)
             if verdict.is_no:
                 # the verdict is the witness's confirmation already
                 return ReductionOutcome(
-                    "stuck", (), stuck_pair=(pa, pb),
-                    witness=_pattern(ideal, pa, pb))
-            cert = fiber_certificate(ideal, top, verdict.path)
+                    "stuck", (), stuck_pair=(a, b),
+                    witness=_pattern(ideal, a, b))
+            cert = fiber_certificate(ideal, target, verdict.path)
         if cert is None:
+            terminal = max(terminal, target.degree)
             continue
         chain.append(cert)
         for term in cert.terms:
@@ -598,9 +626,5 @@ def reduce_to_normal(ideal: SquareFreeIdeal, alpha: Sequence,
             sub_key = _pair_key(term.sub.alpha, term.sub.beta)
             if sub_key not in queued:
                 queued.add(sub_key)
-                queue.append((term.sub.alpha, term.sub.beta))
-    expressed = {_pair_key(c.target.alpha, c.target.beta) for c in chain}
-    terminal = max((t.sub.degree for c in chain for t in c.terms
-                    if _pair_key(t.sub.alpha, t.sub.beta) not in expressed),
-                   default=1)
+                queue.append(term.sub)
     return ReductionOutcome("reduced", tuple(chain), terminal_degree=terminal)

@@ -38,7 +38,7 @@ def check_sequence(seq: Iterable[int], n: int) -> Sequence:
         raise ValueError("empty index sequence")
     last = 0
     for a in out:
-        if not isinstance(a, int) or a < 1 or a > n:
+        if type(a) is not int or a < 1 or a > n:  # refuses bool too
             raise ValueError(f"index {a!r} outside 1..{n}")
         if a < last:
             raise ValueError(f"sequence {out!r} is not non-decreasing")
@@ -159,9 +159,11 @@ def taylor_binomial(ideal: SquareFreeIdeal, alpha: Iterable[int],
 def _binomial(ideal: SquareFreeIdeal, a: Sequence, b: Sequence) -> ReesBinomial:
     """T_{a,b} of rows already checked: the exponents of f_a / f_b give both
     coefficients."""
-    diff = sorted(_exponents(ideal, a, b).items())
-    return ReesBinomial(a, b, _monomial(tuple((v, -e) for v, e in diff if e < 0)),
-                        _monomial(tuple((v, e) for v, e in diff if e > 0)))
+    lhs, rhs = [], []
+    for v, e in sorted(_exponents(ideal, a, b).items()):
+        if e:
+            (rhs if e > 0 else lhs).append((v, abs(e)))
+    return ReesBinomial(a, b, _monomial(tuple(lhs)), _monomial(tuple(rhs)))
 
 
 def swap_binomial(b: ReesBinomial) -> ReesBinomial:

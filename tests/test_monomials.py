@@ -257,8 +257,8 @@ class TestSupportTable:
         a = make_ideal(["a", "b", "c"], [[0, 1], [1, 2]])
         b = make_ideal(["a", "b", "c"], [[0, 1], [1, 2]])
         a.layout(3)
-        a.layout(22)
-        assert sorted(a.packed) == [3, 22] and not b.packed
+        a.layout(5)
+        assert sorted(a.packed) == [3, 5] and not b.packed
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
 
     @pytest.mark.parametrize("w", [2, 3, 5])

@@ -1,6 +1,5 @@
 import collections
 import dataclasses
-import functools
 import itertools
 import random
 
@@ -263,6 +262,15 @@ def test_walk_matches_the_power_and_shared_index_closed_forms():
             assert term.tfactor == shared and term.sub == base
             checked += 1
     assert checked > 150
+
+
+def test_walk_refuses_a_step_that_leaves_the_fiber():
+    # on the square, x1 x2 x3^2 x6 x7 = f1 f4 does not divide
+    # M = lcm(f1 f2, f3 f4), so the step from (1,2) to (1,4) has no cofactor
+    V = villarreal_ideal()
+    target = taylor_binomial(V, (1, 2), (3, 4))
+    with pytest.raises(ValueError, match="inexact step"):
+        reduction._walk(target, [((1,), taylor_binomial(V, (2,), (4,)))])
 
 
 class TestConstantRow:
@@ -751,6 +759,21 @@ class TestChecksAtTheBoundary:
         with pytest.raises(ValueError, match=message):
             rule(villarreal_ideal(), alpha, beta)
 
+    def test_a_bool_index_is_refused(self):
+        # True == 1, but a bool is not an index
+        V = villarreal_ideal()
+        for rule in (rule_shared_index, rule_power_factor, rule_constant_row,
+                     rule_block_disjoint):
+            with pytest.raises(ValueError, match="index True outside 1..4"):
+                rule(V, (True, 2), (3, 3))
+        with pytest.raises(ValueError, match="index True outside 1..4"):
+            reduce_to_normal(V, (True, 2), (3, 3))
+        cert = reduce_to_normal(V, (1, 2), (3, 3)).chain[0]
+        assert verify_certificate(V, cert)
+        bad = dataclasses.replace(cert, target=dataclasses.replace(
+            cert.target, alpha=(True, 2)))
+        assert verify_certificate(V, bad) is False
+
     @pytest.mark.parametrize("alpha, beta", [((2, 2), (3, 1)),
                                              ((3, 1), (2, 2))])
     def test_constant_row_checks_the_other_row(self, alpha, beta):
@@ -1094,14 +1117,29 @@ EIGHT_RULES = ("rule_shared_index", "rule_power_factor", "rule_constant_row",
                "rule_tree_leaf", "rule_odd_cycle_step")
 
 
-def eight_rule_dispatch(ideal, a, b):
+def eight_rule_dispatch(ideal, t):
     """reduce_to_normal's rule table before the four rules that never fire
-    there were dropped from it."""
+    there were dropped from it, asked through the public rules."""
     for name in EIGHT_RULES:
-        cert = getattr(reduction, name)(ideal, a, b)
+        cert = getattr(reduction, name)(ideal, t.alpha, t.beta)
         if cert is not None:
             return cert
     return None
+
+
+@pytest.mark.parametrize("ideal", list(PATTERN_IDEALS.values()),
+                         ids=list(PATTERN_IDEALS))
+def test_dispatch_is_the_first_public_rule_that_fires(ideal):
+    # _dispatch runs the rule bodies on a checked target; asked through the
+    # public rules in reduce_to_normal's order, the first answer is the same
+    rules = (rule_shared_index, rule_power_factor, rule_constant_row,
+             rule_block_disjoint)
+    for s in (2, 3):
+        for a, b in itertools.permutations(enumerate_sequences(ideal.n, s), 2):
+            first = next((c for c in (r(ideal, a, b) for r in rules)
+                          if c is not None), None)
+            assert reduction._dispatch(ideal, taylor_binomial(ideal, a, b)) \
+                == first, (a, b)
 
 
 def outcome_summary(out):
@@ -1111,20 +1149,26 @@ def outcome_summary(out):
 
 def test_five_rule_table_matches_eight_rule_table(monkeypatch):
     # the witness depends on the stuck pair alone, so it is not searched;
-    # rule results are shared between the two tables, which ask the same
-    # rules about the same pairs (one cache per ideal keeps memory small)
+    # each table's answer is kept per ideal and rows, as sub-pairs recur
+    # across the pairs of a layer
     monkeypatch.setattr(reduction, "_pattern", lambda *a: None)
-    cached = [functools.cache(getattr(reduction, name))
-              for name in EIGHT_RULES]
-    for name, rule in zip(EIGHT_RULES, cached):
-        monkeypatch.setattr(reduction, name, rule)
+
+    def table(dispatch):
+        answers = {}
+
+        def lookup(ideal, t):
+            if (t.alpha, t.beta) not in answers:
+                answers[t.alpha, t.beta] = dispatch(ideal, t)
+            return answers[t.alpha, t.beta]
+        return lookup
+    engine = reduction._dispatch
     ideals = [villarreal_ideal(), pentagon_ideal(), triangle_ideal(),
               path_ideal(4)]
     ideals += [random_ideal(random.Random(k), 5, 8) for k in range(10)]
     checked = 0
     for I in ideals:
-        for rule in cached:
-            rule.cache_clear()
+        monkeypatch.setattr(reduction, "_dispatch", table(engine))
+        eight_table = table(eight_rule_dispatch)
         tallies = relation_type_estimate(I, 4).layer_tallies
         for s in (2, 3, 4):
             reduced = 0
@@ -1132,7 +1176,7 @@ def test_five_rule_table_matches_eight_rule_table(monkeypatch):
                 five = reduce_to_normal(I, b.alpha, b.beta)
                 reduced += five.status == "reduced"
                 with monkeypatch.context() as m:
-                    m.setattr(reduction, "_dispatch", eight_rule_dispatch)
+                    m.setattr(reduction, "_dispatch", eight_table)
                     eight = reduce_to_normal(I, b.alpha, b.beta)
                 assert outcome_summary(five) == outcome_summary(eight), \
                     (b.alpha, b.beta)

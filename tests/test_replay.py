@@ -153,7 +153,25 @@ def test_one_ideal_across_widths():
             bad = with_pair(cert, (big, (2,), sub), (other, (2,)))
             assert verify_certificate(V, bad) is reference_verify(V, bad) \
                 is (other == big), (top, other)
-    assert sorted(V.packed) == [2, 3, 22]  # top 1 (and 2), top 2^20
+    # top 1 (and 2); top 2^20's width, 22, is built per call and not kept
+    assert sorted(V.packed) == [2, 3]
+
+
+def test_only_narrow_layouts_are_kept():
+    # the fiber and the package's own certificates ask for widths 2 to 4 on
+    # layers 2 to 4, and they stay cached; a certificate whose cancelling
+    # terms carry x1^(2^4000) asks for width 4002, which is built per call
+    V = villarreal_ideal()
+    for s in (2, 3, 4):
+        for a, b in itertools.combinations(enumerate_sequences(V.n, s), 2):
+            for cert in reduce_to_normal(V, a, b).chain:
+                assert verify_certificate(V, cert)
+    assert sorted(V.packed) == [2, 3, 4]
+    _, cert, sub = square_certificate()
+    big = mono((0, 2 ** 4000))
+    wide = with_pair(cert, (big, (2,), sub), (big, (2,)))
+    assert verify_certificate(V, wide) is reference_verify(V, wide) is True
+    assert sorted(V.packed) == [2, 3, 4]
 
 
 @pytest.mark.parametrize("var", [6, 7, 99, 10 ** 9])

@@ -48,6 +48,15 @@ def test_check_sequence_accepts_sorted_in_range():
         check_sequence((0,), 4)
 
 
+@pytest.mark.parametrize("row", [(True, 2), (1, 2.0)], ids=["True", "float"])
+def test_a_row_holds_ints_only(row):
+    # True == 1 and 2.0 == 2, but neither is an index
+    with pytest.raises(ValueError, match="outside 1..4"):
+        check_sequence(row, 4)
+    with pytest.raises(ValueError, match="outside 1..4"):
+        taylor_binomial(villarreal_ideal(), row, (3, 3))
+
+
 def test_run_lengths():
     assert run_lengths((1, 1, 2, 4, 4, 4)) == ((1, 2), (2, 1), (4, 3))
 
