@@ -20,9 +20,11 @@ M t^s.  relation_type_estimate and minimal_linear_generators need only a
 yes or a no, so they join index classes (_joined) instead.
 
 relation_type_estimate never builds a layer: modulo layer s - 1 a pair
-whose rows share an index is a single move, so it is only counted; the
-fiber, drawn only until the join, decides the pairs with disjoint rows,
-and only a layer's witness becomes a binomial.
+whose rows share an index is a single move, so it is only counted.  A
+disjoint pair reduces if a node alpha - {alpha_i} + {beta_j} divides M, as
+it shares s - 1 >= 1 indices with alpha and one with beta (_one_swap); only
+the pairs no swap settles draw their fiber, only until the join, and only
+a layer's witness becomes a binomial.
 
 The fiber is enumerated directly, never by filtering the whole layer: a
 depth-first search over non-decreasing index sequences tracks the capacity
@@ -96,19 +98,24 @@ def _capacity(ideal: SquareFreeIdeal, alpha: Sequence, beta: Sequence
               ) -> tuple[int, int, int, list[int]]:
     """(s, full, guards, gen) for M = lcm(f_alpha, f_beta), s = len(alpha),
     rows unchecked, in ideal.layout at width s.bit_length() + 1: full holds
-    each exponent of M (0 off supp(M)) under its guard bit.  A = f_alpha and
-    B = f_beta are sums of masks; the fields where A >= B keep their guard
-    bit in A | G - B, which, less its units, selects A's fields for M.  A
-    field starts at guard + e, guard > s >= e, so up to s subtractions borrow
+    each exponent of M (0 off supp(M)) under its guard bit (_lcm).  A field
+    starts at guard + e, guard > s >= e, so up to s subtractions borrow
     across no field, and a guard bit stays set exactly while the picks fit."""
     s = len(alpha)
     w = s.bit_length() + 1
     gen, _, guards = ideal.layout(w)
     a = sum(map(gen.__getitem__, alpha))
     b = sum(map(gen.__getitem__, beta))
+    return s, _lcm(a, b, w, guards), guards, gen
+
+
+def _lcm(a: int, b: int, w: int, guards: int) -> int:
+    """Guarded capacity of lcm(A, B) from packed mask sums a, b at width w:
+    the fields where A >= B keep their guard bit in a | guards - b, which,
+    less its units, selects a's fields."""
     ge = ((a | guards) - b) & guards
     sel = ge - (ge >> (w - 1))
-    return s, (a & sel) | (b & ~sel) | guards, guards, gen
+    return (a & sel) | (b & ~sel) | guards
 
 
 def _in_fiber(capacity: tuple, node: Seq[int]) -> bool:
@@ -210,6 +217,19 @@ def _joined(blocks: Iterable[Iterable[Hashable]], a: Hashable,
     return False
 
 
+def _one_swap(full: int, guards: int, drops: Seq[int],
+              adds: Iterable[int]) -> bool:
+    """Does a node alpha - {alpha_i} + {beta_j} fit in full?  _in_fiber's
+    test on packed sums: drops holds f_alpha less each distinct f_alpha_i,
+    adds the distinct f_beta_j."""
+    for g in adds:
+        rest = full - g
+        for d in drops:
+            if (rest - d) & guards == guards:
+                return True
+    return False
+
+
 def member_lower(ideal: SquareFreeIdeal, b: ReesBinomial, k: int,
                  cap: Optional[int] = None) -> Verdict:
     """Does the layer-s pair of b rewrite into one another modulo all
@@ -265,7 +285,9 @@ def relation_type_estimate(ideal: SquareFreeIdeal, s_max: int) -> RtReport:
     counted.  Modulo layer s - 1 two fiber nodes are adjacent exactly when
     they share an index, and alpha and beta are nodes, so a pair with
     disjoint rows reduces exactly when its lcm fiber's nodes, as blocks,
-    join alpha[0] and beta[0]; the fiber is drawn only until that join.
+    join alpha[0] and beta[0].  A node alpha - {alpha_i} + {beta_j} shares
+    s - 1 >= 1 indices with alpha and beta_j with beta, so one that fits
+    joins them; only when none fits is the fiber drawn, until the join.
     Every verdict is exact, so all layers through s_max are verified.
     """
     if s_max < 1:
@@ -275,12 +297,19 @@ def relation_type_estimate(ideal: SquareFreeIdeal, s_max: int) -> RtReport:
     certified_lower = 1
     witness: Optional[ReesBinomial] = None
     for s in range(2, s_max + 1):
+        w = s.bit_length() + 1
+        gen, _, guards = ideal.layout(w)
         no = 0
         first_no: Optional[ReesBinomial] = None
         for alpha in enumerate_sequences(n, s):
+            fa = sum(map(gen.__getitem__, alpha))  # f_alpha, packed
+            drops = [fa - gen[i] for i in set(alpha)]
             # beta > alpha with rows disjoint from alpha's: beta[0] > alpha[0]
             rest = [a for a in range(alpha[0] + 1, n + 1) if a not in alpha]
             for beta in combinations_with_replacement(rest, s):
+                full = _lcm(fa, sum(map(gen.__getitem__, beta)), w, guards)
+                if _one_swap(full, guards, drops, {gen[j] for j in beta}):
+                    continue
                 if not _joined(_fiber(ideal, alpha, beta), alpha[0], beta[0]):
                     no += 1
                     if first_no is None:

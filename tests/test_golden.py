@@ -18,13 +18,20 @@ from pathlib import Path
 import pytest
 
 from reeskit.cli import main
-from reeskit.demos import pentagon_ideal, random_ideal, villarreal_ideal
+from reeskit.demos import (
+    family_ideal,
+    pentagon_ideal,
+    random_ideal,
+    villarreal_ideal,
+)
 from reeskit.ideal_io import render_ideal
 from reeskit.taylor import taylor_layer
 
 GOLDEN = Path(__file__).parent / "golden"
 IDEALS = {"square": villarreal_ideal, "pentagon": pentagon_ideal,
           "random1063": lambda: random_ideal(random.Random(1063), 5, 8)}
+# ideal files for single commands only, not for the IDEALS cases
+EXTRA = {"family7": lambda: family_ideal(7)}
 
 
 def _row(seq):
@@ -33,9 +40,11 @@ def _row(seq):
 
 def cases() -> dict[str, list[list[str]]]:
     """Golden file name -> the commands whose stdout it concatenates;
-    "{square}", "{pentagon}" and "{random1063}" stand for an ideal file."""
+    "{square}", "{pentagon}", "{random1063}" and "{family7}" stand for an
+    ideal file."""
     out = {"demo-villarreal": [["demo", "villarreal"]],
-           "demo-pentagon": [["demo", "pentagon"]]}
+           "demo-pentagon": [["demo", "pentagon"]],
+           "rt-family7": [["rt", "{family7}", "--s-max", "6"]]}
     for n in range(5, 10):
         out[f"demo-family-n{n}"] = [["demo", "family", "--n", str(n)]]
     for name, make in IDEALS.items():
@@ -63,7 +72,7 @@ def transcript(commands: list[list[str]], files: dict[str, str]) -> str:
 
 def _ideal_files(folder: Path) -> dict[str, str]:
     files = {}
-    for name, make in IDEALS.items():
+    for name, make in {**IDEALS, **EXTRA}.items():
         path = folder / f"{name}.ideal"
         path.write_text(render_ideal(make()))
         files[name] = str(path)

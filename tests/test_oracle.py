@@ -658,6 +658,51 @@ class TestRelationTypeEstimate:
         assert [len(args[1]) for args in built] == [2, 3]
         assert report.witness == original(*built[-1])
 
+    def test_family7_through_6(self):
+        # the answer of the sweep that drew every disjoint pair's fiber
+        report = relation_type_estimate(family_ideal(7), 6)
+        assert report.layer_tallies == {
+            2: (326, 52), 3: (3456, 30), 4: (21935, 10), 5: (106486, 5),
+            6: (426425, 1)}
+        assert report.certified_lower == report.verified_upper_through == 6
+        assert (report.witness.alpha, report.witness.beta) == \
+            ((1, 1, 2, 3, 4, 5), (6, 6, 6, 7, 7, 7))
+
+
+SWAP_IDEALS = [villarreal_ideal(), pentagon_ideal(), triangle_ideal(),
+               path_ideal(4), family_ideal(6)]
+SWAP_IDEALS += [random_ideal(random.Random(k), 5, 8) for k in range(10)]
+
+
+def one_swap(ideal, alpha, beta):
+    """oracle._one_swap asked as the sweep asks it."""
+    _, full, guards, gen = oracle._capacity(ideal, alpha, beta)
+    fa = sum(gen[i] for i in alpha)
+    return oracle._one_swap(full, guards, [fa - gen[i] for i in set(alpha)],
+                            {gen[j] for j in beta})
+
+
+class TestOneSwap:
+    def test_matches_exact_division_and_implies_the_join(self):
+        fired = missed = 0
+        for I in SWAP_IDEALS:
+            for s in (2, 3, 4):
+                seqs = list(enumerate_sequences(I.n, s))
+                for alpha, beta in itertools.combinations(seqs, 2):
+                    if set(alpha) & set(beta):
+                        continue
+                    swaps = {tuple(sorted(seq_remove(alpha, (i,)) + (j,)))
+                             for i in alpha for j in beta}
+                    expected = any(lcm_divisors(I, alpha, beta, swaps))
+                    assert one_swap(I, alpha, beta) == expected, (alpha, beta)
+                    joined = oracle._joined(oracle._fiber(I, alpha, beta),
+                                            alpha[0], beta[0])
+                    assert joined or not expected, (alpha, beta)
+                    fired += expected
+                    missed += joined and not expected
+        # the test fires, and some pairs that reduce still need the fiber
+        assert fired > 1000 and missed > 0, (fired, missed)
+
 
 def path_sweep(ideal, s_max):
     """The sweep as it was before it stopped early: every disjoint pair
@@ -731,7 +776,7 @@ class TestEarlyStop:
             report = relation_type_estimate(pentagon_ideal(), 4)
             assert report.certified_lower == 3
             counts.append((len(drawn), sum(held)))
-        assert counts[0] == counts[1] == (1566, 9435)
+        assert counts[0] == counts[1] == (38, 61)
 
 
 class TestFiberWitness:
