@@ -44,7 +44,15 @@ def cases() -> dict[str, list[list[str]]]:
     ideal file."""
     out = {"demo-villarreal": [["demo", "villarreal"]],
            "demo-pentagon": [["demo", "pentagon"]],
-           "rt-family7": [["rt", "{family7}", "--s-max", "6"]]}
+           "rt-family7": [["rt", "{family7}", "--s-max", "6"]],
+           # shared_index, then constant_row, then power_factor
+           "reduce4-pentagon": [["reduce", "{pentagon}", "--alpha", "3,5,5,5",
+                                 "--beta", "4,4,4,5"]],
+           # constant-row, block-disjoint and power-factor chains
+           "reduce3-square": [
+               ["reduce", "{square}", "--alpha", _row(b.alpha),
+                "--beta", _row(b.beta)]
+               for b in taylor_layer(villarreal_ideal(), 3)]}
     for n in range(5, 10):
         out[f"demo-family-n{n}"] = [["demo", "family", "--n", str(n)]]
     for name, make in IDEALS.items():
