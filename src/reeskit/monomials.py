@@ -185,11 +185,13 @@ class SquareFreeIdeal:
     table: VariableTable
     gens: tuple[Monomial, ...]
     supports: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
+    n: int = field(init=False, repr=False, compare=False)  # len(gens)
     packed: dict[int, tuple[list[int], list[int], int]] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "supports", validate_ideal(self.table, self.gens))
+        object.__setattr__(self, "n", len(self.gens))
         object.__setattr__(self, "packed", {})
 
     def layout(self, w: int) -> tuple[list[int], list[int], int]:
@@ -207,10 +209,6 @@ class SquareFreeIdeal:
         if w <= _CACHED_WIDTH:
             self.packed[w] = out
         return out
-
-    @property
-    def n(self) -> int:
-        return len(self.gens)
 
     def generator(self, i: int) -> Monomial:
         """1-indexed generator access: generator(i) is f_i."""

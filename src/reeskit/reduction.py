@@ -5,8 +5,9 @@ A Certificate expresses a target binomial T_{alpha,beta} as an exact sum
     T_{alpha,beta} = sum_i  coef_i * T_{tfactor_i} * T_{alpha_i,beta_i}
 
 over lower-degree sub-binomials; verify_certificate replays the identity
-exactly on packed exponent vectors, where a sub-binomial is genuine when its
-rows check and its coefficients are coprime with lhs f_alpha = rhs f_beta.
+exactly on packed exponent vectors, where every coefficient is a monomial and
+a sub-binomial is genuine when its rows check and its coefficients are
+coprime with lhs f_alpha = rhs f_beta.
 Every certificate is a walk through the lcm fiber (the delta with
 f_delta | M = lcm(f_alpha, f_beta)), built by _walk: a step (c, d, d')
 moves the node c+d to c+d', and with u = M / f_delta at each node the steps
@@ -47,7 +48,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
@@ -142,47 +142,67 @@ def swap_certificate(cert: Certificate) -> Certificate:
 def verify_certificate(ideal: SquareFreeIdeal, cert: Certificate) -> bool:
     """Exact check that the target and each sub-binomial are genuine Taylor
     binomials and that the identity holds in S[T]; anything malformed, such
-    as a T-factor that is not a sorted tuple over 1..n, gives False.  Each
-    term is one int key per side in ideal.layout at width (top + max(top,
-    L)).bit_length() (top: largest coefficient exponent; L: longest T-factor
-    plus row), so no sum carries: fields for the table variables, T_1..T_n,
-    then coefficient variables outside the table.  The keys must cancel.
-    Coprime lhs, rhs with lhs f_alpha = rhs f_beta are f_beta/g, f_alpha/g."""
+    as a T-factor that is not a sorted tuple over 1..n or a coefficient that
+    is not a monomial, gives False (a Laurent one lets any pair telescope
+    through nodes outside its fiber).  One scan finds top (largest exponent),
+    L (longest T-factor plus row) and the highest variable; each term is one
+    int key per side in ideal.layout at width (top + max(top, L)).bit_length(),
+    so no sum carries: fields for the table variables, T_1..T_n, then
+    coefficient variables outside the table.  The keys must cancel.  Coprime
+    lhs, rhs with lhs f_alpha = rhs f_beta are f_beta/g, f_alpha/g."""
     try:
         items = [(Monomial.one(), (), cert.target, -1),
                  *((t.coef, t.tfactor, t.sub, 1) for t in cert.terms)]
-        pairs = [p for coef, _, sub, _ in items
-                 for m in (coef, sub.lhs_coef, sub.rhs_coef) for p in m.exps]
-        top = max([e for _, e in pairs], default=0)
-        w = int.bit_length(top + max(  # a float exponent: TypeError
-            top, *[len(tf) + len(sub.alpha) for _, tf, sub, _ in items]))
-        gen, tunit, high = ideal.layout(w)  # high: each x-field's top bit
         n, nvars = ideal.n, len(ideal.table)
-        shift = range(0, w * nvars, w)  # a float variable: TypeError
-        if pairs and not 0 <= min(pairs)[0] <= max(pairs)[0] < nvars:
-            shift = {v: w * v for v, _ in pairs}
-            outside = [v for v in shift if int.__index__(v) >= nvars]
-            for f, v in enumerate(outside, nvars + n):
-                shift[v] = w * f  # outside the table: above the T-fields
-                high |= 1 << (w * f + w - 1)
-        low = high - (high >> (w - 1))  # + low sets that bit iff the field > 0
-        total: defaultdict = defaultdict(int)
-        for coef, tf, sub, sign in items:
+        top = length = 0
+        var = -1  # the highest coefficient variable
+        for coef, tf, sub, _ in items:
             if not (isinstance(sub, ReesBinomial) and isinstance(tf, tuple)
                     and type(coef) is type(sub.lhs_coef) is type(sub.rhs_coef)
                     is Monomial and (not tf or check_sequence(tf, n))
                     and check_rows(ideal, sub.alpha, sub.beta)
                     == (sub.alpha, sub.beta)):
                 return False
-            lhs = sum([e << shift[v] for v, e in sub.lhs_coef.exps])
-            rhs = sum([e << shift[v] for v, e in sub.rhs_coef.exps])
+            for m in (coef, sub.lhs_coef, sub.rhs_coef):
+                last = -1
+                for v, e in m.exps:  # refuses bool too
+                    if (type(v) is not int or type(e) is not int
+                            or v <= last or e < 1):
+                        return False
+                    last = v
+                    if e > top:
+                        top = e
+                var = max(var, last)
+            length = max(length, len(tf) + len(sub.alpha))
+        w = (top + max(top, length)).bit_length()
+        gen, tunit, high = ideal.layout(w)  # high: each x-field's top bit
+        shift = range(0, w * nvars, w)
+        if var >= nvars:
+            shift = dict(enumerate(shift))
+            outside = {v for coef, _, sub, _ in items
+                       for m in (coef, sub.lhs_coef, sub.rhs_coef)
+                       for v, _ in m.exps if v >= nvars}
+            for f, v in enumerate(sorted(outside), nvars + n):
+                shift[v] = w * f  # outside the table: above the T-fields
+                high |= 1 << (w * f + w - 1)
+        low = high - (high >> (w - 1))  # + low sets that bit iff the field > 0
+        total: dict[int, int] = {}
+        for coef, tf, sub, sign in items:  # loops: no comprehension frames
+            lhs, rhs, x = 0, 0, sum(map(tunit.__getitem__, tf))
+            for v, e in sub.lhs_coef.exps:
+                lhs += e << shift[v]
+            for v, e in sub.rhs_coef.exps:
+                rhs += e << shift[v]
             if (lhs + sum(map(gen.__getitem__, sub.alpha))
                     != rhs + sum(map(gen.__getitem__, sub.beta))
                     or (lhs + low) & (rhs + low) & high):  # not coprime
                 return False
-            x = sum([e << shift[v] for v, e in coef.exps])
-            total[x + lhs + sum(map(tunit.__getitem__, tf + sub.alpha))] += sign
-            total[x + rhs + sum(map(tunit.__getitem__, tf + sub.beta))] -= sign
+            for v, e in coef.exps:
+                x += e << shift[v]
+            k = x + lhs + sum(map(tunit.__getitem__, sub.alpha))
+            total[k] = total.get(k, 0) + sign
+            k = x + rhs + sum(map(tunit.__getitem__, sub.beta))
+            total[k] = total.get(k, 0) - sign
         return not any(total.values())
     except (AttributeError, TypeError, ValueError):  # malformed input
         return False
@@ -311,6 +331,9 @@ def rule_power_factor(ideal: SquareFreeIdeal, alpha: Sequence,
 
 def _power_factor(ideal: SquareFreeIdeal,
                   target: ReesBinomial) -> Optional[Certificate]:
+    for row in (target.alpha, target.beta):
+        if 2 * len(set(row)) > len(row):  # an index occurs once: l = 1
+            return None
     runs = (run_lengths(target.alpha), run_lengths(target.beta))
     l = math.gcd(*(m for row in runs for _, m in row))
     if l < 2:

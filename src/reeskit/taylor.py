@@ -34,16 +34,24 @@ Sequence = tuple[int, ...]
 def check_sequence(seq: Iterable[int], n: int) -> Sequence:
     """Validate a non-decreasing 1-based index sequence; return it as a tuple."""
     out = tuple(seq)
+    last = 1
+    for a in out:  # non-decreasing from 1: one comparison per entry
+        if type(a) is not int or a < last:  # refuses bool too
+            break
+        last = a
+    else:
+        if out and last <= n:
+            return out
     if not out:
         raise ValueError("empty index sequence")
     last = 0
-    for a in out:
-        if type(a) is not int or a < 1 or a > n:  # refuses bool too
+    for a in out:  # name the first fault
+        if type(a) is not int or a < 1 or a > n:
             raise ValueError(f"index {a!r} outside 1..{n}")
         if a < last:
-            raise ValueError(f"sequence {out!r} is not non-decreasing")
+            break
         last = a
-    return out
+    raise ValueError(f"sequence {out!r} is not non-decreasing")
 
 
 def run_lengths(seq: Sequence) -> tuple[tuple[int, int], ...]:
@@ -82,15 +90,15 @@ def enumerate_sequences(n: int, s: int) -> Iterator[Sequence]:
 
 
 def _exponents(ideal: SquareFreeIdeal, seq: Sequence,
-               minus: Sequence = ()) -> dict[int, int]:
-    """The exponents of f_seq / f_minus, counted from the support table;
-    the rows are not checked."""
-    out: dict[int, int] = {}
+               minus: Sequence = ()) -> list[int]:
+    """The exponent of each table variable in f_seq / f_minus, counted from
+    the support table in one list; the rows are not checked."""
+    out = [0] * len(ideal.table)
     supports = ideal.supports
     for row, sign in ((seq, 1), (minus, -1)):
         for a in row:
             for v in supports[a - 1]:
-                out[v] = out.get(v, 0) + sign
+                out[v] += sign
     return out
 
 
@@ -98,7 +106,8 @@ def product_of(ideal: SquareFreeIdeal, seq: Sequence) -> Monomial:
     """f_seq: the product of the generators indexed by seq (with repetition)."""
     for a in seq:
         ideal.generator(a)  # IndexError outside 1..n
-    return _monomial(tuple(sorted(_exponents(ideal, seq).items())))
+    return _monomial(tuple([(v, e) for v, e
+                            in enumerate(_exponents(ideal, seq)) if e]))
 
 
 @dataclass(frozen=True)
@@ -157,12 +166,14 @@ def taylor_binomial(ideal: SquareFreeIdeal, alpha: Iterable[int],
 
 
 def _binomial(ideal: SquareFreeIdeal, a: Sequence, b: Sequence) -> ReesBinomial:
-    """T_{a,b} of rows already checked: the exponents of f_a / f_b give both
-    coefficients."""
+    """T_{a,b} of rows already checked: the exponents of f_a / f_b, counted
+    once, split by sign into both coefficients in one pass."""
     lhs, rhs = [], []
-    for v, e in sorted(_exponents(ideal, a, b).items()):
-        if e:
-            (rhs if e > 0 else lhs).append((v, abs(e)))
+    for v, e in enumerate(_exponents(ideal, a, b)):
+        if e > 0:
+            rhs.append((v, e))
+        elif e:
+            lhs.append((v, -e))
     return ReesBinomial(a, b, _monomial(tuple(lhs)), _monomial(tuple(rhs)))
 
 

@@ -14,6 +14,7 @@ from reeskit.demos import (
 from reeskit.monomials import (
     IdealValidationError,
     Monomial,
+    SquareFreeIdeal,
     VariableTable,
     make_ideal,
     mono_coprime,
@@ -260,6 +261,16 @@ class TestSupportTable:
         a.layout(5)
         assert sorted(a.packed) == [3, 5] and not b.packed
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+    def test_n_is_not_part_of_equality_hash_or_repr(self):
+        a = make_ideal(["a", "b", "c"], [[0, 1], [1, 2]])
+        b = make_ideal(["a", "b", "c"], [[0, 1], [1, 2]])
+        assert a.n == b.n == 2
+        object.__setattr__(b, "n", 7)
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert ", n=" not in repr(a)
+        with pytest.raises(TypeError):
+            SquareFreeIdeal(a.table, a.gens, n=2)
 
     @pytest.mark.parametrize("w", [2, 3, 5])
     def test_layout_fields(self, w):

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import itertools
+import math
 import random
 
 import pytest
@@ -49,6 +50,7 @@ from reeskit.taylor import (
     ReesBinomial,
     enumerate_sequences,
     product_of,
+    run_lengths,
     seq_intersection,
     seq_remove,
     taylor_binomial,
@@ -157,6 +159,38 @@ class TestPowerFactor:
         V = villarreal_ideal()
         assert rule_power_factor(V, (1, 1, 2), (3, 3, 3)) is None
         assert rule_power_factor(V, (1,), (2,)) is None
+
+    @pytest.mark.parametrize("ideal, top", [(villarreal_ideal(), 6),
+                                            (pentagon_ideal(), 4)],
+                             ids=["square", "pentagon"])
+    def test_matches_the_gcd_of_all_run_lengths(self, ideal, top):
+        # the early exit for an index that occurs once changes no answer
+        hits = 0
+        for s in range(2, top + 1):
+            for alpha, beta in itertools.permutations(
+                    enumerate_sequences(ideal.n, s), 2):
+                target = taylor_binomial(ideal, alpha, beta)
+                cert = reduction._power_factor(ideal, target)
+                assert cert == power_factor_by_runs(ideal, target)
+                hits += cert is not None
+        assert hits > 0
+
+
+def power_factor_by_runs(ideal, target):
+    """The power-factor body without the early exit: l is the gcd of every
+    run length of both rows."""
+    runs = (run_lengths(target.alpha), run_lengths(target.beta))
+    l = math.gcd(*(m for row in runs for _, m in row))
+    if l < 2:
+        return None
+    base_a, base_b = (tuple(idx for idx, m in row for _ in range(m // l))
+                      for row in runs)
+    base = taylor_binomial(ideal, base_a, base_b)
+    steps = [(tuple(sorted(base_a * (l - 1 - j) + base_b * j)), base)
+             for j in range(l)]
+    return Certificate(target, reduction._walk(target, steps),
+                       "power_factor", "as-given",
+                       note=f"difference of {l}-th powers of the base pair")
 
 
 def gcd_hypothesis_split(ideal, partition, rule_name="split", note=""):

@@ -36,12 +36,15 @@ from reeskit.taylor import (
 
 def reference_verify(ideal, cert):
     """The replay in Monomial arithmetic; it raises on what it cannot
-    read, where verify_certificate returns False."""
+    read, where verify_certificate returns False.  Every coefficient must
+    be what the Monomial constructor accepts."""
     try:
         total = Counter()
         for coef, tfactor, sub, sign in (
                 (Monomial.one(), (), cert.target, -1),
                 *((t.coef, t.tfactor, t.sub, 1) for t in cert.terms)):
+            for m in (coef, sub.lhs_coef, sub.rhs_coef):
+                Monomial(m.exps)  # ValueError unless a monomial
             if taylor_binomial(ideal, sub.alpha, sub.beta) != sub:
                 return False
             total[mono_mul(coef, sub.lhs_coef),
@@ -253,16 +256,94 @@ def test_a_t_factor_must_be_a_sorted_tuple_over_1_to_n(tfactor):
                                   _monomial(((0, 1.5),)),
                                   _monomial(((0, 2.0),)),
                                   _monomial(((0.5, 1),)),
-                                  _monomial(((7.5, 1),))],
+                                  _monomial(((7.5, 1),)),
+                                  _monomial(((0, 1), (4, -1))),
+                                  _monomial(((0, 1), (4, 0))),
+                                  _monomial(((0, True),)),
+                                  _monomial(((4, 1), (0, 1))),
+                                  _monomial(((0, 1), (0, 1)))],
                          ids=["None", "dict", "tuple", "int", "look-alike",
                               "exponent 1.5", "exponent 2.0", "variable 0.5",
-                              "variable 7.5"])
+                              "variable 7.5", "exponent -1", "exponent 0",
+                              "exponent True", "unsorted", "repeated variable"])
 def test_a_coefficient_must_be_a_monomial_with_int_exponents(coef):
-    # the Monomial constructor refuses float exponents and variables, so the
-    # last four are built unchecked, as a caller bypassing it could
+    # the Monomial constructor refuses the last nine, so they are built
+    # unchecked, as a caller bypassing it could; the two terms of the pair
+    # would cancel even in Laurent arithmetic
     V, cert, sub = square_certificate()
     bad = with_pair(cert, (coef, (), sub), (coef, ()))
     assert verify_certificate(V, bad) is False
+
+
+# --- coefficients must be monomials ------------------------------------------
+
+def laurent_tally(cert):
+    """The replay with coefficient exponents of any sign: the terms minus
+    the target, tallied by (x-exponents, sorted T-part)."""
+    total = Counter()
+    for coef, tfactor, sub, sign in (
+            (Monomial.one(), (), cert.target, -1),
+            *((t.coef, t.tfactor, t.sub, 1) for t in cert.terms)):
+        for side, row, s in ((sub.lhs_coef, sub.alpha, sign),
+                             (sub.rhs_coef, sub.beta, -sign)):
+            x = Counter()
+            for v, e in coef.exps + side.exps:
+                x[v] += e
+            key = (frozenset((v, e) for v, e in x.items() if e),
+                   tuple(sorted(tfactor + row)))
+            total[key] += s
+    return {key: c for key, c in total.items() if c}
+
+
+@pytest.mark.parametrize("make, rows, first, second", [
+    (villarreal_ideal, ((1, 3), (2, 4)), ((4, -1),), ((0, 1), (4, -1))),
+    (pentagon_ideal, ((1, 4), (2, 3)), ((1, 1), (3, -1)), ((3, -1),)),
+], ids=["square", "pentagon"])
+def test_a_laurent_certificate_of_a_stuck_pair_is_refused(make, rows,
+                                                          first, second):
+    # T_{(a1,a2),(b1,b2)} = c1 T_{a2} T_{a1,b1} + c2 T_{b1} T_{a2,b2} holds
+    # with x^-1 in the coefficients, yet the pair is a new generator: a
+    # Laurent coefficient telescopes through nodes outside the fiber
+    ideal = make()
+    (a1, a2), (b1, b2) = rows
+    assert reduce_to_normal(ideal, *rows).status == "stuck"
+    fake = Certificate(taylor_binomial(ideal, *rows), (
+        CertTerm(_monomial(first), (a2,), taylor_binomial(ideal, (a1,), (b1,))),
+        CertTerm(_monomial(second), (b1,),
+                 taylor_binomial(ideal, (a2,), (b2,)))), "fake")
+    assert laurent_tally(fake) == {}
+    assert verify_certificate(ideal, fake) is reference_verify(ideal, fake) \
+        is False
+
+
+# T_{(1,1),(2,2)} on the square is x4^2 x5^2 T_1^2 - x1^2 x3^2 T_2^2 and
+# T_{1,2} is x4 x5 T_1 - x1 x3 T_2; each fault but x2^-1 keeps the value of
+# lhs_coef, and x2^-1 on both sides keeps lhs f_alpha = rhs f_beta
+SUB_MALFORMED = {
+    "exponent -1": ((1, 1), (2, 2), ((1, -1), (3, 2), (4, 2)),
+                    ((0, 2), (1, -1), (2, 2))),
+    "exponent 0": ((1, 1), (2, 2), ((1, 0), (3, 2), (4, 2)), ((0, 2), (2, 2))),
+    "exponent True": ((1,), (2,), ((3, True), (4, 1)), ((0, 1), (2, 1))),
+    "unsorted": ((1, 1), (2, 2), ((4, 2), (3, 2)), ((0, 2), (2, 2))),
+    "repeated variable": ((1, 1), (2, 2), ((3, 1), (3, 1), (4, 2)),
+                          ((0, 2), (2, 2))),
+}
+
+
+@pytest.mark.parametrize("alpha, beta, lhs, rhs", list(SUB_MALFORMED.values()),
+                         ids=list(SUB_MALFORMED))
+def test_a_sub_coefficient_must_be_a_monomial(alpha, beta, lhs, rhs):
+    V, cert, _ = square_certificate()
+    good = taylor_binomial(V, alpha, beta)
+    bad_sub = ReesBinomial(alpha, beta, _monomial(lhs), _monomial(rhs))
+    one = Monomial.one()
+    assert verify_certificate(V, with_pair(cert, (one, (), good), (one, ())))
+    # with_pair adds the sub and its swap: the fault sits on both sides
+    bad = with_pair(cert, (one, (), bad_sub), (one, ()))
+    assert verify_certificate(V, bad) is reference_verify(V, bad) is False
+    target = Certificate(bad_sub, (CertTerm(one, (), good),), "x")
+    assert verify_certificate(V, target) is reference_verify(V, target) \
+        is False
 
 
 @pytest.mark.parametrize("make", [

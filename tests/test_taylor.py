@@ -57,6 +57,24 @@ def test_a_row_holds_ints_only(row):
         taylor_binomial(villarreal_ideal(), row, (3, 3))
 
 
+@pytest.mark.parametrize("row, message", [
+    ((0,), "index 0 outside 1..4"),
+    ((1, 5), "index 5 outside 1..4"),
+    ((1.0,), "index 1.0 outside 1..4"),
+    ((True, 2), "index True outside 1..4"),
+    ((1, 3, 2), "sequence (1, 3, 2) is not non-decreasing"),
+    ((), "empty index sequence"),
+    ((3, 0), "index 0 outside 1..4"),  # the first fault is named
+    ((5, 1), "index 5 outside 1..4"),
+    ((2, 1, 9), "sequence (2, 1, 9) is not non-decreasing"),
+], ids=["0", "n+1", "1.0", "True", "decreasing", "empty", "range after",
+        "range before", "order before"])
+def test_check_sequence_names_each_fault(row, message):
+    with pytest.raises(ValueError) as err:
+        check_sequence(row, 4)
+    assert str(err.value) == message
+
+
 def test_run_lengths():
     assert run_lengths((1, 1, 2, 4, 4, 4)) == ((1, 2), (2, 1), (4, 3))
 
