@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .monomials import SquareFreeIdeal, mono_gcd, render_monomial
+from .monomials import SquareFreeIdeal, render_monomial
 from .taylor import Sequence
 
 
@@ -37,10 +37,12 @@ class GeneratorGraph:
 
 def _graph_on(ideal: SquareFreeIdeal, vertices: Iterable[int]) -> GeneratorGraph:
     verts = tuple(sorted(set(vertices)))
+    if verts and not 1 <= verts[0] <= verts[-1] <= ideal.n:
+        raise IndexError(f"vertices {verts!r} not in range 1..{ideal.n}")
     edges = []
     for pos, i in enumerate(verts):
         for j in verts[pos + 1:]:
-            if not mono_gcd(ideal.generator(i), ideal.generator(j)).is_one:
+            if ideal.supports[i - 1] & ideal.supports[j - 1]:
                 edges.append((i, j))
     return GeneratorGraph(verts, tuple(edges))
 
@@ -159,7 +161,9 @@ def even_closed_walk(ideal: SquareFreeIdeal, witness) -> WalkWitness:
     for i in range(s - 2):
         itinerary.extend([avec[i], b1])
     itinerary.extend([avec[s - 2], b2, avec[s - 1], b1])
+    if not 1 <= min(itinerary) <= max(itinerary) <= ideal.n:
+        raise IndexError(f"walk {itinerary!r} not in range 1..{ideal.n}")
     for u, v in zip(itinerary, itinerary[1:]):
-        if mono_gcd(ideal.generator(u), ideal.generator(v)).is_one:
+        if not ideal.supports[u - 1] & ideal.supports[v - 1]:
             raise ValueError(f"walk step {u}-{v} is not an edge")
     return WalkWitness(tuple(itinerary))

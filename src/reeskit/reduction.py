@@ -5,24 +5,24 @@ A Certificate expresses a target binomial T_{alpha,beta} as an exact sum
     T_{alpha,beta} = sum_i  coef_i * T_{tfactor_i} * T_{alpha_i,beta_i}
 
 over lower-degree sub-binomials; verify_certificate replays the identity
-exactly on packed exponent vectors, where every coefficient is a monomial and
-a sub-binomial is genuine when its rows check and its coefficients are
-coprime with lhs f_alpha = rhs f_beta.
+exactly on packed exponent vectors, where every coefficient is a monomial in
+the ideal's variables and a sub-binomial is genuine when its rows check and
+its coefficients are coprime with lhs f_alpha = rhs f_beta.
 Every certificate is a walk through the lcm fiber (the delta with
 f_delta | M = lcm(f_alpha, f_beta)), built by _walk: a step (c, d, d')
 moves the node c+d to c+d', and with u = M / f_delta at each node the steps
 telescope (Diaconis & Sturmfels, Ann. Statist. 26 (1998), Thm 3.1).  A
 step's cofactor M / (f_c lcm(f_d, f_d')) is a monomial exactly when both its
 nodes lie in the fiber.  That membership is one predicate, oracle._in_fiber,
-and _walk only computes: split_certificate and fiber_certificate test their
-walks' nodes, rule_block_disjoint its partitions' inner nodes, and the other
-rules' walks stay in by construction.
-For a split with P = f(alpha_{<i}), Q = f(beta_{>i}), g_i = gcd(f_{alpha_i},
-f_{beta_i}) and g = gcd(f_alpha, f_beta), block i's cofactor is P*Q*g_i/g,
-and the split lemma's gcd hypothesis g | gcd(P, f_beta) * gcd(f(alpha_{>=i}),
-Q) * g_i holds exactly when g | P*Q*g_i, i.e. exactly when the node after
-swap i lies in the fiber.  The rules split with _split on targets they
-checked; split_certificate serves outside callers.
+and _walk only computes: fiber_certificate tests its walk's nodes,
+rule_block_disjoint its partitions' inner nodes, and the other rules' walks
+stay in by construction.
+A split of aligned blocks, built by _split, swaps block i's alpha part for
+its beta part, one block at a time.  With P = f(alpha_{<i}), Q = f(beta_{>i}),
+g_i = gcd(f_{alpha_i}, f_{beta_i}) and g = gcd(f_alpha, f_beta), block i's
+cofactor is P*Q*g_i/g, and the split lemma's gcd hypothesis g | gcd(P, f_beta)
+* gcd(f(alpha_{>=i}), Q) * g_i holds exactly when g | P*Q*g_i, i.e. exactly
+when the node after swap i lies in the fiber.
 
 The named rules are sufficient conditions with documented search spaces.
 rule_block_disjoint tries every aligned two-block partition, which already
@@ -77,38 +77,6 @@ from .taylor import (
 )
 
 
-class HypothesisFails(Exception):
-    """The split-lemma gcd hypothesis fails; index is the first bad block."""
-
-    def __init__(self, index: int, message: str):
-        super().__init__(message)
-        self.index = index
-
-
-@dataclass(frozen=True)
-class BlockPartition:
-    """Aligned blocks ((alpha_1, beta_1), ..., (alpha_m, beta_m)); the target
-    pair is the sorted concatenation of the two columns."""
-
-    blocks: tuple[tuple[Sequence, Sequence], ...]
-
-    def __post_init__(self):
-        if not self.blocks:
-            raise ValueError("empty partition")
-        for a, b in self.blocks:
-            if not (a and b and len(a) == len(b) and list(a) == sorted(a)
-                    and list(b) == sorted(b)):
-                raise ValueError(f"bad block {(a, b)!r}")
-
-    @property
-    def alpha(self) -> Sequence:
-        return tuple(sorted(c for a, _ in self.blocks for c in a))
-
-    @property
-    def beta(self) -> Sequence:
-        return tuple(sorted(c for _, b in self.blocks for c in b))
-
-
 @dataclass(frozen=True)
 class CertTerm:
     coef: Monomial
@@ -144,18 +112,18 @@ def verify_certificate(ideal: SquareFreeIdeal, cert: Certificate) -> bool:
     binomials and that the identity holds in S[T]; anything malformed, such
     as a T-factor that is not a sorted tuple over 1..n or a coefficient that
     is not a monomial, gives False (a Laurent one lets any pair telescope
-    through nodes outside its fiber).  One scan finds top (largest exponent),
-    L (longest T-factor plus row) and the highest variable; each term is one
-    int key per side in ideal.layout at width (top + max(top, L)).bit_length(),
-    so no sum carries: fields for the table variables, T_1..T_n, then
-    coefficient variables outside the table.  The keys must cancel.  Coprime
-    lhs, rhs with lhs f_alpha = rhs f_beta are f_beta/g, f_alpha/g."""
+    through nodes outside its fiber), and so does a coefficient variable
+    outside the ideal's table.  One scan finds top (largest exponent) and
+    L (longest T-factor plus row); each term is one int key per side in
+    ideal.layout at width (top + max(top, L)).bit_length(), so no sum
+    carries: fields for the table variables, then T_1..T_n.  The keys must
+    cancel.  Coprime lhs, rhs with lhs f_alpha = rhs f_beta are f_beta/g,
+    f_alpha/g."""
     try:
         items = [(Monomial.one(), (), cert.target, -1),
                  *((t.coef, t.tfactor, t.sub, 1) for t in cert.terms)]
         n, nvars = ideal.n, len(ideal.table)
         top = length = 0
-        var = -1  # the highest coefficient variable
         for coef, tf, sub, _ in items:
             if not (isinstance(sub, ReesBinomial) and isinstance(tf, tuple)
                     and type(coef) is type(sub.lhs_coef) is type(sub.rhs_coef)
@@ -172,19 +140,12 @@ def verify_certificate(ideal: SquareFreeIdeal, cert: Certificate) -> bool:
                     last = v
                     if e > top:
                         top = e
-                var = max(var, last)
+                if last >= nvars:  # outside the table
+                    return False
             length = max(length, len(tf) + len(sub.alpha))
         w = (top + max(top, length)).bit_length()
         gen, tunit, high = ideal.layout(w)  # high: each x-field's top bit
         shift = range(0, w * nvars, w)
-        if var >= nvars:
-            shift = dict(enumerate(shift))
-            outside = {v for coef, _, sub, _ in items
-                       for m in (coef, sub.lhs_coef, sub.rhs_coef)
-                       for v, _ in m.exps if v >= nvars}
-            for f, v in enumerate(sorted(outside), nvars + n):
-                shift[v] = w * f  # outside the table: above the T-fields
-                high |= 1 << (w * f + w - 1)
         low = high - (high >> (w - 1))  # + low sets that bit iff the field > 0
         total: dict[int, int] = {}
         for coef, tf, sub, sign in items:  # loops: no comprehension frames
@@ -234,32 +195,10 @@ def _walk(target: ReesBinomial, steps: Iterable[tuple[Sequence, ReesBinomial]]
     return tuple(terms)
 
 
-def split_certificate(ideal: SquareFreeIdeal, partition: BlockPartition,
-                      rule_name: str = "split", note: str = "") -> Certificate:
-    """The telescoping certificate of an aligned block partition: a walk
-    that swaps block i's alpha part for its beta part, one block at a time.
-
-    Raises HypothesisFails with the 1-based index of the first block whose
-    gcd hypothesis fails, which is the first swap whose node leaves the
-    fiber.  Blocks with alpha_i == beta_i contribute nothing and are
-    skipped, hypothesis included.
-    """
-    target = taylor_binomial(ideal, partition.alpha, partition.beta)
-    capacity = _capacity(ideal, target.alpha, target.beta)
-    node = target.alpha
-    for i, (a, b) in enumerate(partition.blocks, start=1):
-        node = seq_remove(node, a) + b
-        if a != b and not _in_fiber(capacity, node):
-            raise HypothesisFails(i, f"gcd hypothesis fails at block {i} of "
-                                     f"{len(partition.blocks)}")
-    return Certificate(target, _split(ideal, target, partition.blocks),
-                       rule_name, "as-given", note)
-
-
 def _split(ideal: SquareFreeIdeal, target: ReesBinomial,
            blocks: tuple[tuple[Sequence, Sequence], ...]) -> tuple[CertTerm, ...]:
-    """split_certificate's terms for sorted blocks of target's checked rows,
-    whose swaps stay in the fiber."""
+    """The terms of the split of target's checked rows into sorted aligned
+    blocks whose swaps stay in the fiber; equal parts add no term."""
     return _walk(target, [(tuple(sorted([c for _, b in blocks[:i] for c in b]
                                         + [c for a, _ in blocks[i + 1:]
                                            for c in a])),
@@ -617,12 +556,7 @@ def reduce_to_normal(ideal: SquareFreeIdeal, alpha: Sequence,
     decides it modulo all lower layers: a yes gives its fiber_certificate,
     a no makes it stuck.  Inner pairs that no rule touches simply stay as
     terminal leaves; only the top rows are checked."""
-    a = check_sequence(alpha, ideal.n)
-    b = check_sequence(beta, ideal.n)
-    if len(a) != len(b):
-        raise ValueError("rows must have equal length")
-    if a == b:
-        raise ValueError("equal rows give the zero binomial")
+    a, b = check_rows(ideal, alpha, beta)
     if len(a) == 1:
         return ReductionOutcome("reduced", (), terminal_degree=1)
     chain: list[Certificate] = []

@@ -200,6 +200,8 @@ BAD_INPUTS = [
     ["classify", "{file}", "--oracle", "--s-max", "1"],
     ["classify", "{file}", "--dot", "{tmp}/no/such/dir/g.dot"],
     ["reduce", "{file}", "--alpha", "1,x", "--beta", "2,4"],
+    ["reduce", "{file}", "--alpha", "1", "--beta", "2,3"],
+    ["reduce", "{file}", "--alpha", "1,2", "--beta", "2,1"],  # equal, sorted
     ["random", "--graph-shape", "odd-cycle", "--n", "2"],
     ["demo", "family", "--n", "4"],
     ["random", "--graph-shape", "forest", "--n", "3", "--vars", "-2"],

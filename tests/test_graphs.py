@@ -1,10 +1,12 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from reeskit.demos import (
     path_ideal,
     pentagon_ideal,
+    random_ideal,
     random_shape_ideal,
     triangle_ideal,
     villarreal_ideal,
@@ -17,7 +19,7 @@ from reeskit.graphs import (
     induced_subgraph,
     to_dot,
 )
-from reeskit.monomials import make_ideal
+from reeskit.monomials import make_ideal, mono_gcd
 from reeskit.reduction import irredundancy_witness
 
 
@@ -150,6 +152,27 @@ def test_induced_subgraph_restricts_to_pair_support():
     assert sub2.vertices == (1, 2, 3)
 
 
+def test_edges_are_the_pairs_whose_generators_share_a_variable():
+    # the graph reads the support table; gcd(f_i, f_j) != 1 is the definition
+    for k in range(20):
+        ideal = random_ideal(random.Random(k), 5, 8)
+        assert build_graph(ideal).edges == tuple(
+            (i, j) for i in range(1, ideal.n + 1)
+            for j in range(i + 1, ideal.n + 1)
+            if not mono_gcd(ideal.generator(i), ideal.generator(j)).is_one)
+
+
+@pytest.mark.parametrize("bad", [0, 6], ids=["index 0", "index n+1"])
+def test_an_index_outside_the_ideal_is_refused(bad):
+    # supports[i - 1] would read f_n for index 0
+    P = pentagon_ideal()
+    with pytest.raises(IndexError, match=r"not in range 1\.\.5"):
+        induced_subgraph(P, (1, bad), (2, 3))
+    w = replace(irredundancy_witness(P, (1, 1, 4), (2, 3, 5)), b2=bad)
+    with pytest.raises(IndexError, match=r"not in range 1\.\.5"):
+        even_closed_walk(P, w)
+
+
 def test_to_dot_mentions_every_edge_and_label():
     V = villarreal_ideal()
     dot = to_dot(V, build_graph(V))
@@ -176,8 +199,6 @@ class TestEvenClosedWalk:
         assert walk.vertices[0] == walk.vertices[-1]
 
     def test_every_step_shares_a_variable(self):
-        from reeskit.monomials import mono_gcd
-
         P = pentagon_ideal()
         w = irredundancy_witness(P, (1, 1, 4), (2, 3, 5))
         walk = even_closed_walk(P, w)

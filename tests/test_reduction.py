@@ -24,10 +24,8 @@ from reeskit.monomials import (
     mono_pow,
 )
 from reeskit.reduction import (
-    BlockPartition,
     Certificate,
     CertTerm,
-    HypothesisFails,
     IrredundancyWitness,
     fiber_certificate,
     irredundancy_witness,
@@ -40,7 +38,6 @@ from reeskit.reduction import (
     rule_three_by_two,
     rule_tree_leaf,
     rule_two_by_two,
-    split_certificate,
     swap_certificate,
     verify_certificate,
 )
@@ -67,40 +64,6 @@ def cycle_ideal(n):
     """Edge ideal of the n-cycle: f_i = x_i x_{i+1 mod n}."""
     supports = [sorted((i, (i + 1) % n)) for i in range(n)]
     return make_ideal([f"x{i + 1}" for i in range(n)], supports)
-
-
-class TestSplitCertificate:
-    def test_two_blocks_on_a_path(self):
-        P = path_ideal(4)  # f_i = x_i x_{i+1}, i = 1..4
-        part = BlockPartition((((2,), (3,)), ((1,), (4,))))
-        cert = split_certificate(P, part)
-        assert cert.target.alpha == (1, 2)
-        assert cert.target.beta == (3, 4)
-        assert len(cert.terms) == 2
-        assert verify_certificate(P, cert)
-
-    def test_zero_block_skipped(self):
-        P = path_ideal(4)
-        part = BlockPartition((((1,), (1,)), ((2,), (4,))))
-        cert = split_certificate(P, part)
-        assert len(cert.terms) == 1
-        assert verify_certificate(P, cert)
-
-    def test_hypothesis_failure_carries_block_index(self):
-        # the same path pair with the wrong alignment: the shared variable
-        # of the full products sits across the blocks, not inside one
-        P = path_ideal(4)
-        part = BlockPartition((((1,), (3,)), ((2,), (4,))))
-        with pytest.raises(HypothesisFails) as err:
-            split_certificate(P, part)
-        assert err.value.index == 1
-        assert "block 1" in str(err.value)
-
-    def test_malformed_partition_rejected(self):
-        with pytest.raises(ValueError):
-            BlockPartition(())
-        with pytest.raises(ValueError):
-            BlockPartition((((1, 2), (3,)),))
 
 
 class TestSharedIndex:
@@ -193,11 +156,19 @@ def power_factor_by_runs(ideal, target):
                        note=f"difference of {l}-th powers of the base pair")
 
 
-def gcd_hypothesis_split(ideal, partition, rule_name="split", note=""):
-    """split_certificate written with the split lemma's gcd hypothesis and
-    prefix/suffix products, as a reference for the fiber walk."""
-    blocks = partition.blocks
-    target = taylor_binomial(ideal, partition.alpha, partition.beta)
+class HypothesisFails(Exception):
+    """The split lemma's gcd hypothesis fails at a block."""
+
+
+def gcd_hypothesis_split(ideal, blocks, rule_name="split", note=""):
+    """The certificate of a split of aligned blocks ((alpha_1, beta_1), ...,
+    (alpha_m, beta_m)), written with the split lemma's gcd hypothesis and
+    prefix/suffix products, as a reference for the fiber walk; the target
+    pair is the sorted concatenation of the two columns.  Raises
+    HypothesisFails at the first block whose hypothesis fails; a block
+    with alpha_i == beta_i is skipped."""
+    target = taylor_binomial(ideal, sorted(c for a, _ in blocks for c in a),
+                             sorted(c for _, b in blocks for c in b))
     m = len(blocks)
     fa = [product_of(ideal, a) for a, _ in blocks]
     fb = [product_of(ideal, b) for _, b in blocks]
@@ -221,8 +192,7 @@ def gcd_hypothesis_split(ideal, partition, rule_name="split", note=""):
         hyp = mono_mul(mono_mul(mono_gcd(prefix_a[i], full_beta),
                                 mono_gcd(suffix_a[i], suffix_b[i + 1])), g_i)
         if not mono_divides(g, hyp):
-            raise HypothesisFails(
-                i + 1, f"gcd hypothesis fails at block {i + 1} of {m}")
+            raise HypothesisFails(f"gcd hypothesis fails at block {i + 1}")
         coef = mono_div_exact(
             mono_mul(mono_mul(prefix_a[i], suffix_b[i + 1]), g_i), g)
         tfactor = tuple(sorted(
@@ -230,43 +200,6 @@ def gcd_hypothesis_split(ideal, partition, rule_name="split", note=""):
             + [c for j in range(i) for c in blocks[j][1]]))
         terms.append(CertTerm(coef, tfactor, taylor_binomial(ideal, a_i, b_i)))
     return Certificate(target, tuple(terms), rule_name, "as-given", note)
-
-
-def random_partition(rng, n):
-    """1-3 aligned blocks of size 1-2 over 1..n; about one block in five
-    has alpha_i == beta_i, and indices repeat across the rows freely."""
-    blocks = []
-    for _ in range(rng.randint(1, 3)):
-        t = rng.randint(1, 2)
-        a = tuple(sorted(rng.choices(range(1, n + 1), k=t)))
-        b = a if rng.random() < 0.2 else tuple(
-            sorted(rng.choices(range(1, n + 1), k=t)))
-        blocks.append((a, b))
-    return BlockPartition(tuple(blocks))
-
-
-def split_or_failure(split, ideal, partition):
-    try:
-        return split(ideal, partition)
-    except HypothesisFails as exc:
-        return (exc.index, str(exc))
-
-
-def test_walk_matches_the_gcd_hypothesis_split():
-    rng = random.Random(2012)
-    outcomes = {"cert": 0, "fails": 0, "trivial": 0, "shared": 0}
-    for k in range(40):
-        ideal = random_ideal(random.Random(k), 5, 8)
-        for _ in range(60):
-            part = random_partition(rng, ideal.n)
-            if part.alpha == part.beta:
-                continue
-            want = split_or_failure(gcd_hypothesis_split, ideal, part)
-            assert split_or_failure(split_certificate, ideal, part) == want
-            outcomes["cert" if isinstance(want, Certificate) else "fails"] += 1
-            outcomes["trivial"] += any(a == b for a, b in part.blocks)
-            outcomes["shared"] += bool(set(part.alpha) & set(part.beta))
-    assert min(outcomes.values()) > 200, outcomes
 
 
 def test_walk_matches_the_power_and_shared_index_closed_forms():
@@ -333,8 +266,8 @@ class TestConstantRow:
 
 
 def constant_row_by_partition(ideal, alpha, beta):
-    """rule_constant_row written as a public split_certificate of a
-    BlockPartition, swapped back when the constant row is beta."""
+    """rule_constant_row written as the gcd-hypothesis split of its two
+    blocks, swapped back when the constant row is beta."""
     for const, other, swapped in ((alpha, beta, False), (beta, alpha, True)):
         if len(set(const)) != 1 or len(const) < 2:
             continue
@@ -342,10 +275,9 @@ def constant_row_by_partition(ideal, alpha, beta):
         pick = next((b for b in other if b != a1), None)
         if pick is None:
             continue
-        cert = split_certificate(
-            ideal, BlockPartition((((a1,), (pick,)),
-                                   ((a1,) * (len(const) - 1),
-                                    seq_remove(other, (pick,))))),
+        cert = gcd_hypothesis_split(
+            ideal, (((a1,), (pick,)),
+                    ((a1,) * (len(const) - 1), seq_remove(other, (pick,)))),
             rule_name="constant_row",
             note=f"peel ({a1},{pick}) off the constant row")
         return swap_certificate(cert) if swapped else cert
@@ -398,13 +330,13 @@ def three_block_partitions(alpha, beta):
 
 def splits(ideal, blocks):
     try:
-        split_certificate(ideal, BlockPartition(blocks))
+        gcd_hypothesis_split(ideal, blocks)
     except HypothesisFails:
         return False
     return True
 
 
-# (ideal, layers): a stride of random ideals keeps the sweep near 2 s
+# (ideal, layers): a stride of random ideals keeps the sweep near 4 s
 COARSENING_CASES = {
     "villarreal": (villarreal_ideal(), (3, 4)),
     "pentagon": (pentagon_ideal(), (3, 4)),
@@ -423,11 +355,10 @@ def block_disjoint_by_trial(ideal, alpha, beta):
     for t in range(1, len(alpha)):
         for sub_a in sorted(set(itertools.combinations(alpha, t))):
             for sub_b in sorted(set(itertools.combinations(beta, t))):
-                part = BlockPartition(((sub_a, sub_b),
-                                       (seq_remove(alpha, sub_a),
-                                        seq_remove(beta, sub_b))))
+                blocks = ((sub_a, sub_b), (seq_remove(alpha, sub_a),
+                                           seq_remove(beta, sub_b)))
                 try:
-                    return gcd_hypothesis_split(ideal, part, "block_disjoint",
+                    return gcd_hypothesis_split(ideal, blocks, "block_disjoint",
                                                 "two aligned blocks")
                 except HypothesisFails:
                     continue
@@ -751,8 +682,8 @@ class TestChecksAtTheBoundary:
         ((0, 1), (2, 3), "index 0 outside 1..4"),
         ((1, 5), (2, 3), "index 5 outside 1..4"),
         ((2, 1), (3, 4), "sequence (2, 1) is not non-decreasing"),
-        ((1,), (2, 3), "rows must have equal length"),
-        ((1, 2), (1, 2), "equal rows give the zero binomial"),
+        ((1,), (2, 3), "length mismatch: (1,) vs (2, 3)"),
+        ((1, 2), (1, 2), "equal sequences give the zero binomial: (1, 2)"),
     ])
     def test_reduce_to_normal_messages(self, alpha, beta, message):
         with pytest.raises(ValueError) as err:
@@ -814,11 +745,6 @@ class TestChecksAtTheBoundary:
         # sorting the other row would certify (2,2)|(1,3) instead
         with pytest.raises(ValueError, match=r"\(3, 1\) is not non-decreasing"):
             rule_constant_row(villarreal_ideal(), alpha, beta)
-
-    def test_unsorted_block_rejected(self):
-        with pytest.raises(ValueError):
-            split_certificate(villarreal_ideal(),
-                              BlockPartition((((2, 1), (3, 4)),)))
 
     @pytest.mark.parametrize("bad", [0, 5], ids=["index 0", "index n+1"])
     def test_fiber_path_node_outside_the_ideal(self, bad):

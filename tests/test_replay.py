@@ -37,7 +37,7 @@ from reeskit.taylor import (
 def reference_verify(ideal, cert):
     """The replay in Monomial arithmetic; it raises on what it cannot
     read, where verify_certificate returns False.  Every coefficient must
-    be what the Monomial constructor accepts."""
+    be what the Monomial constructor accepts, over the ideal's table."""
     try:
         total = Counter()
         for coef, tfactor, sub, sign in (
@@ -45,6 +45,8 @@ def reference_verify(ideal, cert):
                 *((t.coef, t.tfactor, t.sub, 1) for t in cert.terms)):
             for m in (coef, sub.lhs_coef, sub.rhs_coef):
                 Monomial(m.exps)  # ValueError unless a monomial
+                if any(v >= len(ideal.table) for v, _ in m.exps):
+                    return False
             if taylor_binomial(ideal, sub.alpha, sub.beta) != sub:
                 return False
             total[mono_mul(coef, sub.lhs_coef),
@@ -179,14 +181,17 @@ def test_only_narrow_layouts_are_kept():
 
 @pytest.mark.parametrize("var", [6, 7, 99, 10 ** 9])
 def test_coefficient_variable_outside_the_table(var):
-    # the square has x1..x7, variable indices 0..6
+    # the square has x1..x7, variable indices 0..6; x_var beyond them is
+    # refused even in terms that cancel, as validate_ideal refuses such a
+    # generator variable
     V, cert, sub = square_certificate()
     c = mono((2, 1), (var, 3))
-    for other, holds in ((c, True), (mono((2, 1), (var + 1, 3)), False),
+    for other, holds in ((c, var < len(V.table)),
+                         (mono((2, 1), (var + 1, 3)), False),
                          (mono((2, 1)), False)):
         bad = with_pair(cert, (c, (3,), sub), (other, (3,)))
         assert verify_certificate(V, bad) is reference_verify(V, bad) is holds
-    # its field lies above the T-fields, so x_var is not T_1
+    # x_var is not T_1
     bad = with_pair(cert, (mono((var, 1)), (3,), sub), (Monomial.one(), (1, 3)))
     assert verify_certificate(V, bad) is reference_verify(V, bad) is False
     # a sub-binomial's coefficient is never outside the table
