@@ -157,7 +157,11 @@ def power_factor_by_runs(ideal, target):
 
 
 class HypothesisFails(Exception):
-    """The split lemma's gcd hypothesis fails at a block."""
+    """The split lemma's gcd hypothesis fails; index is the first bad block."""
+
+    def __init__(self, index, message):
+        super().__init__(message)
+        self.index = index
 
 
 def gcd_hypothesis_split(ideal, blocks, rule_name="split", note=""):
@@ -192,7 +196,8 @@ def gcd_hypothesis_split(ideal, blocks, rule_name="split", note=""):
         hyp = mono_mul(mono_mul(mono_gcd(prefix_a[i], full_beta),
                                 mono_gcd(suffix_a[i], suffix_b[i + 1])), g_i)
         if not mono_divides(g, hyp):
-            raise HypothesisFails(f"gcd hypothesis fails at block {i + 1}")
+            raise HypothesisFails(i + 1,
+                                  f"gcd hypothesis fails at block {i + 1}")
         coef = mono_div_exact(
             mono_mul(mono_mul(prefix_a[i], suffix_b[i + 1]), g_i), g)
         tfactor = tuple(sorted(
@@ -200,6 +205,93 @@ def gcd_hypothesis_split(ideal, blocks, rule_name="split", note=""):
             + [c for j in range(i) for c in blocks[j][1]]))
         terms.append(CertTerm(coef, tfactor, taylor_binomial(ideal, a_i, b_i)))
     return Certificate(target, tuple(terms), rule_name, "as-given", note)
+
+
+def walk_split(ideal, blocks):
+    """The split the rules build with reduction._split, on the target pair
+    of the sorted concatenation of the two columns.  The walk raises
+    ValueError at the first swap whose node leaves the fiber."""
+    target = taylor_binomial(ideal, sorted(c for a, _ in blocks for c in a),
+                             sorted(c for _, b in blocks for c in b))
+    return Certificate(target, reduction._split(ideal, target, blocks),
+                       "split", "as-given")
+
+
+def block_node(blocks, index):
+    """The common part c of the swap of 1-based block index."""
+    i = index - 1
+    return tuple(sorted([c for _, b in blocks[:i] for c in b]
+                        + [c for a, _ in blocks[i + 1:] for c in a]))
+
+
+class TestSplitCertificate:
+    def test_two_blocks_on_a_path(self):
+        P = path_ideal(4)  # f_i = x_i x_{i+1}, i = 1..4
+        cert = walk_split(P, (((2,), (3,)), ((1,), (4,))))
+        assert cert.target.alpha == (1, 2)
+        assert cert.target.beta == (3, 4)
+        assert len(cert.terms) == 2
+        assert verify_certificate(P, cert)
+
+    def test_zero_block_skipped(self):
+        P = path_ideal(4)
+        cert = walk_split(P, (((1,), (1,)), ((2,), (4,))))
+        assert len(cert.terms) == 1
+        assert verify_certificate(P, cert)
+
+    def test_hypothesis_failure_carries_block_index(self):
+        # the same path pair with the wrong alignment: the shared variable
+        # of the full products sits across the blocks, not inside one
+        P = path_ideal(4)
+        blocks = (((1,), (3,)), ((2,), (4,)))
+        with pytest.raises(HypothesisFails) as err:
+            gcd_hypothesis_split(P, blocks)
+        assert err.value.index == 1
+        assert "block 1" in str(err.value)
+        with pytest.raises(ValueError, match=r"inexact step at node \(2,\)"):
+            walk_split(P, blocks)
+
+
+def random_partition(rng, n):
+    """1-3 aligned blocks of size 1-2 over 1..n; about one block in five
+    has alpha_i == beta_i, and indices repeat across the rows freely."""
+    blocks = []
+    for _ in range(rng.randint(1, 3)):
+        t = rng.randint(1, 2)
+        a = tuple(sorted(rng.choices(range(1, n + 1), k=t)))
+        b = a if rng.random() < 0.2 else tuple(
+            sorted(rng.choices(range(1, n + 1), k=t)))
+        blocks.append((a, b))
+    return tuple(blocks)
+
+
+def test_walk_matches_the_gcd_hypothesis_split():
+    # the hypothesis fails at block i exactly when swap i leaves the fiber,
+    # where the walk finds no cofactor
+    rng = random.Random(2012)
+    outcomes = {"cert": 0, "fails": 0, "trivial": 0, "shared": 0}
+    for k in range(40):
+        ideal = random_ideal(random.Random(k), 5, 8)
+        for _ in range(60):
+            blocks = random_partition(rng, ideal.n)
+            alpha = sorted(c for a, _ in blocks for c in a)
+            beta = sorted(c for _, b in blocks for c in b)
+            if alpha == beta:
+                continue
+            try:
+                want = gcd_hypothesis_split(ideal, blocks)
+            except HypothesisFails as exc:
+                node = block_node(blocks, exc.index)
+                with pytest.raises(ValueError) as err:
+                    walk_split(ideal, blocks)
+                assert str(err.value) == f"inexact step at node {node!r}"
+                outcomes["fails"] += 1
+            else:
+                assert walk_split(ideal, blocks) == want
+                outcomes["cert"] += 1
+            outcomes["trivial"] += any(a == b for a, b in blocks)
+            outcomes["shared"] += bool(set(alpha) & set(beta))
+    assert min(outcomes.values()) > 200, outcomes
 
 
 def test_walk_matches_the_power_and_shared_index_closed_forms():
