@@ -132,26 +132,20 @@ def classify(ideal: SquareFreeIdeal) -> ClassificationReport:
         bound = max(n - 2, 1)
         witnesses = nonlinear_witnesses(ideal)
         space = (f"all pairs of s pairwise-distinct indices against a "
-                 f"disjoint row (b1^(s-1), b2), s = 2..{max(n - 2, 1)}, "
+                 f"disjoint row (b1^(s-1), b2), s = 2..{bound}, "
                  f"both role assignments")
-        if not witnesses:
-            just = (
-                ("five-generator-bound",
+        just = (("five-generator-bound",
                  f"with n = {n} <= 5 generators every relation reduces to "
-                 f"degree at most {bound}"),
-                ("no-irredundancy-witness",
-                 f"exhaustive witness search ({space}) found no genuinely "
-                 f"nonlinear generator, which for n <= 5 forces linear type"),
-            )
+                 f"degree at most {bound}"),)
+        if not witnesses:
+            just += (("no-irredundancy-witness",
+                      f"exhaustive witness search ({space}) found no "
+                      f"genuinely nonlinear generator, which for n <= 5 "
+                      f"forces linear type"),)
             return ClassificationReport("linear_type", None, just, classes)
-        just = (
-            ("five-generator-bound",
-             f"with n = {n} <= 5 generators every relation reduces to "
-             f"degree at most {bound}"),
-            ("irredundancy-witness",
-             f"witness search ({space}) certified {len(witnesses)} genuinely "
-             f"nonlinear generator pair(s)"),
-        )
+        just += (("irredundancy-witness",
+                  f"witness search ({space}) certified {len(witnesses)} "
+                  f"genuinely nonlinear generator pair(s)"),)
         return ClassificationReport("rt_at_most", bound, just, classes,
                                     witnesses)
 

@@ -26,18 +26,18 @@ when the node after swap i lies in the fiber.
 
 The named rules are sufficient conditions with documented search spaces.
 rule_block_disjoint tries every aligned two-block partition, which already
-covers the exchanged pair and every longer split; rule_constant_row tries
-the pair as given, then with the roles of alpha and beta exchanged (a
-swapped match flips the orientation of every sub-binomial, which absorbs the
-sign).  The four shape rules of the theory (2x2, 3x2, a leaf of a tree, a
-segment of a unique odd cycle) are guards over rule_block_disjoint that
-rename its certificate: the splits their proofs peel are among those it
-tries.  Each public rule checks its rows, then its guard; it returns a
-Certificate or None.  reduce_to_normal checks the top rows once and drives
-four of the eight rules in a fixed priority order, their bodies run by
-_dispatch on checked targets (the shape rules cannot fire after
-rule_block_disjoint).  When no rule applies to the top pair it asks the
-oracle, and the pair is either reduced along its fiber path
+covers the exchanged pair and every longer split; rule_constant_row peels
+the constant row, alpha's tried first; on beta it splits the pair through
+the peel's blocks reversed and exchanged, the exchanged pair's walk read
+from its other end.  The four shape rules of the theory (2x2, 3x2, a leaf
+of a tree, a segment of a unique odd cycle) are guards over
+rule_block_disjoint that rename its certificate: the splits their proofs
+peel are among those it tries.  Each public rule checks its rows, then its
+guard; it returns a Certificate or None.  reduce_to_normal checks the top
+rows once and drives four of the eight rules in a fixed priority order,
+their bodies run by _dispatch on checked targets (the shape rules cannot
+fire after rule_block_disjoint).  When no rule applies to the top pair it
+asks the oracle, and the pair is either reduced along its fiber path
 (fiber_certificate) or stuck, which then means it is a genuinely new
 generator in its degree, and reduce_to_normal looks for an irredundancy
 witness of that.  The witness's row conditions are _shape,
@@ -72,7 +72,6 @@ from .taylor import (
     run_lengths,
     seq_intersection,
     seq_remove,
-    swap_binomial,
     taylor_binomial,
 )
 
@@ -91,20 +90,6 @@ class Certificate:
     rule_name: str
     orientation: str = "as-given"  # or "swapped"
     note: str = ""
-
-
-def swap_certificate(cert: Certificate) -> Certificate:
-    """Convert a certificate for (beta, alpha) into one for (alpha, beta).
-
-    Negating both the target and every sub-binomial preserves the identity,
-    and negation of a binomial is exactly the role swap."""
-    return Certificate(
-        swap_binomial(cert.target),
-        tuple(CertTerm(t.coef, t.tfactor, swap_binomial(t.sub))
-              for t in cert.terms),
-        cert.rule_name,
-        "swapped" if cert.orientation == "as-given" else "as-given",
-        cert.note)
 
 
 def verify_certificate(ideal: SquareFreeIdeal, cert: Certificate) -> bool:
@@ -264,8 +249,7 @@ def rule_power_factor(ideal: SquareFreeIdeal, alpha: Sequence,
     binomial is a difference of l-th powers: an l-step walk through
     base_a^(l-1-j) base_b^j, whose j-th cofactor is ca^(l-1-j) cb^j for
     T_{base} = ca T_{base_a} - cb T_{base_b}."""
-    alpha, beta = check_rows(ideal, alpha, beta)
-    return _power_factor(ideal, _binomial(ideal, alpha, beta))
+    return _power_factor(ideal, taylor_binomial(ideal, alpha, beta))
 
 
 def _power_factor(ideal: SquareFreeIdeal,
@@ -292,24 +276,28 @@ def rule_constant_row(ideal: SquareFreeIdeal, alpha: Sequence,
     """One row constant, alpha's tried first: peel a single (a1, b1) pair,
     b1 the other row's first index != a1.  Its node needs no fiber test: it
     counts a variable of f_{a1} at most s times, as f_const does, and any
-    other v [v in f_{b1}] times, at most as often as f_other.  A certificate
-    for (beta, alpha) is swapped back."""
-    alpha, beta = check_rows(ideal, alpha, beta)
-    return _constant_row(ideal, _binomial(ideal, alpha, beta))
+    other v [v in f_{b1}] times, at most as often as f_other.  A constant
+    beta is peeled by the reversed split: the peel's blocks reversed, parts
+    exchanged, its terms listed back in the peel's order."""
+    return _constant_row(ideal, taylor_binomial(ideal, alpha, beta))
 
 
 def _constant_row(ideal: SquareFreeIdeal,
                   target: ReesBinomial) -> Optional[Certificate]:
-    for const, swapped in ((target.alpha, False), (target.beta, True)):
+    for const, other, orientation in ((target.alpha, target.beta, "as-given"),
+                                      (target.beta, target.alpha, "swapped")):
         if len(const) < 2 or len(set(const)) != 1:
             continue
-        t = swap_binomial(target) if swapped else target
         a1 = const[0]
-        pick = next(c for c in t.beta if c != a1)  # the rows differ
-        blocks = (((a1,), (pick,)), (const[1:], seq_remove(t.beta, (pick,))))
-        cert = Certificate(t, _split(ideal, t, blocks), "constant_row",
+        pick = next(c for c in other if c != a1)  # the rows differ
+        blocks = (((a1,), (pick,)), (const[1:], seq_remove(other, (pick,))))
+        if orientation == "as-given":
+            terms = _split(ideal, target, blocks)
+        else:  # same inner node and cofactors as the peel of (beta, alpha)
+            terms = _split(ideal, target, tuple(
+                (b, a) for a, b in reversed(blocks)))[::-1]
+        return Certificate(target, terms, "constant_row", orientation,
                            note=f"peel ({a1},{pick}) off the constant row")
-        return swap_certificate(cert) if swapped else cert
     return None
 
 
@@ -471,7 +459,7 @@ def _separators(ideal: SquareFreeIdeal, avec: Sequence, b1: int,
                 b2: int) -> list[tuple[list[int], list[int]]]:
     """For each entry of avec, the variables in table order that may serve
     as its x-var and as its z-var (see IrredundancyWitness)."""
-    sup = {i: ideal.generator(i).support for i in set(avec) | {b1, b2}}
+    sup = {i: ideal.supports[i - 1] for i in set(avec) | {b1, b2}}
     out = []
     for ai in avec:
         others = [sup[a] for a in avec if a != ai]

@@ -220,6 +220,25 @@ def test_bad_input_exits_2_with_one_line(argv, villarreal_file, tmp_path,
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("vars:\n", "line 1: no variable names given"),
+    ("vars: x1\nnonsense\n", "line 2: expected 'name: entries'"),
+    ("vars: x1 x2\nf1:\n", "line 2: generator f1 is empty"),
+    ("", "empty ideal file"),
+    ("vars: x1 x2\n", "no generators"),
+    ("vars: x1 x1\n", "line 1: duplicate variable name"),
+], ids=["no names", "no colon", "empty generator", "empty file",
+        "no generators", "duplicate name"])
+def test_malformed_ideal_file_exits_2_with_one_line(text, message, tmp_path,
+                                                    capsys):
+    path = tmp_path / "bad.ideal"
+    path.write_text(text)
+    assert main(["classify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("data", [b"vars: x1\nf1: x1 \xff\n",
                                   b"\x7fELF\x02\x01\x01\x00\x00\xb0\xc3"],
                          ids=["byte 0xff", "binary"])
@@ -362,6 +381,25 @@ def test_cross_check_consistent_run(villarreal_file, capsys):
     assert main(["classify", villarreal_file, "--oracle", "--s-max", "3"]) == 0
     out = capsys.readouterr().out
     assert "oracle cross-check:" in out
+
+
+@pytest.mark.parametrize("kind, bound, verdict", [
+    ("linear_type", None, "LinearType"), ("rt_at_most", 1, "RtAtMost(1)")])
+def test_classify_oracle_disagreement_exits_3(kind, bound, verdict,
+                                              villarreal_file, monkeypatch,
+                                              capsys):
+    # the square has a new generator in degree 2, so both verdicts are wrong
+    def wrong(ideal):
+        return reeskit.classify.ClassificationReport(kind, bound, (), ())
+
+    monkeypatch.setattr(reeskit.classify, "classify", wrong)
+    assert main(["classify", villarreal_file, "--oracle"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 3, captured.err
+    assert lines[0].startswith("INCONSISTENT: classified ")
+    assert lines[1:] == [f"verdict: {verdict}", "oracle lower bound: 2"]
 
 
 def test_classify_oracle_classifies_once(tmp_path, monkeypatch, capsys):

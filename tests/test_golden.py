@@ -22,6 +22,7 @@ from reeskit.demos import (
     family_ideal,
     pentagon_ideal,
     random_ideal,
+    random_shape_ideal,
     villarreal_ideal,
 )
 from reeskit.ideal_io import render_ideal
@@ -31,7 +32,8 @@ GOLDEN = Path(__file__).parent / "golden"
 IDEALS = {"square": villarreal_ideal, "pentagon": pentagon_ideal,
           "random1063": lambda: random_ideal(random.Random(1063), 5, 8)}
 # ideal files for single commands only, not for the IDEALS cases
-EXTRA = {"family7": lambda: family_ideal(7)}
+EXTRA = {"family7": lambda: family_ideal(7),
+         "evencycle7": lambda: random_shape_ideal("even-cycle", 7, seed=1)}
 
 
 def _row(seq):
@@ -40,11 +42,14 @@ def _row(seq):
 
 def cases() -> dict[str, list[list[str]]]:
     """Golden file name -> the commands whose stdout it concatenates;
-    "{square}", "{pentagon}", "{random1063}" and "{family7}" stand for an
-    ideal file."""
+    "{square}", "{pentagon}", "{random1063}", "{family7}" and "{evencycle7}"
+    stand for an ideal file."""
     out = {"demo-villarreal": [["demo", "villarreal"]],
            "demo-pentagon": [["demo", "pentagon"]],
            "rt-family7": [["rt", "{family7}", "--s-max", "6"]],
+           # no bound applies: the Unknown verdict and its oracle hint
+           "classify-evencycle7": [["classify", "{evencycle7}"],
+                                   ["classify", "{evencycle7}", "--json"]],
            # shared_index, then constant_row, then power_factor
            "reduce4-pentagon": [["reduce", "{pentagon}", "--alpha", "3,5,5,5",
                                  "--beta", "4,4,4,5"]],

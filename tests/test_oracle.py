@@ -227,6 +227,12 @@ class TestCongruence:
 
 
 class TestMemberLower:
+    def test_layer_bound_below_1_is_refused(self):
+        V = villarreal_ideal()
+        b = taylor_binomial(V, (1, 3), (2, 4))
+        with pytest.raises(ValueError, match="layer bound k must be at least 1"):
+            member_lower(V, b, 0)
+
     def test_villarreal_quadratic_is_new(self):
         V = villarreal_ideal()
         b = taylor_binomial(V, (1, 3), (2, 4))
@@ -795,6 +801,11 @@ class TestFiberWitness:
         V = villarreal_ideal()
         b = taylor_binomial(V, (1, 2), (1, 4))  # reduces modulo layer 1
         assert not fiber_witness(V, b)
+
+    def test_linear_pair_with_a_non_unit_coefficient_witnesses(self):
+        # degree 1: there is no lower layer to reduce modulo
+        V = villarreal_ideal()
+        assert fiber_witness(V, taylor_binomial(V, (1,), (2,)))
 
 
 class TestMinimalLinearGenerators:
