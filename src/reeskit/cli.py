@@ -8,9 +8,10 @@ Subcommands:
   demo      built-in worked examples: villarreal, pentagon, family --n
   random    seed-deterministic random ideal in the file format
 
-Exit codes: 0 success, 2 unreadable or invalid input (one line on stderr,
-never a traceback), 3 classifier verdict contradicted by the oracle.  Every
-oracle answer is exact, so no search limit can be set.
+Exit codes: 0 success, 2 unreadable or invalid input or a malformed command
+line (one line on stderr, never a traceback), 3 classifier verdict
+contradicted by the oracle.  Every oracle answer is exact, so no search
+limit can be set.
 """
 
 from __future__ import annotations
@@ -350,9 +351,17 @@ def cmd_random(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors raise BadInput, so main prints them as one line;
+    the subparsers are built from this class too."""
+
+    def error(self, message):
+        raise BadInput(message)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="reeskit",
         description="exact tools for Rees algebra defining equations of "
                     "square-free monomial ideals")
@@ -398,9 +407,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if hasattr(sys.stdout, "reconfigure"):  # escape what the locale cannot encode
         sys.stdout.reconfigure(errors="backslashreplace")
-    args = _parser().parse_args(argv)
-    # the handler is looked up per call, so module-level wrappers see it
     try:
+        args = _parser().parse_args(argv)
+        # the handler is looked up per call, so module-level wrappers see it
         code = globals()[f"cmd_{args.command}"](args)
         sys.stdout.flush()
         return code

@@ -26,7 +26,7 @@ from .monomials import (
     mono_mul,
     mono_pow,
 )
-from .taylor import ReesBinomial, product_of, taylor_binomial
+from .taylor import ReesBinomial, product_of, substitute_check, taylor_binomial
 
 
 def villarreal_ideal() -> SquareFreeIdeal:
@@ -120,7 +120,7 @@ def family_corrected_g(n: int) -> tuple[ReesBinomial, dict]:
         lhs = mono_mul(z_base, mono_pow(f_1, e1))
         for e2 in range(0, 2 * n):
             e3 = e1 + len(base) - e2
-            if e3 < 0 or e2 + e3 == 0:
+            if e3 < 0:
                 continue
             rhs = mono_mul(y, mono_mul(mono_pow(f_prev, e2),
                                        mono_pow(f_last, e3)))
@@ -135,15 +135,13 @@ def family_corrected_g(n: int) -> tuple[ReesBinomial, dict]:
         raise RuntimeError(f"G has coefficients other than z and y: {binom!r}")
 
     naive = (n - 5, n - 5, 1)
-    naive_lhs = mono_mul(z, product_of(
-        ideal, tuple(sorted((1,) * naive[0] + base))))
-    naive_rhs = mono_mul(y, product_of(
-        ideal, (n - 1,) * naive[1] + (n,) * naive[2]))
+    naive_binom = ReesBinomial(tuple(sorted((1,) * naive[0] + base)),
+                               (n - 1,) * naive[1] + (n,) * naive[2], z, y)
     audit = {
         "shape": "z*T1^e1*T2*...*T%d - y*T%d^e2*T%d^e3" % (n - 2, n - 1, n),
         "naive_exponents": naive,
         "naive_tdegrees": (naive[0] + len(base), naive[1] + naive[2]),
-        "naive_substitution_equal": naive_lhs == naive_rhs,
+        "naive_substitution_equal": substitute_check(ideal, naive_binom),
         "corrected_exponents": solutions[0],
         "corrected_tdegree": e1 + len(base),
         "solutions": solutions,

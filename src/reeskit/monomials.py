@@ -133,20 +133,6 @@ def mono_divides(a: Monomial, b: Monomial) -> bool:
     return all(bd.get(v, 0) >= e for v, e in a.exps)
 
 
-def mono_div_exact(a: Monomial, b: Monomial) -> Monomial:
-    """a / b, raising ValueError unless b | a."""
-    out = a.as_dict()
-    for v, e in b.exps:
-        have = out.get(v, 0)
-        if have < e:
-            raise ValueError(f"inexact division: {a!r} / {b!r}")
-        if have == e:
-            del out[v]
-        else:
-            out[v] = have - e
-    return _monomial(tuple(sorted(out.items())))
-
-
 def mono_coprime(a: Monomial, b: Monomial) -> bool:
     return not (a.support & b.support)
 

@@ -23,8 +23,9 @@ relation_type_estimate never builds a layer: modulo layer s - 1 a pair
 whose rows share an index is a single move, so it is only counted.  A
 disjoint pair reduces if a node alpha - {alpha_i} + {beta_j} divides M, as
 it shares s - 1 >= 1 indices with alpha and one with beta (_one_swap); only
-the pairs no swap settles draw their fiber, only until the join, and only
-a layer's witness becomes a binomial.
+the pairs no swap settles draw their fiber, from the capacity the swaps
+were tested on, only until the join, and only a layer's witness becomes a
+binomial.
 
 The fiber is enumerated directly, never by filtering the whole layer: a
 depth-first search over non-decreasing index sequences tracks the capacity
@@ -33,10 +34,12 @@ layout at the pair's width (_capacity), which a whole sweep reuses.  Every
 generator is square-free, so picking index a subtracts its mask, a unit in
 each field of supp(f_a); generators reaching outside supp(M) never fit, and
 a prefix is cut as soon as the picks still possible cannot fill the slots
-left.  It yields the fiber lazily, in lex order.  The same capacity decides
-a single node (_in_fiber), the package's one fiber-membership test: a walk
-stays in the fiber exactly when its nodes do, so reduction.py tests nodes
-with it and its walks only compute.  A yes verdict carries its path;
+left.  _fiber takes that capacity, not the pair, and yields the fiber
+lazily, in lex order.  The same capacity decides a single node (_in_fiber),
+the package's one fiber-membership test: a walk stays in the fiber exactly
+when its nodes do, so reduction.py tests nodes with it and its walks only
+compute, and minimal_linear_generators keeps a linear move when both its
+nodes pass it.  A yes verdict carries its path;
 reduction.fiber_certificate turns it into a Certificate, the one proof
 format that verify_certificate replays.
 """
@@ -128,12 +131,11 @@ def _in_fiber(capacity: tuple, node: Seq[int]) -> bool:
     return (free - sum(map(gen.__getitem__, node))) & guards == guards
 
 
-def _fiber(ideal: SquareFreeIdeal, alpha: Sequence,
-           beta: Sequence) -> Iterable[Sequence]:
-    """Yield {delta : f_delta | lcm(f_alpha, f_beta)} in lex order, lazily,
-    by a depth-first search over the pair's _capacity and the generators
-    that fit in it once."""
-    s, full, guards, gen = _capacity(ideal, alpha, beta)
+def _fiber(capacity: tuple) -> Iterable[Sequence]:
+    """Yield {delta : f_delta | M} in lex order, lazily, for a pair's
+    _capacity (s, full, guards, gen), by a depth-first search over it and
+    the generators that fit in it once."""
+    s, full, guards, gen = capacity
     index = [a for a in range(1, len(gen))
              if (full - gen[a]) & guards == guards]
     masks = [gen[a] for a in index]
@@ -249,7 +251,7 @@ def member_lower(ideal: SquareFreeIdeal, b: ReesBinomial, k: int,
     if multiset_distance(b.alpha, b.beta) <= k:
         return Verdict("yes", "single move", b, k, (b.alpha, b.beta))
 
-    universe = list(_fiber(ideal, b.alpha, b.beta))
+    universe = list(_fiber(_capacity(ideal, b.alpha, b.beta)))
     note = f"fiber universe {len(universe)} nodes"
     t = b.degree - k
     path = _path({delta: set(combinations(delta, t)) for delta in universe},
@@ -310,7 +312,8 @@ def relation_type_estimate(ideal: SquareFreeIdeal, s_max: int) -> RtReport:
                 full = _lcm(fa, sum(map(gen.__getitem__, beta)), w, guards)
                 if _one_swap(full, guards, drops, {gen[j] for j in beta}):
                     continue
-                if not _joined(_fiber(ideal, alpha, beta), alpha[0], beta[0]):
+                if not _joined(_fiber((s, full, guards, gen)),
+                               alpha[0], beta[0]):
                     no += 1
                     if first_no is None:
                         first_no = taylor_binomial(ideal, alpha, beta)
@@ -337,17 +340,16 @@ def minimal_linear_generators(ideal: SquareFreeIdeal) -> list[ReesBinomial]:
     others still kept rewrite one of its terms into the other.
 
     On the layer-1 fiber of M = lcm(f_i, f_j) a kept T_{k,l} moves
-    (M/f_k) T_k to (M/f_l) T_l exactly when lcm(f_k, f_l) divides M, so
-    T_{i,j} is dropped when such moves join i to j (_joined).  Square-free:
-    an lcm is a union of supports and divisibility is inclusion."""
+    (M/f_k) T_k to (M/f_l) T_l exactly when lcm(f_k, f_l) divides M, that
+    is, when f_k | M and f_l | M: when _in_fiber admits (k,) and (l,) on
+    the pair's _capacity.  T_{i,j} is dropped when such moves join i to j
+    (_joined)."""
     kept = list(taylor_layer(ideal, 1))
-    sup = ideal.supports
-    lcm = {(b.alpha, b.beta): sup[b.alpha[0] - 1] | sup[b.beta[0] - 1]
-           for b in kept}
     for b in list(kept):
-        big = lcm[b.alpha, b.beta]
-        moves = (x.alpha + x.beta for x in kept
-                 if x is not b and lcm[x.alpha, x.beta] <= big)
+        capacity = _capacity(ideal, b.alpha, b.beta)
+        moves = (x.alpha + x.beta for x in kept if x is not b
+                 and _in_fiber(capacity, x.alpha)
+                 and _in_fiber(capacity, x.beta))
         if _joined(moves, b.alpha[0], b.beta[0]):
             kept.remove(b)
     return kept

@@ -32,26 +32,22 @@ Sequence = tuple[int, ...]
 
 
 def check_sequence(seq: Iterable[int], n: int) -> Sequence:
-    """Validate a non-decreasing 1-based index sequence; return it as a tuple."""
+    """Validate a non-decreasing 1-based index sequence; return it as a tuple.
+
+    One pass, one chained comparison per entry; the first entry that fails
+    names the fault: a non-int (bool included) or an index outside 1..n,
+    else a descent."""
     out = tuple(seq)
-    last = 1
-    for a in out:  # non-decreasing from 1: one comparison per entry
-        if type(a) is not int or a < last:  # refuses bool too
-            break
-        last = a
-    else:
-        if out and last <= n:
-            return out
     if not out:
         raise ValueError("empty index sequence")
-    last = 0
-    for a in out:  # name the first fault
-        if type(a) is not int or a < 1 or a > n:
+    last = 1
+    for a in out:
+        if not (type(a) is int and last <= a <= n):
+            if type(a) is int and 1 <= a <= n:
+                raise ValueError(f"sequence {out!r} is not non-decreasing")
             raise ValueError(f"index {a!r} outside 1..{n}")
-        if a < last:
-            break
         last = a
-    raise ValueError(f"sequence {out!r} is not non-decreasing")
+    return out
 
 
 def run_lengths(seq: Sequence) -> tuple[tuple[int, int], ...]:

@@ -205,6 +205,11 @@ BAD_INPUTS = [
     ["random", "--graph-shape", "odd-cycle", "--n", "2"],
     ["demo", "family", "--n", "4"],
     ["random", "--graph-shape", "forest", "--n", "3", "--vars", "-2"],
+    # argument errors, which argparse alone reports on two lines
+    ["reduce", "{file}", "--alpha", "1,2"],
+    ["rt", "{file}", "--s-max", "abc"],
+    ["nosuch", "{file}"],
+    ["random", "--graph-shape", "star", "--n", "3"],
 ]
 
 
@@ -218,6 +223,15 @@ def test_bad_input_exits_2_with_one_line(argv, villarreal_file, tmp_path,
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["rt", "-h"]])
+def test_help_still_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: reeskit") and captured.err == ""
 
 
 @pytest.mark.parametrize("text, message", [

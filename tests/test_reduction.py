@@ -17,7 +17,6 @@ from reeskit import reduction
 from reeskit.monomials import (
     Monomial,
     make_ideal,
-    mono_div_exact,
     mono_divides,
     mono_gcd,
     mono_mul,
@@ -52,6 +51,16 @@ from reeskit.taylor import (
     taylor_binomial,
     taylor_layer,
 )
+
+
+def div_exact(a, b):
+    """a / b, exponent by exponent; b must divide a."""
+    q = a.as_dict()
+    for v, e in b.exps:
+        q[v] = q.get(v, 0) - e
+    if min(q.values(), default=0) < 0:
+        raise ValueError(f"inexact division: {a!r} / {b!r}")
+    return Monomial.from_dict(q)
 
 
 def seq_union(a, b):
@@ -197,7 +206,7 @@ def gcd_hypothesis_split(ideal, blocks, rule_name="split", note=""):
         if not mono_divides(g, hyp):
             raise HypothesisFails(i + 1,
                                   f"gcd hypothesis fails at block {i + 1}")
-        coef = mono_div_exact(
+        coef = div_exact(
             mono_mul(mono_mul(prefix_a[i], suffix_b[i + 1]), g_i), g)
         tfactor = tuple(sorted(
             [c for j in range(i + 1, m) for c in blocks[j][0]]

@@ -13,7 +13,6 @@ from reeskit.demos import (
 from reeskit.monomials import (
     Monomial,
     make_ideal,
-    mono_div_exact,
     mono_gcd,
     mono_product,
 )
@@ -36,6 +35,16 @@ from reeskit.taylor import (
     taylor_layer,
     weighted_degree,
 )
+
+
+def div_exact(a, b):
+    """a / b, exponent by exponent; b must divide a."""
+    q = a.as_dict()
+    for v, e in b.exps:
+        q[v] = q.get(v, 0) - e
+    if min(q.values(), default=0) < 0:
+        raise ValueError(f"inexact division: {a!r} / {b!r}")
+    return Monomial.from_dict(q)
 
 
 def test_check_sequence_accepts_sorted_in_range():
@@ -73,6 +82,48 @@ def test_check_sequence_names_each_fault(row, message):
     with pytest.raises(ValueError) as err:
         check_sequence(row, 4)
     assert str(err.value) == message
+
+
+def two_pass_check_sequence(seq, n):
+    """check_sequence as two loops: a fast pass, then a re-scan that names
+    the first fault; the one-loop version must answer the same."""
+    out = tuple(seq)
+    last = 1
+    for a in out:
+        if type(a) is not int or a < last:
+            break
+        last = a
+    else:
+        if out and last <= n:
+            return out
+    if not out:
+        raise ValueError("empty index sequence")
+    last = 0
+    for a in out:
+        if type(a) is not int or a < 1 or a > n:
+            raise ValueError(f"index {a!r} outside 1..{n}")
+        if a < last:
+            break
+        last = a
+    raise ValueError(f"sequence {out!r} is not non-decreasing")
+
+
+def outcome(check, row, n):
+    try:
+        return check(row, n)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def test_check_sequence_matches_the_two_pass_check_on_every_short_row():
+    n = 3
+    entries = [-1, 0, 1, 2, 3, n + 1, True, 1.0, "a"]
+    rows = [row for length in range(5)
+            for row in itertools.product(entries, repeat=length)]
+    assert len(rows) == 1 + 9 + 9 ** 2 + 9 ** 3 + 9 ** 4
+    for row in rows:
+        assert outcome(check_sequence, row, n) == \
+            outcome(two_pass_check_sequence, row, n), row
 
 
 def test_run_lengths():
@@ -172,7 +223,7 @@ def reference_binomial(ideal, alpha, beta):
     fa = product_of(ideal, a)
     fb = product_of(ideal, b)
     g = mono_gcd(fa, fb)
-    return ReesBinomial(a, b, mono_div_exact(fb, g), mono_div_exact(fa, g))
+    return ReesBinomial(a, b, div_exact(fb, g), div_exact(fa, g))
 
 
 FORMULA_IDEALS = {"villarreal": villarreal_ideal(), "pentagon": pentagon_ideal(),
