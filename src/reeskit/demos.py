@@ -6,7 +6,9 @@ pentagon_ideal has five generators, a pentagon-shaped generator graph, and a
 minimal relation in degree 3.  family_ideal(n) is an n-generator family
 whose relation type grows linearly with n; its distinguished binomials F and
 G are derived here, G by an exponent audit because the obvious candidate
-shape has to be repaired to be T-homogeneous (see family_corrected_g).
+shape has to be repaired to be T-homogeneous (see family_corrected_g); the
+audit scans its exponent grid on packed sums in the ideal's layout, not on
+Monomial objects.
 
 random_ideal draws arbitrary valid square-free ideals; random_shape_ideal
 draws ideals whose generator graph has a prescribed shape (forest, or a
@@ -23,10 +25,8 @@ from .monomials import (
     Monomial,
     SquareFreeIdeal,
     make_ideal,
-    mono_mul,
-    mono_pow,
 )
-from .taylor import ReesBinomial, product_of, substitute_check, taylor_binomial
+from .taylor import ReesBinomial, substitute_check, taylor_binomial
 
 
 def villarreal_ideal() -> SquareFreeIdeal:
@@ -102,7 +102,11 @@ def family_corrected_g(n: int) -> tuple[ReesBinomial, dict]:
     The naive exponent guess (n-5, n-5, 1) is not T-homogeneous (T-degrees
     2n-8 versus n-4), so the exponents are recovered by brute force: scan
     the grid and keep the triples where both sides substitute to the same
-    monomial under T_i -> f_i t.  The audit record reports the rejected
+    monomial under T_i -> f_i t.  Both sides are packed sums in
+    ideal.layout at width (3n).bit_length(): no exponent on either side
+    reaches 3n (the largest, e3 on the u and z fields, is at most
+    (2n - 1) + (n - 3)), so no sum carries across a field and packed
+    equality is monomial equality.  The audit record reports the rejected
     guess, the mismatch, and the unique surviving triple.
     """
     _check_family_size(n)
@@ -113,18 +117,18 @@ def family_corrected_g(n: int) -> tuple[ReesBinomial, dict]:
     y = Monomial.from_support([y_var])
     base = tuple(range(2, n - 1))
 
-    z_base = mono_mul(z, product_of(ideal, base))
-    f_1, f_prev, f_last = (ideal.generator(i) for i in (1, n - 1, n))
+    w = (3 * n).bit_length()
+    gen, _, _ = ideal.layout(w)
+    z_base = (1 << w * z_var) + sum(map(gen.__getitem__, base))
+    y_unit = 1 << w * y_var
     solutions = []
     for e1 in range(0, 2 * n):
-        lhs = mono_mul(z_base, mono_pow(f_1, e1))
+        lhs = z_base + e1 * gen[1]
         for e2 in range(0, 2 * n):
             e3 = e1 + len(base) - e2
             if e3 < 0:
                 continue
-            rhs = mono_mul(y, mono_mul(mono_pow(f_prev, e2),
-                                       mono_pow(f_last, e3)))
-            if lhs == rhs:
+            if lhs == y_unit + e2 * gen[n - 1] + e3 * gen[n]:
                 solutions.append((e1, e2, e3))
     if len(solutions) != 1:
         raise RuntimeError(f"exponent audit found {solutions!r}")

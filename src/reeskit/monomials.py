@@ -113,14 +113,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return _monomial(tuple(sorted(out.items())))
 
 
-def mono_pow(a: Monomial, k: int) -> Monomial:
-    if k < 0:
-        raise ValueError(f"negative exponent {k}")
-    if k == 0:
-        return Monomial.one()
-    return _monomial(tuple((v, e * k) for v, e in a.exps))
-
-
 def mono_gcd(a: Monomial, b: Monomial) -> Monomial:
     bd = b.as_dict()
     return _monomial(tuple(

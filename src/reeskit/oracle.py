@@ -134,11 +134,14 @@ def _in_fiber(capacity: tuple, node: Seq[int]) -> bool:
 def _fiber(capacity: tuple) -> Iterable[Sequence]:
     """Yield {delta : f_delta | M} in lex order, lazily, for a pair's
     _capacity (s, full, guards, gen), by a depth-first search over it and
-    the generators that fit in it once."""
+    the generators that fit in it once.  A child that picks the j-th of
+    them is bounded by _can_fill on tails[j], the masks from j on; the
+    suffix lists are built once per fiber, so no child copies a list."""
     s, full, guards, gen = capacity
     index = [a for a in range(1, len(gen))
              if (full - gen[a]) & guards == guards]
     masks = [gen[a] for a in index]
+    tails = [masks[j:] for j in range(len(masks))]
     stack: list[tuple[Sequence, int, int]] = [((), full, 0)]
     while stack:
         prefix, free, first = stack.pop()
@@ -153,7 +156,7 @@ def _fiber(capacity: tuple) -> Iterable[Sequence]:
                 yield seq
             # with one slot left the bound only asks whether some generator
             # still fits, which the child's own scan answers
-            elif left == 1 or _can_fill(rest, masks[j:], guards, left):
+            elif left == 1 or _can_fill(rest, tails[j], guards, left):
                 kids.append((seq, rest, j))
         stack.extend(reversed(kids))
 

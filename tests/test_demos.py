@@ -13,8 +13,13 @@ from reeskit.demos import (
     triangle_ideal,
     villarreal_ideal,
 )
-from reeskit.monomials import validate_ideal
-from reeskit.taylor import substitute_check, weighted_degree
+from reeskit.monomials import Monomial, mono_mul, validate_ideal
+from reeskit.taylor import (
+    product_of,
+    substitute_check,
+    taylor_binomial,
+    weighted_degree,
+)
 
 
 def test_villarreal_generators():
@@ -33,6 +38,34 @@ def test_triangle_and_path():
     assert triangle_ideal().n == 3
     assert path_ideal(6).n == 6
     assert path_ideal(2).n == 2
+
+
+def power(m, k):
+    return Monomial.from_dict({v: e * k for v, e in m.exps})
+
+
+def monomial_grid_scan(n):
+    """The exponent triples of family_corrected_g's audit, scanned on
+    Monomial products over the same grid, as its packed scan replaced."""
+    ideal = family_ideal(n)
+    z = Monomial.from_support([ideal.table.index("z")])
+    y = Monomial.from_support([ideal.table.index("y")])
+    base = tuple(range(2, n - 1))
+    z_base = mono_mul(z, product_of(ideal, base))
+    pow_1, pow_prev, pow_last = (
+        [power(ideal.generator(i), e) for e in range(3 * n)]
+        for i in (1, n - 1, n))
+    solutions = []
+    for e1 in range(0, 2 * n):
+        lhs = mono_mul(z_base, pow_1[e1])
+        for e2 in range(0, 2 * n):
+            e3 = e1 + len(base) - e2
+            if e3 < 0:
+                continue
+            rhs = mono_mul(y, mono_mul(pow_prev[e2], pow_last[e3]))
+            if lhs == rhs:
+                solutions.append((e1, e2, e3))
+    return solutions
 
 
 class TestFamily:
@@ -70,6 +103,22 @@ class TestFamily:
             # the corrected triple is the unique homogeneous solution
             assert audit["corrected_exponents"] == (n - 5, n - 4, n - 4)
             assert audit["solutions"] == [(n - 5, n - 4, n - 4)]
+
+    def test_corrected_g_matches_the_monomial_grid_scan(self):
+        # the packed scan's field width is (3n).bit_length(); a width too
+        # narrow for some n would carry between fields and change the
+        # solutions, so n runs well past the demo sizes
+        for n in range(5, 31):
+            G, audit = family_corrected_g(n)
+            solutions = monomial_grid_scan(n)
+            assert audit["solutions"] == solutions
+            assert audit["corrected_exponents"] == solutions[0]
+            e1, e2, e3 = solutions[0]
+            base = tuple(range(2, n - 1))
+            assert audit["corrected_tdegree"] == e1 + len(base)
+            assert G == taylor_binomial(
+                family_ideal(n), tuple(sorted((1,) * e1 + base)),
+                (n - 1,) * e2 + (n,) * e3)
 
     def test_corrected_g_coefficients(self):
         I = family_ideal(5)

@@ -58,7 +58,7 @@ def cases() -> dict[str, list[list[str]]]:
                ["reduce", "{square}", "--alpha", _row(b.alpha),
                 "--beta", _row(b.beta)]
                for b in taylor_layer(villarreal_ideal(), 3)]}
-    for n in range(5, 10):
+    for n in range(5, 12):
         out[f"demo-family-n{n}"] = [["demo", "family", "--n", str(n)]]
     for name, make in IDEALS.items():
         path = "{" + name + "}"

@@ -20,7 +20,7 @@ from reeskit.monomials import (
     mono_divides,
     mono_gcd,
     mono_mul,
-    mono_pow,
+    mono_product,
 )
 from reeskit.reduction import (
     Certificate,
@@ -318,7 +318,7 @@ def test_walk_matches_the_power_and_shared_index_closed_forms():
             base = taylor_binomial(ideal, base_a, base_b)
             ca, cb = base.lhs_coef, base.rhs_coef
             assert [(t.coef, t.tfactor, t.sub) for t in cert.terms] == [
-                (mono_mul(mono_pow(ca, l - 1 - j), mono_pow(cb, j)),
+                (mono_product([ca] * (l - 1 - j) + [cb] * j),
                  tuple(sorted(base_a * (l - 1 - j) + base_b * j)), base)
                 for j in range(l)]
             shared = tuple(sorted(rng.choices(range(1, ideal.n + 1), k=t)))
