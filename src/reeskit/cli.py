@@ -175,6 +175,8 @@ def _print_witness(ideal: SquareFreeIdeal, w: IrredundancyWitness) -> None:
 
 
 def cmd_classify(args) -> int:
+    if args.s_max is not None and not args.oracle:
+        raise BadInput("--s-max needs --oracle")
     ideal = _load(args.ideal)
     rt = None
     if args.oracle:

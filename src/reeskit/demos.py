@@ -103,11 +103,11 @@ def family_corrected_g(n: int) -> tuple[ReesBinomial, dict]:
     2n-8 versus n-4), so the exponents are recovered by brute force: scan
     the grid and keep the triples where both sides substitute to the same
     monomial under T_i -> f_i t.  Both sides are packed sums in
-    ideal.layout at width (3n).bit_length(): no exponent on either side
-    reaches 3n (the largest, e3 on the u and z fields, is at most
-    (2n - 1) + (n - 3)), so no sum carries across a field and packed
-    equality is monomial equality.  The audit record reports the rejected
-    guess, the mismatch, and the unique surviving triple.
+    ideal.layout at width (3n).bit_length(), z and y taken from its xunit:
+    no exponent on either side reaches 3n (the largest, e3 on the u and z
+    fields, is at most (2n - 1) + (n - 3)), so no sum carries across a
+    field and packed equality is monomial equality.  The audit dict
+    reports the rejected guess, the mismatch and the surviving triple.
     """
     _check_family_size(n)
     ideal = family_ideal(n)
@@ -118,9 +118,8 @@ def family_corrected_g(n: int) -> tuple[ReesBinomial, dict]:
     base = tuple(range(2, n - 1))
 
     w = (3 * n).bit_length()
-    gen, _, _ = ideal.layout(w)
-    z_base = (1 << w * z_var) + sum(map(gen.__getitem__, base))
-    y_unit = 1 << w * y_var
+    gen, _, xunit, _ = ideal.layout(w)
+    z_base = xunit[z_var] + sum(map(gen.__getitem__, base))
     solutions = []
     for e1 in range(0, 2 * n):
         lhs = z_base + e1 * gen[1]
@@ -128,7 +127,7 @@ def family_corrected_g(n: int) -> tuple[ReesBinomial, dict]:
             e3 = e1 + len(base) - e2
             if e3 < 0:
                 continue
-            if lhs == y_unit + e2 * gen[n - 1] + e3 * gen[n]:
+            if lhs == xunit[y_var] + e2 * gen[n - 1] + e3 * gen[n]:
                 solutions.append((e1, e2, e3))
     if len(solutions) != 1:
         raise RuntimeError(f"exponent audit found {solutions!r}")

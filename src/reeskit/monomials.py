@@ -107,10 +107,7 @@ def _monomial(exps: tuple[tuple[int, int], ...]) -> Monomial:
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    out = a.as_dict()
-    for v, e in b.exps:
-        out[v] = out.get(v, 0) + e
-    return _monomial(tuple(sorted(out.items())))
+    return mono_product((a, b))
 
 
 def mono_gcd(a: Monomial, b: Monomial) -> Monomial:
@@ -164,7 +161,7 @@ class SquareFreeIdeal:
     gens: tuple[Monomial, ...]
     supports: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
     n: int = field(init=False, repr=False, compare=False)  # len(gens)
-    packed: dict[int, tuple[list[int], list[int], int]] = field(
+    packed: dict[int, tuple[list[int], list[int], list[int], int]] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -172,18 +169,20 @@ class SquareFreeIdeal:
         object.__setattr__(self, "n", len(self.gens))
         object.__setattr__(self, "packed", {})
 
-    def layout(self, w: int) -> tuple[list[int], list[int], int]:
-        """(gen, tunit, guards) at field width w: table variable v owns
-        bits [w v, w v + w) and T_a the field after them; gen[a] has a unit
-        in each field of supp(f_a), tunit[a] is T_a's unit (both 0 at
-        a = 0), and guards holds each table field's top bit.  Widths up to
+    def layout(self, w: int) -> tuple[list[int], list[int], list[int], int]:
+        """(gen, tunit, xunit, guards) at field width w: table variable v
+        owns bits [w v, w v + w) and T_a the field after them; gen[a] has a
+        unit in each field of supp(f_a), tunit[a] is T_a's unit (both 0 at
+        a = 0), xunit[v] is v's unit, and guards holds each table field's
+        top bit.  Every field position comes from here.  Widths up to
         _CACHED_WIDTH are cached in packed, wider ones built per call."""
         if w in self.packed:
             return self.packed[w]
         nvars = len(self.table)
         unit = [1 << b for b in range(0, w * (nvars + self.n), w)]
+        xunit = unit[:nvars]
         out = ([0, *[sum(map(unit.__getitem__, g)) for g in self.supports]],
-               [0, *unit[nvars:]], sum(unit[:nvars]) << (w - 1))
+               [0, *unit[nvars:]], xunit, sum(xunit) << (w - 1))
         if w <= _CACHED_WIDTH:
             self.packed[w] = out
         return out

@@ -106,7 +106,7 @@ def _capacity(ideal: SquareFreeIdeal, alpha: Sequence, beta: Sequence
     across no field, and a guard bit stays set exactly while the picks fit."""
     s = len(alpha)
     w = s.bit_length() + 1
-    gen, _, guards = ideal.layout(w)
+    gen, _, _, guards = ideal.layout(w)
     a = sum(map(gen.__getitem__, alpha))
     b = sum(map(gen.__getitem__, beta))
     return s, _lcm(a, b, w, guards), guards, gen
@@ -134,9 +134,10 @@ def _in_fiber(capacity: tuple, node: Seq[int]) -> bool:
 def _fiber(capacity: tuple) -> Iterable[Sequence]:
     """Yield {delta : f_delta | M} in lex order, lazily, for a pair's
     _capacity (s, full, guards, gen), by a depth-first search over it and
-    the generators that fit in it once.  A child that picks the j-th of
-    them is bounded by _can_fill on tails[j], the masks from j on; the
-    suffix lists are built once per fiber, so no child copies a list."""
+    the generators that fit in it once.  At every depth a child that picks
+    the j-th of them is bounded by _can_fill on tails[j], the masks from
+    j on; the suffix lists are built once per fiber, so no child copies a
+    list."""
     s, full, guards, gen = capacity
     index = [a for a in range(1, len(gen))
              if (full - gen[a]) & guards == guards]
@@ -154,9 +155,7 @@ def _fiber(capacity: tuple) -> Iterable[Sequence]:
             seq = prefix + (index[j],)
             if not left:
                 yield seq
-            # with one slot left the bound only asks whether some generator
-            # still fits, which the child's own scan answers
-            elif left == 1 or _can_fill(rest, tails[j], guards, left):
+            elif _can_fill(rest, tails[j], guards, left):
                 kids.append((seq, rest, j))
         stack.extend(reversed(kids))
 
@@ -303,7 +302,7 @@ def relation_type_estimate(ideal: SquareFreeIdeal, s_max: int) -> RtReport:
     witness: Optional[ReesBinomial] = None
     for s in range(2, s_max + 1):
         w = s.bit_length() + 1
-        gen, _, guards = ideal.layout(w)
+        gen, _, _, guards = ideal.layout(w)
         no = 0
         first_no: Optional[ReesBinomial] = None
         for alpha in enumerate_sequences(n, s):

@@ -101,9 +101,9 @@ def verify_certificate(ideal: SquareFreeIdeal, cert: Certificate) -> bool:
     outside the ideal's table.  One scan finds top (largest exponent) and
     L (longest T-factor plus row); each term is one int key per side in
     ideal.layout at width (top + max(top, L)).bit_length(), so no sum
-    carries: fields for the table variables, then T_1..T_n.  The keys must
-    cancel.  Coprime lhs, rhs with lhs f_alpha = rhs f_beta are f_beta/g,
-    f_alpha/g."""
+    carries: fields for the table variables, then T_1..T_n, each exponent
+    counted in its field's unit from the layout.  The keys must cancel.
+    Coprime lhs, rhs with lhs f_alpha = rhs f_beta are f_beta/g, f_alpha/g."""
     try:
         items = [(Monomial.one(), (), cert.target, -1),
                  *((t.coef, t.tfactor, t.sub, 1) for t in cert.terms)]
@@ -129,22 +129,21 @@ def verify_certificate(ideal: SquareFreeIdeal, cert: Certificate) -> bool:
                     return False
             length = max(length, len(tf) + len(sub.alpha))
         w = (top + max(top, length)).bit_length()
-        gen, tunit, high = ideal.layout(w)  # high: each x-field's top bit
-        shift = range(0, w * nvars, w)
+        gen, tunit, xunit, high = ideal.layout(w)  # high: x-fields' top bits
         low = high - (high >> (w - 1))  # + low sets that bit iff the field > 0
         total: dict[int, int] = {}
         for coef, tf, sub, sign in items:  # loops: no comprehension frames
             lhs, rhs, x = 0, 0, sum(map(tunit.__getitem__, tf))
             for v, e in sub.lhs_coef.exps:
-                lhs += e << shift[v]
+                lhs += e * xunit[v]
             for v, e in sub.rhs_coef.exps:
-                rhs += e << shift[v]
+                rhs += e * xunit[v]
             if (lhs + sum(map(gen.__getitem__, sub.alpha))
                     != rhs + sum(map(gen.__getitem__, sub.beta))
                     or (lhs + low) & (rhs + low) & high):  # not coprime
                 return False
             for v, e in coef.exps:
-                x += e << shift[v]
+                x += e * xunit[v]
             k = x + lhs + sum(map(tunit.__getitem__, sub.alpha))
             total[k] = total.get(k, 0) + sign
             k = x + rhs + sum(map(tunit.__getitem__, sub.beta))
@@ -433,14 +432,14 @@ class IrredundancyWitness:
                               self.b2, self.role_swapped)):
             return False
         try:
-            check_rows(ideal, self.alpha, self.beta)
+            alpha, beta = check_rows(ideal, self.alpha, self.beta)
         except ValueError:
             return False
         seps = _separators(ideal, self.avec, self.b1, self.b2)
         if not all(x in xs and z in zs for (xs, zs), x, z
                    in zip(seps, self.xvars, self.zvars)):
             return False
-        return _confirmed(ideal, self.alpha, self.beta)
+        return _confirmed(ideal, alpha, beta)
 
 
 def _shape(alpha: Sequence, beta: Sequence, avec: Sequence, b1: int, b2: int,
@@ -470,8 +469,8 @@ def _separators(ideal: SquareFreeIdeal, avec: Sequence, b1: int,
 
 
 def _confirmed(ideal: SquareFreeIdeal, alpha: Sequence, beta: Sequence) -> bool:
-    """The exact oracle: the pair does not reduce modulo lower layers."""
-    b = taylor_binomial(ideal, alpha, beta)
+    """The exact oracle: the checked pair is new modulo lower layers."""
+    b = _binomial(ideal, alpha, beta)
     return member_lower(ideal, b, b.degree - 1).is_no
 
 

@@ -198,6 +198,7 @@ BAD_INPUTS = [
     ["rt", "{file}", "--s-max", "0"],
     ["rt", "{file}", "--s-max", "-1"],
     ["classify", "{file}", "--oracle", "--s-max", "1"],
+    ["classify", "{file}", "--s-max", "3"],
     ["classify", "{file}", "--dot", "{tmp}/no/such/dir/g.dot"],
     ["reduce", "{file}", "--alpha", "1,x", "--beta", "2,4"],
     ["reduce", "{file}", "--alpha", "1", "--beta", "2,3"],

@@ -26,14 +26,28 @@ from reeskit.demos import (
     villarreal_ideal,
 )
 from reeskit.ideal_io import render_ideal
+from reeskit.monomials import make_ideal
 from reeskit.taylor import taylor_layer
 
 GOLDEN = Path(__file__).parent / "golden"
 IDEALS = {"square": villarreal_ideal, "pentagon": pentagon_ideal,
           "random1063": lambda: random_ideal(random.Random(1063), 5, 8)}
+
+
+def _union9():
+    """The square's generators over a0..a6 beside the pentagon's over
+    b0..b6: two components of at most 5 vertices."""
+    return make_ideal(
+        [f"a{v}" for v in range(7)] + [f"b{v}" for v in range(7)],
+        [sorted(g) for g in villarreal_ideal().supports]
+        + [sorted(7 + v for v in g) for g in pentagon_ideal().supports])
+
+
 # ideal files for single commands only, not for the IDEALS cases
 EXTRA = {"family7": lambda: family_ideal(7),
-         "evencycle7": lambda: random_shape_ideal("even-cycle", 7, seed=1)}
+         "family6": lambda: family_ideal(6),
+         "evencycle7": lambda: random_shape_ideal("even-cycle", 7, seed=1),
+         "union9": _union9}
 
 
 def _row(seq):
@@ -42,14 +56,23 @@ def _row(seq):
 
 def cases() -> dict[str, list[list[str]]]:
     """Golden file name -> the commands whose stdout it concatenates;
-    "{square}", "{pentagon}", "{random1063}", "{family7}" and "{evencycle7}"
-    stand for an ideal file."""
+    "{square}", "{pentagon}", "{random1063}" and each name in EXTRA in
+    braces stand for an ideal file."""
     out = {"demo-villarreal": [["demo", "villarreal"]],
            "demo-pentagon": [["demo", "pentagon"]],
            "rt-family7": [["rt", "{family7}", "--s-max", "6"]],
            # no bound applies: the Unknown verdict and its oracle hint
            "classify-evencycle7": [["classify", "{evencycle7}"],
                                    ["classify", "{evencycle7}", "--json"]],
+           # components of at most 5 vertices: relation type at most 3
+           "classify-union9": [["classify", "{union9}"]],
+           "classify-oracle-union9": [
+               ["classify", "{union9}", "--oracle", "--s-max", "3"]],
+           # F is stuck, and no irredundancy pattern fits it
+           "reduce-family6": [["reduce", "{family6}", "--alpha", "1,1,2,3,4",
+                               "--beta", "5,5,5,6,6"]],
+           "taylor-square": [["taylor", "{square}", "--degree", "2"],
+                             ["taylor", "{square}", "--json"]],
            # shared_index, then constant_row, then power_factor
            "reduce4-pentagon": [["reduce", "{pentagon}", "--alpha", "3,5,5,5",
                                  "--beta", "4,4,4,5"]],
@@ -58,6 +81,9 @@ def cases() -> dict[str, list[list[str]]]:
                ["reduce", "{square}", "--alpha", _row(b.alpha),
                 "--beta", _row(b.beta)]
                for b in taylor_layer(villarreal_ideal(), 3)]}
+    for shape in ("forest", "odd-cycle", "even-cycle"):
+        out[f"random-{shape}"] = [
+            ["random", "--graph-shape", shape, "--n", "5", "--seed", "3"]]
     for n in range(5, 12):
         out[f"demo-family-n{n}"] = [["demo", "family", "--n", str(n)]]
     for name, make in IDEALS.items():

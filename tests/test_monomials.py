@@ -274,9 +274,10 @@ class TestSupportTable:
     def test_layout_fields(self, w):
         # table variables a, b, c, then T_1, T_2, each in w bits
         ideal = make_ideal(["a", "b", "c"], [[0, 1], [1, 2]])
-        gen, tunit, guards = ideal.layout(w)
+        gen, tunit, xunit, guards = ideal.layout(w)
         assert gen == [0, 1 + (1 << w), (1 << w) + (1 << 2 * w)]
         assert tunit == [0, 1 << 3 * w, 1 << 4 * w]
+        assert xunit == [1 << w * v for v in range(3)]
         assert guards == sum(1 << (w * v + w - 1) for v in range(3))
         assert ideal.layout(w) is ideal.layout(w)
 

@@ -448,6 +448,9 @@ def sliced_fiber(capacity):
 
 
 class TestSuffixLists:
+    """_fiber against sliced_fiber, which slices its suffixes per child and
+    skips the bound with one slot left: the same nodes, in the same order."""
+
     def test_family_fibers_match_the_sliced_search(self):
         for n in range(6, 11):
             I = family_ideal(n)
