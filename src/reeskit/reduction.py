@@ -31,25 +31,26 @@ the constant row, alpha's tried first; on beta it splits the pair through
 the peel's blocks reversed and exchanged, the exchanged pair's walk read
 from its other end.  The four shape rules of the theory (2x2, 3x2, a leaf
 of a tree, a segment of a unique odd cycle) are guards over
-rule_block_disjoint that rename its certificate: the splits their proofs
-peel are among those it tries.  Each public rule checks its rows, then its
-guard; it returns a Certificate or None.  reduce_to_normal checks the top
-rows once and drives four of the eight rules in a fixed priority order,
-their bodies run by _dispatch on checked targets (the shape rules cannot
-fire after rule_block_disjoint).  When no rule applies to the top pair it
-asks the oracle, and the pair is either reduced along its fiber path
-(fiber_certificate) or stuck, which then means it is a genuinely new
+rule_block_disjoint: the splits their proofs peel are among those it tries.
+The five share one entry, _guarded; each other public rule is its body on
+taylor_binomial of its rows, so every rule reads its rows once and returns
+a Certificate or None.  reduce_to_normal checks the top rows once and
+drives four of the eight rules in a fixed priority order: _dispatch chains
+their bodies, all taking (ideal, target), on checked targets (the shape
+rules cannot fire after rule_block_disjoint).  When no rule applies to the
+top pair it asks the oracle, and the pair is either reduced along its fiber
+path (fiber_certificate) or stuck, which then means it is a genuinely new
 generator in its degree, and reduce_to_normal looks for an irredundancy
-witness of that.  The witness's row conditions are _shape,
-for IrredundancyWitness.check and for each of _pattern's candidates.
+witness of that.  The witness's row conditions are _shape, for
+IrredundancyWitness.check and for each of _pattern's candidates.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional
 
 from .graphs import (
     ComponentClass,
@@ -226,13 +227,14 @@ def rule_shared_index(ideal: SquareFreeIdeal, alpha: Sequence,
     """Factor the common T-part out of a pair sharing indices: a one-step
     walk, so the binomial equals T_{shared} times the binomial of the
     disjoint remainders (cofactor 1)."""
-    alpha, beta = check_rows(ideal, alpha, beta)
-    shared = seq_intersection(alpha, beta)
-    return (_shared_index(_binomial(ideal, alpha, beta), shared)
-            if shared else None)
+    return _shared_index(ideal, taylor_binomial(ideal, alpha, beta))
 
 
-def _shared_index(target: ReesBinomial, shared: Sequence) -> Certificate:
+def _shared_index(ideal: SquareFreeIdeal,
+                  target: ReesBinomial) -> Optional[Certificate]:
+    shared = seq_intersection(target.alpha, target.beta)
+    if not shared:
+        return None
     # f_shared cancels in f_alpha / f_beta, so the sub keeps the coefficients
     sub = ReesBinomial(seq_remove(target.alpha, shared),
                        seq_remove(target.beta, shared),
@@ -317,14 +319,23 @@ def rule_block_disjoint(ideal: SquareFreeIdeal, alpha: Sequence,
     mechanical hypothesis, so gating on the hypothesis itself both covers
     them and stays sound.  The target and the capacity are built once.
     """
+    return _guarded(ideal, alpha, beta, "block_disjoint", lambda a, b: True)
+
+
+def _guarded(ideal: SquareFreeIdeal, alpha: Sequence, beta: Sequence,
+             rule_name: str, guard: Callable[[Sequence, Sequence], bool]
+             ) -> Optional[Certificate]:
+    """The entry of rule_block_disjoint and the shape rules: the rows are
+    checked and tested for a shared index once, then guard(alpha, beta) on
+    the checked rows; _block_disjoint runs on the target under rule_name."""
     alpha, beta = check_rows(ideal, alpha, beta)
-    if seq_intersection(alpha, beta):
+    if seq_intersection(alpha, beta) or not guard(alpha, beta):
         return None
-    return _block_disjoint(ideal, _binomial(ideal, alpha, beta))
+    return _block_disjoint(ideal, _binomial(ideal, alpha, beta), rule_name)
 
 
-def _block_disjoint(ideal: SquareFreeIdeal,
-                    target: ReesBinomial) -> Optional[Certificate]:
+def _block_disjoint(ideal: SquareFreeIdeal, target: ReesBinomial,
+                    rule_name: str = "block_disjoint") -> Optional[Certificate]:
     alpha, beta = target.alpha, target.beta
     capacity = _capacity(ideal, alpha, beta)
     for t in range(1, len(alpha)):
@@ -335,14 +346,9 @@ def _block_disjoint(ideal: SquareFreeIdeal,
                 if _in_fiber(capacity, sub_b + rest_a):
                     blocks = ((sub_a, sub_b), (rest_a, seq_remove(beta, sub_b)))
                     return Certificate(target, _split(ideal, target, blocks),
-                                       "block_disjoint", "as-given",
+                                       rule_name, "as-given",
                                        "two aligned blocks")
     return None
-
-
-def _as_rule(cert: Optional[Certificate],
-             rule_name: str) -> Optional[Certificate]:
-    return None if cert is None else replace(cert, rule_name=rule_name)
 
 
 def rule_two_by_two(ideal: SquareFreeIdeal, alpha: Sequence,
@@ -350,10 +356,8 @@ def rule_two_by_two(ideal: SquareFreeIdeal, alpha: Sequence,
     """Two distinct indices on each side, disjoint, degree >= 3: a guard
     over rule_block_disjoint, whose search contains the peel of one copy of
     each row's heaviest index."""
-    alpha, beta = check_rows(ideal, alpha, beta)
-    if len(alpha) < 3 or len(set(alpha)) != 2 or len(set(beta)) != 2:
-        return None
-    return _as_rule(rule_block_disjoint(ideal, alpha, beta), "two_by_two")
+    return _guarded(ideal, alpha, beta, "two_by_two", lambda a, b: (
+        len(a) >= 3 and len(set(a)) == 2 and len(set(b)) == 2))
 
 
 def rule_three_by_two(ideal: SquareFreeIdeal, alpha: Sequence,
@@ -361,19 +365,14 @@ def rule_three_by_two(ideal: SquareFreeIdeal, alpha: Sequence,
     """Three distinct indices against two, disjoint, degree >= 4: a guard
     over rule_block_disjoint, whose search contains the single and double
     peels of the heaviest indices."""
-    alpha, beta = check_rows(ideal, alpha, beta)
-    if len(alpha) < 4 or {len(set(alpha)), len(set(beta))} != {3, 2}:
-        return None
-    return _as_rule(rule_block_disjoint(ideal, alpha, beta), "three_by_two")
+    return _guarded(ideal, alpha, beta, "three_by_two", lambda a, b: (
+        len(a) >= 4 and {len(set(a)), len(set(b))} == {3, 2}))
 
 
 def _induced_class(ideal: SquareFreeIdeal, alpha: Sequence,
                    beta: Sequence) -> Optional[ComponentClass]:
-    """The class of the rows' induced generator graph, checked first, if
-    the rows are disjoint and the graph connected."""
-    alpha, beta = check_rows(ideal, alpha, beta)
-    if seq_intersection(alpha, beta):
-        return None
+    """The class of the induced generator graph of checked disjoint rows,
+    if the graph is connected."""
     sub = induced_subgraph(ideal, alpha, beta)
     comps = components(sub)
     return classify_component(sub, comps[0]) if len(comps) == 1 else None
@@ -383,10 +382,10 @@ def rule_tree_leaf(ideal: SquareFreeIdeal, alpha: Sequence,
                    beta: Sequence) -> Optional[Certificate]:
     """Disjoint rows whose induced generator graph is a tree: a guard over
     rule_block_disjoint, whose search contains the split at a leaf."""
-    cls = _induced_class(ideal, alpha, beta)
-    if cls is None or cls.kind != "forest":
-        return None
-    return _as_rule(rule_block_disjoint(ideal, alpha, beta), "tree_leaf")
+    def guard(a: Sequence, b: Sequence) -> bool:
+        cls = _induced_class(ideal, a, b)
+        return cls is not None and cls.kind == "forest"
+    return _guarded(ideal, alpha, beta, "tree_leaf", guard)
 
 
 def rule_odd_cycle_step(ideal: SquareFreeIdeal, alpha: Sequence,
@@ -394,11 +393,11 @@ def rule_odd_cycle_step(ideal: SquareFreeIdeal, alpha: Sequence,
     """Disjoint rows, degree >= 4, whose induced generator graph is exactly
     one odd cycle of length >= 5: a guard over rule_block_disjoint, whose
     search contains the split at a cycle segment b1 - a1 - a2 - b2."""
-    cls = _induced_class(ideal, alpha, beta)
-    if (cls is None or len(alpha) < 4 or cls.kind != "unique_odd_cycle"
-            or len(cls.cycle) != len(cls.vertices) or len(cls.cycle) < 5):
-        return None
-    return _as_rule(rule_block_disjoint(ideal, alpha, beta), "odd_cycle_step")
+    def guard(a: Sequence, b: Sequence) -> bool:
+        cls = _induced_class(ideal, a, b) if len(a) >= 4 else None
+        return (cls is not None and cls.kind == "unique_odd_cycle"
+                and len(cls.cycle) == len(cls.vertices) >= 5)
+    return _guarded(ideal, alpha, beta, "odd_cycle_step", guard)
 
 
 # --- irredundancy witnesses ------------------------------------------------
@@ -527,13 +526,10 @@ def _pair_key(a: Sequence, b: Sequence):
 def _dispatch(ideal: SquareFreeIdeal,
               target: ReesBinomial) -> Optional[Certificate]:
     """The first of the shared-index, power-factor, constant-row and
-    block-disjoint bodies that applies to a checked target; the rows are
-    compared once, and a shared index always fires."""
-    shared = seq_intersection(target.alpha, target.beta)
-    if shared:
-        return _shared_index(target, shared)
-    return (_power_factor(ideal, target) or _constant_row(ideal, target)
-            or _block_disjoint(ideal, target))
+    block-disjoint bodies that applies to a checked target; only the first
+    compares the rows, and a shared index always fires."""
+    return (_shared_index(ideal, target) or _power_factor(ideal, target)
+            or _constant_row(ideal, target) or _block_disjoint(ideal, target))
 
 
 def reduce_to_normal(ideal: SquareFreeIdeal, alpha: Sequence,

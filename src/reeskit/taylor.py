@@ -100,6 +100,7 @@ def _exponents(ideal: SquareFreeIdeal, seq: Sequence,
 
 def product_of(ideal: SquareFreeIdeal, seq: Sequence) -> Monomial:
     """f_seq: the product of the generators indexed by seq (with repetition)."""
+    seq = tuple(seq)
     for a in seq:
         ideal.generator(a)  # IndexError outside 1..n
     return _monomial(tuple([(v, e) for v, e

@@ -1,3 +1,5 @@
+import collections
+import itertools
 import random
 
 import pytest
@@ -203,3 +205,50 @@ class TestCrossValidate:
         with pytest.raises(Inconsistency) as err:
             cross_validate(P, s_max=3)
         assert "reduces" in str(err.value)
+
+
+def column_type_classes(n):
+    """Every ideal with n generators up to isomorphism, as its sorted column
+    types: the bitmask of the generators containing each variable.  A fiber
+    depends only on the set of column types.  The types are proper nonempty
+    subsets that separate every ordered pair (no generator divides another);
+    the canonical form is the least image under S_n, found by brute force."""
+    images = [[sum(1 << p[i] for i in range(n) if t >> i & 1)
+               for t in range(1 << n)]
+              for p in itertools.permutations(range(n))]
+    pairs = [(1 << i, 1 << j) for i in range(n) for j in range(n) if i != j]
+    types = range(1, (1 << n) - 1)
+    classes = set()
+    for k in range(len(types) + 1):
+        for combo in itertools.combinations(types, k):
+            if all(any(t & i and not t & j for t in combo) for i, j in pairs):
+                classes.add(min(tuple(sorted(map(image.__getitem__, combo)))
+                                for image in images))
+    return sorted(classes)
+
+
+def column_type_ideal(n, types):
+    """One variable per column type; the single class at n = 1 has no
+    type, so its generator gets one variable of the full type [1]."""
+    types = types or ((1 << n) - 1,)
+    return make_ideal([f"x{v}" for v in range(len(types))],
+                      [[v for v, t in enumerate(types) if t >> i & 1]
+                       for i in range(n)])
+
+
+@pytest.mark.parametrize("n, count, tally", [
+    (1, 1, {("LinearType", 1): 1}),
+    (2, 1, {("LinearType", 1): 1}),
+    (3, 8, {("LinearType", 1): 8}),
+    (4, 606, {("LinearType", 1): 416, ("RtAtMost(2)", 2): 190}),
+])
+def test_every_small_ideal_cross_validates(n, count, tally):
+    # exhaustive up to isomorphism: an Inconsistency would raise here
+    classes = column_type_classes(n)
+    assert len(classes) == count
+    verdicts = collections.Counter()
+    for types in classes:
+        cross = cross_validate(column_type_ideal(n, types))
+        verdicts[cross.classification.verdict,
+                 cross.rt_report.certified_lower] += 1
+    assert verdicts == tally

@@ -890,6 +890,52 @@ class TestChecksAtTheBoundary:
                 search(V, alpha, beta)
 
 
+def _found(result):
+    """What an entry returned: None, a reduction's status, or a type name."""
+    if result is None:
+        return None
+    return getattr(result, "status", type(result).__name__)
+
+
+ITERATOR_ROW_CASES = [
+    (rule_shared_index, villarreal_ideal(), ((1, 2), (1, 4)), "Certificate"),
+    (rule_shared_index, villarreal_ideal(), ((1, 2), (3, 4)), None),
+    (rule_power_factor, villarreal_ideal(), ((1, 1), (2, 2)), "Certificate"),
+    (rule_power_factor, villarreal_ideal(), ((1, 2), (3, 4)), None),
+    (rule_constant_row, villarreal_ideal(), ((1, 1), (2, 3)), "Certificate"),
+    (rule_constant_row, villarreal_ideal(), ((1, 2), (3, 4)), None),
+    (rule_block_disjoint, pentagon_ideal(), ((1, 2), (3, 4)), "Certificate"),
+    (rule_block_disjoint, villarreal_ideal(), ((1, 3), (2, 4)), None),
+    (rule_two_by_two, cycle_ideal(8), ((1, 1, 5), (3, 3, 7)), "Certificate"),
+    (rule_two_by_two, villarreal_ideal(), ((1, 3), (2, 4)), None),
+    (rule_three_by_two, cycle_ideal(10), ((1, 4, 7, 7), (3, 3, 9, 9)),
+     "Certificate"),
+    (rule_three_by_two, cycle_ideal(10), ((1, 1, 4), (3, 3, 3)), None),
+    (rule_tree_leaf, path_ideal(4), ((1, 2), (3, 4)), "Certificate"),
+    (rule_tree_leaf, villarreal_ideal(), ((1, 3), (2, 4)), None),
+    (rule_odd_cycle_step, cycle_ideal(7),
+     ((2, 3, 6, 6, 6, 6), (1, 1, 4, 4, 5, 7)), "Certificate"),
+    (rule_odd_cycle_step, triangle_ideal(), ((1, 1), (2, 3)), None),
+    (irredundancy_witness, pentagon_ideal(), ((1, 1, 4), (2, 3, 5)),
+     "IrredundancyWitness"),
+    (irredundancy_witness, villarreal_ideal(), ((1, 2), (3, 4)), None),
+    (reduce_to_normal, villarreal_ideal(), ((1, 2), (3, 4)), "reduced"),
+    (reduce_to_normal, villarreal_ideal(), ((1, 3), (2, 4)), "stuck"),
+    (taylor_binomial, villarreal_ideal(), ((1, 2), (3, 4)), "ReesBinomial"),
+    (product_of, villarreal_ideal(), ((1, 2),), "Monomial"),
+]
+
+
+@pytest.mark.parametrize("entry, ideal, rows, found", ITERATOR_ROW_CASES,
+                         ids=[f"{e.__name__}-{f}"
+                              for e, _, _, f in ITERATOR_ROW_CASES])
+def test_entries_read_their_rows_once(entry, ideal, rows, found):
+    # one-shot iterators give what tuples give, certificate or None
+    expected = entry(ideal, *rows)
+    assert _found(expected) == found
+    assert entry(ideal, *map(iter, rows)) == expected
+
+
 class TestIrredundancyWitness:
     def test_pentagon_witness(self):
         P = pentagon_ideal()
