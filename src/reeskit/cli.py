@@ -221,7 +221,7 @@ def cmd_taylor(args) -> int:
     ideal = _load(args.ideal)
     try:
         layer = taylor_layer(ideal, args.degree)
-    except ValueError as exc:
+    except (OverflowError, ValueError) as exc:
         raise BadInput(exc) from None
     if args.json:
         print(json.dumps([
@@ -320,9 +320,10 @@ def cmd_demo(args) -> int:
         return 0
     # family
     n = args.n
-    if n < 5:
-        raise BadInput("the family needs --n at least 5")
-    ideal = family_ideal(n)
+    try:
+        ideal = family_ideal(n)
+    except (OverflowError, ValueError) as exc:
+        raise BadInput(exc) from None
     print(render_ideal(ideal), end="")
     f_binom = family_f_binomial(n)
     print(f"F (degree {f_binom.degree}): {render_binomial(ideal, f_binom)}")

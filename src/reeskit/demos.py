@@ -57,11 +57,6 @@ def path_ideal(edges: int = 4) -> SquareFreeIdeal:
         [[i, i + 1] for i in range(edges)])
 
 
-def _check_family_size(n: int) -> None:
-    if n < 5:
-        raise ValueError(f"the family needs n >= 5, got {n}")
-
-
 def family_ideal(n: int) -> SquareFreeIdeal:
     """n generators over y, x_2..x_{n-2}, z, u_2..u_{n-2}:
 
@@ -70,7 +65,8 @@ def family_ideal(n: int) -> SquareFreeIdeal:
         f_{n-1} = x_2 ... x_{n-2} y
         f_n     = u_2 ... u_{n-2} z
     """
-    _check_family_size(n)
+    if n < 5:
+        raise ValueError(f"the family needs n >= 5, got {n}")
     mid = list(range(2, n - 1))
     names = ["y"] + [f"x{i}" for i in mid] + ["z"] + [f"u{i}" for i in mid]
     table = {name: pos for pos, name in enumerate(names)}
@@ -88,7 +84,6 @@ def family_ideal(n: int) -> SquareFreeIdeal:
 def family_f_binomial(n: int) -> ReesBinomial:
     """The distinguished degree-(2n-7) relation of family_ideal(n):
     alpha = (1^{n-4}, 2, ..., n-2) against beta = ((n-1)^{n-3}, n^{n-4})."""
-    _check_family_size(n)
     alpha = (1,) * (n - 4) + tuple(range(2, n - 1))
     beta = (n - 1,) * (n - 3) + (n,) * (n - 4)
     return taylor_binomial(family_ideal(n), tuple(sorted(alpha)),
@@ -109,7 +104,6 @@ def family_corrected_g(n: int) -> tuple[ReesBinomial, dict]:
     field and packed equality is monomial equality.  The audit dict
     reports the rejected guess, the mismatch and the surviving triple.
     """
-    _check_family_size(n)
     ideal = family_ideal(n)
     z_var = ideal.table.index("z")
     y_var = ideal.table.index("y")

@@ -39,9 +39,9 @@ lazily, in lex order.  The same capacity decides a single node (_in_fiber),
 the package's one fiber-membership test: a walk stays in the fiber exactly
 when its nodes do, so reduction.py tests nodes with it and its walks only
 compute, and minimal_linear_generators keeps a linear move when both its
-nodes pass it.  A yes verdict carries its path;
-reduction.fiber_certificate turns it into a Certificate, the one proof
-format that verify_certificate replays.
+nodes pass it; every caller has checked the node's shape.  A yes verdict
+carries its path; reduction.fiber_certificate turns it into a Certificate,
+the one proof format that verify_certificate replays.
 """
 
 from __future__ import annotations
@@ -122,12 +122,10 @@ def _lcm(a: int, b: int, w: int, guards: int) -> int:
 
 
 def _in_fiber(capacity: tuple, node: Seq[int]) -> bool:
-    """Is node, in any order, of length s with f_node | M?  A node of another
-    length or with an index outside 1..n is refused before any subtraction;
-    a generator reaching outside supp(M) borrows a guard bit."""
-    s, free, guards, gen = capacity
-    if len(node) != s or min(node) < 1 or max(node) >= len(gen):
-        return False
+    """Does f_node divide M?  node, in any order, must already be a length-s
+    sequence over 1..n, as check_sequence and check_rows make sure at every
+    caller; a generator reaching outside supp(M) borrows a guard bit."""
+    _, free, guards, gen = capacity
     return (free - sum(map(gen.__getitem__, node))) & guards == guards
 
 
@@ -137,7 +135,8 @@ def _fiber(capacity: tuple) -> Iterable[Sequence]:
     the generators that fit in it once.  At every depth a child that picks
     the j-th of them is bounded by _can_fill on tails[j], the masks from
     j on; the suffix lists are built once per fiber, so no child copies a
-    list."""
+    list.  It keeps its own stack: the search is s picks deep, and a
+    recursive generator exceeds the default recursion limit at s = 1,200."""
     s, full, guards, gen = capacity
     index = [a for a in range(1, len(gen))
              if (full - gen[a]) & guards == guards]
@@ -239,8 +238,8 @@ def member_lower(ideal: SquareFreeIdeal, b: ReesBinomial, k: int,
     """Does the layer-s pair of b rewrite into one another modulo all
     relation layers of degree at most k?  Exact yes/no on the lcm fiber.
 
-    b's rows are checked first.  cap is kept for older callers and only
-    validated: no fiber search is ever cut off by degree."""
+    b's rows are checked first.  cap only refuses, with ValueError, a value
+    below the degree of the start monomial: no search is cut off by degree."""
     check_rows(ideal, b.alpha, b.beta)
     if k < 1:
         raise ValueError("layer bound k must be at least 1")

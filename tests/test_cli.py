@@ -206,6 +206,9 @@ BAD_INPUTS = [
     ["random", "--graph-shape", "odd-cycle", "--n", "2"],
     ["demo", "family", "--n", "4"],
     ["random", "--graph-shape", "forest", "--n", "3", "--vars", "-2"],
+    # too large to enumerate: OverflowError, not ValueError, in the library
+    ["taylor", "{file}", "--degree", "99999999999999999999"],
+    ["demo", "family", "--n", "99999999999999999999"],
     # argument errors, which argparse alone reports on two lines
     ["reduce", "{file}", "--alpha", "1,2"],
     ["rt", "{file}", "--s-max", "abc"],

@@ -280,6 +280,33 @@ def test_a_coefficient_must_be_a_monomial_with_int_exponents(coef):
     assert verify_certificate(V, bad) is False
 
 
+# One exponent rule in two copies: Monomial's constructor and the inline
+# loop of verify_certificate, kept apart for the replay's speed.
+MALFORMED_EXPONENTS = {
+    "exponent True": ((0, True),),
+    "exponent 2.0": ((0, 2.0),),
+    "exponent 0": ((0, 1), (4, 0)),
+    "exponent -1": ((0, 1), (4, -1)),
+    "variable -1": ((-1, 1),),
+    "descending variables": ((4, 1), (0, 1)),
+    "repeated variable": ((0, 1), (0, 1)),
+}
+
+
+@pytest.mark.parametrize("exps", list(MALFORMED_EXPONENTS.values()),
+                         ids=list(MALFORMED_EXPONENTS))
+def test_monomial_and_the_replay_refuse_the_same_exponent_tuples(exps):
+    with pytest.raises(ValueError):
+        Monomial(exps)
+    V, cert, sub = square_certificate()
+    good = mono((0, 1), (4, 2))
+    assert verify_certificate(
+        V, with_pair(cert, (good, (), sub), (good, ()))) is True
+    bad = _monomial(exps)
+    assert verify_certificate(
+        V, with_pair(cert, (bad, (), sub), (bad, ()))) is False
+
+
 # --- coefficients must be monomials ------------------------------------------
 
 def laurent_tally(cert):
