@@ -91,17 +91,16 @@ def nonlinear_witnesses(ideal: SquareFreeIdeal) -> tuple[NonlinearEvidence, ...]
                          "or small components")
     top = n - 2 if n <= 5 else min(3, n - 2)
     found = []
-    seen = set()
     for s in range(2, top + 1):
         for avec in itertools.combinations(range(1, n + 1), s):
             rest = [i for i in range(1, n + 1) if i not in avec]
             for b1, b2 in itertools.permutations(rest, 2):
-                beta = tuple(sorted((b1,) * (s - 1) + (b2,)))
-                # a pair and its swap name the same generator up to sign
-                alo, bhi = sorted((avec, beta))
-                if (alo, bhi) in seen:
+                # at s = 2 the four orderings of {avec, beta} name one
+                # generator up to sign; keep the first one the loop meets
+                if s == 2 and not (b1 < b2 and avec < (b1, b2)):
                     continue
-                seen.add((alo, bhi))
+                beta = tuple(sorted((b1,) * (s - 1) + (b2,)))
+                alo, bhi = sorted((avec, beta))
                 w = irredundancy_witness(ideal, alo, bhi)
                 if w is None:
                     continue

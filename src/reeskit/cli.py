@@ -10,8 +10,9 @@ Subcommands:
 
 Exit codes: 0 success, 2 unreadable or invalid input or a malformed command
 line (one line on stderr, never a traceback), 3 classifier verdict
-contradicted by the oracle.  Every oracle answer is exact, so no search
-limit can be set.
+contradicted by the oracle.  _checked is the one place that decides which
+library errors on user input mean exit 2.  Every oracle answer is exact, so
+no search limit can be set.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import functools
 import json
 import os
 import sys
+from pathlib import Path
 from typing import Iterable, Optional
 
 from .classify import ClassificationReport, Inconsistency, classify, cross_validate
@@ -40,8 +42,8 @@ from .graphs import (
     even_closed_walk,
     to_dot,
 )
-from .ideal_io import IdealParseError, load_ideal, render_ideal
-from .monomials import IdealValidationError, SquareFreeIdeal, render_monomial
+from .ideal_io import load_ideal, render_ideal
+from .monomials import SquareFreeIdeal, render_monomial
 from .oracle import (
     RtReport,
     default_s_max,
@@ -70,10 +72,13 @@ class BadInput(Exception):
     """Malformed input: main prints it as one line and exits 2."""
 
 
-def _load(path: str) -> SquareFreeIdeal:
+def _checked(call, *args):
+    """call(*args) on user input: a ValueError (the ideal parse and
+    validation errors among them), an OverflowError or an OSError becomes
+    BadInput."""
     try:
-        return load_ideal(path)
-    except (IdealParseError, IdealValidationError, OSError) as exc:
+        return call(*args)
+    except (ValueError, OverflowError, OSError) as exc:
         raise BadInput(exc) from None
 
 
@@ -177,7 +182,7 @@ def _print_witness(ideal: SquareFreeIdeal, w: IrredundancyWitness) -> None:
 def cmd_classify(args) -> int:
     if args.s_max is not None and not args.oracle:
         raise BadInput("--s-max needs --oracle")
-    ideal = _load(args.ideal)
+    ideal = _checked(load_ideal, args.ideal)
     rt = None
     if args.oracle:
         try:
@@ -192,11 +197,8 @@ def cmd_classify(args) -> int:
     else:
         report = classify(ideal)
     if args.dot:
-        try:
-            with open(args.dot, "w", encoding="utf-8") as fh:
-                fh.write(to_dot(ideal, build_graph(ideal)))
-        except OSError as exc:
-            raise BadInput(exc) from None
+        _checked(Path(args.dot).write_text, to_dot(ideal, build_graph(ideal)),
+                 "utf-8")
     if args.json:
         print(json.dumps(_json_report(ideal, report, rt), indent=2))
         return 0
@@ -218,11 +220,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_taylor(args) -> int:
-    ideal = _load(args.ideal)
-    try:
-        layer = taylor_layer(ideal, args.degree)
-    except (OverflowError, ValueError) as exc:
-        raise BadInput(exc) from None
+    ideal = _checked(load_ideal, args.ideal)
+    layer = _checked(taylor_layer, ideal, args.degree)
     if args.json:
         print(json.dumps([
             {"alpha": list(b.alpha), "beta": list(b.beta),
@@ -252,13 +251,10 @@ def _print_certificate(ideal: SquareFreeIdeal, idx: int, cert: Certificate) -> N
 
 
 def cmd_reduce(args) -> int:
-    ideal = _load(args.ideal)
+    ideal = _checked(load_ideal, args.ideal)
     alpha = _parse_row(args.alpha)
     beta = _parse_row(args.beta)
-    try:
-        outcome = reduce_to_normal(ideal, alpha, beta)
-    except ValueError as exc:
-        raise BadInput(exc) from None
+    outcome = _checked(reduce_to_normal, ideal, alpha, beta)
     if outcome.status == "reduced":
         print(f"reduced in {len(outcome.chain)} step(s); "
               f"terminal degree {outcome.terminal_degree}")
@@ -278,7 +274,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_rt(args) -> int:
-    ideal = _load(args.ideal)
+    ideal = _checked(load_ideal, args.ideal)
     s_max = _s_max(args, ideal)
     rt = relation_type_estimate(ideal, s_max)
     print(f"layers tested: 2..{s_max}")
@@ -287,6 +283,8 @@ def cmd_rt(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    if args.n is not None and args.name != "family":
+        raise BadInput("--n needs family")
     if args.name == "villarreal":
         ideal = villarreal_ideal()
         print(render_ideal(ideal), end="")
@@ -319,11 +317,8 @@ def cmd_demo(args) -> int:
               f"verified upper through: {rt.verified_upper_through}")
         return 0
     # family
-    n = args.n
-    try:
-        ideal = family_ideal(n)
-    except (OverflowError, ValueError) as exc:
-        raise BadInput(exc) from None
+    n = 5 if args.n is None else args.n
+    ideal = _checked(family_ideal, n)
     print(render_ideal(ideal), end="")
     f_binom = family_f_binomial(n)
     print(f"F (degree {f_binom.degree}): {render_binomial(ideal, f_binom)}")
@@ -344,11 +339,8 @@ def cmd_demo(args) -> int:
 
 
 def cmd_random(args) -> int:
-    try:
-        ideal = random_shape_ideal(args.graph_shape, args.n, args.vars,
-                                   args.seed)
-    except ValueError as exc:
-        raise BadInput(exc) from None
+    ideal = _checked(random_shape_ideal, args.graph_shape, args.n, args.vars,
+                     args.seed)
     print(f"# {args.graph_shape} ideal, n={args.n}, seed={args.seed}")
     print(render_ideal(ideal), end="")
     return 0
@@ -395,7 +387,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="built-in worked examples")
     p.add_argument("name", choices=["villarreal", "pentagon", "family"])
-    p.add_argument("--n", type=int, default=5, help="family size (>= 5)")
+    p.add_argument("--n", type=int, help="family size (>= 5)")
 
     p = sub.add_parser("random", help="emit a random ideal file")
     p.add_argument("--graph-shape", required=True,

@@ -62,7 +62,7 @@ class Monomial:
         last = -1
         for var, exp in self.exps:
             if (type(var) is not int or type(exp) is not int  # refuses bool too
-                    or var <= last or exp <= 0 or var < 0):
+                    or var <= last or exp <= 0):
                 raise ValueError(f"malformed exponent tuple {self.exps!r}")
             last = var
 

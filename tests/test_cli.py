@@ -204,11 +204,16 @@ BAD_INPUTS = [
     ["reduce", "{file}", "--alpha", "1", "--beta", "2,3"],
     ["reduce", "{file}", "--alpha", "1,2", "--beta", "2,1"],  # equal, sorted
     ["random", "--graph-shape", "odd-cycle", "--n", "2"],
+    ["random", "--graph-shape", "forest", "--n", "0"],
+    ["demo", "villarreal", "--n", "7"],
     ["demo", "family", "--n", "4"],
     ["random", "--graph-shape", "forest", "--n", "3", "--vars", "-2"],
     # too large to enumerate: OverflowError, not ValueError, in the library
     ["taylor", "{file}", "--degree", "99999999999999999999"],
     ["demo", "family", "--n", "99999999999999999999"],
+    # a NUL byte in a path: open raises ValueError, not OSError
+    ["rt", "{tmp}/a\0b"],
+    ["classify", "{file}", "--dot", "{tmp}/g\0.dot"],
     # argument errors, which argparse alone reports on two lines
     ["reduce", "{file}", "--alpha", "1,2"],
     ["rt", "{file}", "--s-max", "abc"],

@@ -38,6 +38,8 @@ def test_triangle_and_path():
     assert triangle_ideal().n == 3
     assert path_ideal(6).n == 6
     assert path_ideal(2).n == 2
+    with pytest.raises(ValueError, match="at least 2 edges"):
+        path_ideal(1)
 
 
 def power(m, k):
@@ -143,6 +145,12 @@ class TestRandomGenerators:
             # 11 pairwise-incomparable supports of size 2..3 over 4
             # variables do not exist
             random_ideal(rng, 11, 4)
+
+    @pytest.mark.parametrize("n, num_vars", [(0, 5), (3, 2)])
+    def test_random_ideal_rejects_no_generators_or_few_variables(
+            self, n, num_vars):
+        with pytest.raises(ValueError, match="need n >= 1 and num_vars >= 3"):
+            random_ideal(random.Random(0), n, num_vars)
 
     def test_shape_ideals_valid_and_deterministic(self):
         for shape in ("forest", "odd-cycle", "even-cycle"):

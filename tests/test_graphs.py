@@ -204,3 +204,6 @@ class TestEvenClosedWalk:
         walk = even_closed_walk(P, w)
         for a, b in zip(walk.vertices, walk.vertices[1:]):
             assert not mono_gcd(P.generator(a), P.generator(b)).is_one
+        # f1 and f4 share no variable, so a walk stepping 1-4 is refused
+        with pytest.raises(ValueError, match="walk step 1-4 is not an edge"):
+            even_closed_walk(P, replace(w, avec=(4, 3, 5)))

@@ -196,6 +196,9 @@ class TestIdealValidation:
         with pytest.raises(IdealValidationError) as err:
             make_ideal(["a"], [])
         assert err.value.reason == "empty"
+        with pytest.raises(IdealValidationError) as err:
+            VariableTable(())
+        assert err.value.reason == "empty"
 
     def test_duplicate_generator(self):
         with pytest.raises(IdealValidationError) as err:
@@ -205,6 +208,9 @@ class TestIdealValidation:
     def test_divisibility(self):
         with pytest.raises(IdealValidationError) as err:
             make_ideal(["a", "b"], [[0], [0, 1]])
+        assert err.value.reason == "divisibility"
+        with pytest.raises(IdealValidationError) as err:
+            validate_ideal(default_table(2), (Monomial.one(),))
         assert err.value.reason == "divisibility"
 
     def test_non_squarefree(self):

@@ -134,6 +134,10 @@ def test_multiset_helpers():
     assert seq_remove((1, 2, 2, 3), (2, 3)) == (1, 2)
     assert seq_intersection((1, 2, 2), (2, 2, 3)) == (2, 2)
     assert multiset_distance((1, 2, 2), (2, 2, 3)) == 1
+    with pytest.raises(ValueError, match="not a sub-multiset"):
+        seq_remove((1, 2, 3), (2, 2))
+    with pytest.raises(ValueError, match="equal length"):
+        multiset_distance((1, 2), (1, 2, 3))
 
 
 def test_enumerate_sequences_count():
@@ -142,6 +146,9 @@ def test_enumerate_sequences_count():
     assert len(list(enumerate_sequences(4, 3))) == 20
     for seq in enumerate_sequences(3, 2):
         check_sequence(seq, 3)
+    for n, s in ((3, 0), (0, 2)):
+        with pytest.raises(ValueError, match="need s >= 1 and n >= 1"):
+            enumerate_sequences(n, s)
 
 
 def test_product_of():
