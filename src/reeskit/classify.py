@@ -4,14 +4,14 @@ The ladder, applied in order:
 
 1. Every component is a forest or carries a unique odd cycle: the ideal is
    of linear type, componentwise and jointly.
-2. At most five generators: the relation type is at most max(n-2, 1); an
-   exhaustive irredundancy-witness search over all admissible shapes then
-   either certifies a genuinely nonlinear generator or, finding nothing,
-   upgrades the verdict to linear type.
+2. At most five generators: the relation type is at most max(n-2, 1); the
+   exhaustive irredundancy-witness search then certifies a genuinely
+   nonlinear generator or, finding none, upgrades the verdict to linear type.
 3. Every component has at most five vertices: relation type at most 3.
 4. Otherwise unknown, with a suggested oracle invocation attached.
 
-Every reported witness is confirmed by the exact membership oracle.
+Every reported witness is confirmed by the exact membership oracle; the
+witness search draws each candidate from one component C, s = 2..|C|-2.
 cross_validate runs the layered oracle next to the classifier and raises
 Inconsistency when the two disagree.
 """
@@ -77,37 +77,34 @@ class Inconsistency(Exception):
 
 
 def nonlinear_witnesses(ideal: SquareFreeIdeal) -> tuple[NonlinearEvidence, ...]:
-    """Exhaustive irredundancy-witness search.
+    """Exhaustive irredundancy-witness search inside each component C.
 
-    Candidate pairs put s pairwise-distinct indices against a row
-    (b1^{s-1}, b2) on disjoint index sets; s ranges over 2..n-2 when the
-    ideal has at most five generators and over 2..3 otherwise (where only
-    the small-component bound is in play).
+    Candidates put s = 2..|C|-2 pairwise-distinct indices of C against a
+    row (b1^{s-1}, b2) of two other indices of C, ordered by (s, avec, b1,
+    b2).  None spanning two components can match: a pattern's separator
+    variables join its generators, so they lie in one component.
     """
-    n = ideal.n
     comps = components(build_graph(ideal))
-    if n > 5 and any(len(c) > 5 for c in comps):
+    if ideal.n > 5 and any(len(c) > 5 for c in comps):
         raise ValueError("witness search requires at most five generators "
                          "or small components")
-    top = n - 2 if n <= 5 else min(3, n - 2)
-    found = []
-    for s in range(2, top + 1):
-        for avec in itertools.combinations(range(1, n + 1), s):
-            rest = [i for i in range(1, n + 1) if i not in avec]
-            for b1, b2 in itertools.permutations(rest, 2):
-                # at s = 2 the four orderings of {avec, beta} name one
-                # generator up to sign; keep the first one the loop meets
-                if s == 2 and not (b1 < b2 and avec < (b1, b2)):
-                    continue
-                beta = tuple(sorted((b1,) * (s - 1) + (b2,)))
-                alo, bhi = sorted((avec, beta))
-                w = irredundancy_witness(ideal, alo, bhi)
-                if w is None:
-                    continue
-                found.append(NonlinearEvidence(
-                    taylor_binomial(ideal, alo, bhi), w,
-                    even_closed_walk(ideal, w)))
-    return tuple(found)
+    found = {}
+    for comp in comps:
+        for s in range(2, len(comp) - 1):
+            for avec in itertools.combinations(comp, s):
+                rest = [i for i in comp if i not in avec]
+                for b1, b2 in itertools.permutations(rest, 2):
+                    # at s = 2 the four orderings of {avec, beta} name one
+                    # generator up to sign; keep the first one the loop meets
+                    if s == 2 and not (b1 < b2 and avec < (b1, b2)):
+                        continue
+                    beta = tuple(sorted((b1,) * (s - 1) + (b2,)))
+                    alo, bhi = sorted((avec, beta))
+                    if w := irredundancy_witness(ideal, alo, bhi):
+                        found[s, avec, b1, b2] = NonlinearEvidence(
+                            taylor_binomial(ideal, alo, bhi), w,
+                            even_closed_walk(ideal, w))
+    return tuple(found[key] for key in sorted(found))
 
 
 def classify(ideal: SquareFreeIdeal) -> ClassificationReport:

@@ -74,10 +74,12 @@ class BadInput(Exception):
 
 def _checked(call, *args):
     """call(*args) on user input: a ValueError (the ideal parse and
-    validation errors among them), an OverflowError or an OSError becomes
-    BadInput."""
+    validation errors among them), an OverflowError, an OSError or a
+    MemoryError (a size refused before allocation) becomes BadInput."""
     try:
         return call(*args)
+    except MemoryError:  # its message is empty
+        raise BadInput("too large to enumerate") from None
     except (ValueError, OverflowError, OSError) as exc:
         raise BadInput(exc) from None
 

@@ -1,6 +1,8 @@
 import collections
+import functools
 import itertools
 import random
+import time
 
 import pytest
 
@@ -120,8 +122,9 @@ class TestNonlinearWitnesses:
 
 
 def _seen_set_witnesses(ideal):
-    """A reference witness search that remembers every pair it has tried
-    and skips a pair met before."""
+    """A reference witness search that draws candidates from all n
+    generators, whatever their components, remembers every pair it has
+    tried and skips a pair met before."""
     n = ideal.n
     comps = components(build_graph(ideal))
     if n > 5 and any(len(c) > 5 for c in comps):
@@ -166,22 +169,52 @@ def _outcome(search, ideal):
 
 
 def test_witness_search_meets_each_candidate_once_in_the_old_order():
-    # the search, which remembers no pair, returns the same evidence in
-    # the same order as the reference that remembers every pair
+    # the search, which remembers no pair and stays inside each component,
+    # returns the same evidence in the same order as the reference that
+    # remembers every pair and draws from all generators
     V, P = villarreal_ideal(), pentagon_ideal()
     ideals = [V, P, triangle_ideal(), path_ideal(4),
               _disjoint_union(V, P), _disjoint_union(V, V),
-              _disjoint_union(P, P)]
+              _disjoint_union(P, P), _disjoint_union(_disjoint_union(V, P), V),
+              _disjoint_union(_disjoint_union(P, V), P)]
     ideals += [random_ideal(random.Random(k), 3 + k % 3, 8)
                for k in range(300)]
+    ideals += [_disjoint_union(random_ideal(random.Random(k), 3 + k % 3, 8),
+                               random_ideal(random.Random(k + 1), 5, 8))
+               for k in range(1000, 1020)]
     ideals += [random_shape_ideal(shape, n, seed=seed)
                for shape in ("forest", "odd-cycle", "even-cycle")
                for n in range(4, 9) for seed in range(12)]
     outcomes = [_outcome(nonlinear_witnesses, ideal) for ideal in ideals]
     for ideal, got in zip(ideals, outcomes):
         assert got == _outcome(_seen_set_witnesses, ideal), ideal
-    # 65 of the 487 have witnesses; 92 are refused as out of scope
-    assert sum(isinstance(got, tuple) and got != () for got in outcomes) >= 60
+    # 79 of the 509 have witnesses; 92 are refused as out of scope
+    assert sum(isinstance(got, tuple) and got != () for got in outcomes) >= 75
+
+
+def _shifted(evidence, offset):
+    return [tuple(tuple(i + offset for i in row)
+                  for row in (e.binomial.alpha, e.binomial.beta))
+            for e in evidence]
+
+
+def test_six_small_components_classify_fast_with_each_ones_witnesses():
+    # three squares and three pentagons, alternating (n = 27): every
+    # witness row is the square's or the pentagon's, shifted onto its
+    # component
+    parts = [villarreal_ideal(), pentagon_ideal()] * 3
+    ideal = functools.reduce(_disjoint_union, parts)
+    start = time.perf_counter()
+    report = classify(ideal)
+    elapsed = time.perf_counter() - start
+    assert report.verdict == "RtAtMost(3)"
+    expected, offset = [], 0
+    for part in parts:
+        expected += _shifted(nonlinear_witnesses(part), offset)
+        offset += part.n
+    assert len(expected) == 24
+    assert sorted(_shifted(report.witnesses, 0)) == sorted(expected)
+    assert elapsed < 2.0, elapsed
 
 
 class TestShapeFamilies:

@@ -211,6 +211,9 @@ BAD_INPUTS = [
     # too large to enumerate: OverflowError, not ValueError, in the library
     ["taylor", "{file}", "--degree", "99999999999999999999"],
     ["demo", "family", "--n", "99999999999999999999"],
+    # 2**62: MemoryError, refused before anything is allocated
+    ["taylor", "{file}", "--degree", "4611686018427387904"],
+    ["demo", "family", "--n", "4611686018427387904"],
     # a NUL byte in a path: open raises ValueError, not OSError
     ["rt", "{tmp}/a\0b"],
     ["classify", "{file}", "--dot", "{tmp}/g\0.dot"],
@@ -232,6 +235,7 @@ def test_bad_input_exits_2_with_one_line(argv, villarreal_file, tmp_path,
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert lines[0].removeprefix("error: ").strip(), captured.err
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["rt", "-h"]])

@@ -34,20 +34,25 @@ IDEALS = {"square": villarreal_ideal, "pentagon": pentagon_ideal,
           "random1063": lambda: random_ideal(random.Random(1063), 5, 8)}
 
 
-def _union9():
-    """The square's generators over a0..a6 beside the pentagon's over
-    b0..b6: two components of at most 5 vertices."""
-    return make_ideal(
-        [f"a{v}" for v in range(7)] + [f"b{v}" for v in range(7)],
-        [sorted(g) for g in villarreal_ideal().supports]
-        + [sorted(7 + v for v in g) for g in pentagon_ideal().supports])
+def _union(*parts):
+    """The parts' generators side by side, the k-th part over its own
+    variables a0.., b0.., ...: one component per part's component."""
+    names, supports = [], []
+    for letter, part in zip("abcd", parts):
+        supports += [sorted(len(names) + v for v in g) for g in part.supports]
+        names += [f"{letter}{v}" for v in range(len(part.table))]
+    return make_ideal(names, supports)
 
 
 # ideal files for single commands only, not for the IDEALS cases
 EXTRA = {"family7": lambda: family_ideal(7),
          "family6": lambda: family_ideal(6),
          "evencycle7": lambda: random_shape_ideal("even-cycle", 7, seed=1),
-         "union9": _union9}
+         # the square beside the pentagon, and that pair twice over:
+         # components of at most 5 vertices
+         "union9": lambda: _union(villarreal_ideal(), pentagon_ideal()),
+         "union18": lambda: _union(villarreal_ideal(), pentagon_ideal(),
+                                   villarreal_ideal(), pentagon_ideal())}
 
 
 def _row(seq):
@@ -66,6 +71,8 @@ def cases() -> dict[str, list[list[str]]]:
                                    ["classify", "{evencycle7}", "--json"]],
            # components of at most 5 vertices: relation type at most 3
            "classify-union9": [["classify", "{union9}"]],
+           "classify-union18": [["classify", "{union18}"],
+                                ["classify", "{union18}", "--json"]],
            "classify-oracle-union9": [
                ["classify", "{union9}", "--oracle", "--s-max", "3"]],
            # F is stuck, and no irredundancy pattern fits it
