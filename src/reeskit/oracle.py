@@ -19,13 +19,16 @@ cap is involved, because every rewrite keeps the substituted monomial
 M t^s.  relation_type_estimate and minimal_linear_generators need only a
 yes or a no, so they join index classes (_joined) instead.
 
-relation_type_estimate never builds a layer: modulo layer s - 1 a pair
-whose rows share an index is a single move, so it is only counted.  A
-disjoint pair reduces if a node alpha - {alpha_i} + {beta_j} divides M, as
-it shares s - 1 >= 1 indices with alpha and one with beta (_one_swap); only
-the pairs no swap settles draw their fiber, from the capacity the swaps
-were tested on, only until the join, and only a layer's witness becomes a
-binomial.
+relation_type_estimate never builds a layer: it packs each row of a layer
+once, and modulo layer s - 1 a pair whose rows share an index is a single
+move, so it is only counted.  A disjoint pair reduces if a node
+alpha - {alpha_i} + {beta_j} divides M, as it shares s - 1 >= 1 indices
+with alpha and one with beta.  _one_swap reads that off the guard bits of
+the fields where f_alpha >= f_beta (_ge): the node divides M exactly when
+no variable of f_beta_j outside f_alpha_i is among them, as no other
+variable gains.  Only the pairs no swap settles build their capacity and
+draw their fiber, only until the join, and only a layer's witness becomes
+a binomial.
 
 The fiber is enumerated directly, never by filtering the whole layer: a
 depth-first search over non-decreasing index sequences tracks the capacity
@@ -109,14 +112,18 @@ def _capacity(ideal: SquareFreeIdeal, alpha: Sequence, beta: Sequence
     gen, _, _, guards = ideal.layout(w)
     a = sum(map(gen.__getitem__, alpha))
     b = sum(map(gen.__getitem__, beta))
-    return s, _lcm(a, b, w, guards), guards, gen
+    return s, _lcm(a, b, w, guards, _ge(a, b, guards)), guards, gen
 
 
-def _lcm(a: int, b: int, w: int, guards: int) -> int:
-    """Guarded capacity of lcm(A, B) from packed mask sums a, b at width w:
-    the fields where A >= B keep their guard bit in a | guards - b, which,
-    less its units, selects a's fields."""
-    ge = ((a | guards) - b) & guards
+def _ge(a: int, b: int, guards: int) -> int:
+    """The guard bits of the fields where packed mask sums A >= B: those
+    keep their guard bit in a | guards - b."""
+    return ((a | guards) - b) & guards
+
+
+def _lcm(a: int, b: int, w: int, guards: int, ge: int) -> int:
+    """Guarded capacity of lcm(A, B) from packed mask sums a, b at width w
+    and ge = _ge(a, b, guards), which, less its units, selects a's fields."""
     sel = ge - (ge >> (w - 1))
     return (a & sel) | (b & ~sel) | guards
 
@@ -220,15 +227,14 @@ def _joined(blocks: Iterable[Iterable[Hashable]], a: Hashable,
     return False
 
 
-def _one_swap(full: int, guards: int, drops: Seq[int],
-              adds: Iterable[int]) -> bool:
-    """Does a node alpha - {alpha_i} + {beta_j} fit in full?  _in_fiber's
-    test on packed sums: drops holds f_alpha less each distinct f_alpha_i,
-    adds the distinct f_beta_j."""
-    for g in adds:
-        rest = full - g
-        for d in drops:
-            if (rest - d) & guards == guards:
+def _one_swap(z: int, outs: Iterable[int], ins: Iterable[int]) -> bool:
+    """Does a node alpha - {alpha_i} + {beta_j} divide M?  z = _ge(f_alpha,
+    f_beta); outs and ins hold the guard masks of the distinct f_alpha_i and
+    f_beta_j, and no variable of f_beta_j outside f_alpha_i may be in z."""
+    for t in ins:
+        need = t & z
+        for o in outs:
+            if not need & ~o:
                 return True
     return False
 
@@ -290,8 +296,11 @@ def relation_type_estimate(ideal: SquareFreeIdeal, s_max: int) -> RtReport:
     disjoint rows reduces exactly when its lcm fiber's nodes, as blocks,
     join alpha[0] and beta[0].  A node alpha - {alpha_i} + {beta_j} shares
     s - 1 >= 1 indices with alpha and beta_j with beta, so one that fits
-    joins them; only when none fits is the fiber drawn, until the join.
-    Every verdict is exact, so all layers through s_max are verified.
+    joins them.  Each layer's rows are packed once, with their generators'
+    guard masks; a swap fits exactly when f_alpha < f_beta on each variable
+    of f_beta_j outside f_alpha_i (_one_swap), as no other variable gains.
+    Only if none fits is M's capacity built and the fiber drawn, until the
+    join.  Every verdict is exact, so all layers through s_max are verified.
     """
     if s_max < 1:
         raise ValueError(f"s_max must be at least 1, got {s_max}")
@@ -302,17 +311,20 @@ def relation_type_estimate(ideal: SquareFreeIdeal, s_max: int) -> RtReport:
     for s in range(2, s_max + 1):
         w = s.bit_length() + 1
         gen, _, _, guards = ideal.layout(w)
+        top = [g << (w - 1) for g in gen]
+        rows = {seq: (sum(map(gen.__getitem__, seq)), {top[j] for j in seq})
+                for seq in enumerate_sequences(n, s)}
         no = 0
         first_no: Optional[ReesBinomial] = None
-        for alpha in enumerate_sequences(n, s):
-            fa = sum(map(gen.__getitem__, alpha))  # f_alpha, packed
-            drops = [fa - gen[i] for i in set(alpha)]
+        for alpha, (fa, outs) in rows.items():
             # beta > alpha with rows disjoint from alpha's: beta[0] > alpha[0]
             rest = [a for a in range(alpha[0] + 1, n + 1) if a not in alpha]
             for beta in combinations_with_replacement(rest, s):
-                full = _lcm(fa, sum(map(gen.__getitem__, beta)), w, guards)
-                if _one_swap(full, guards, drops, {gen[j] for j in beta}):
+                fb, ins = rows[beta]
+                z = _ge(fa, fb, guards)
+                if _one_swap(z, outs, ins):
                     continue
+                full = _lcm(fa, fb, w, guards, z)
                 if not _joined(_fiber((s, full, guards, gen)),
                                alpha[0], beta[0]):
                     no += 1

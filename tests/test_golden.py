@@ -10,6 +10,7 @@ and review the diff before committing it.
 
 import contextlib
 import io
+import itertools
 import random
 import sys
 import tempfile
@@ -44,10 +45,20 @@ def _union(*parts):
     return make_ideal(names, supports)
 
 
+def _edge_ideal(vertices, edges):
+    """The edge ideal of a graph on the vertices x0, x1, ...: one
+    generator x_u x_v per edge (u, v)."""
+    return make_ideal([f"x{v}" for v in range(vertices)],
+                      [sorted(e) for e in edges])
+
+
 # ideal files for single commands only, not for the IDEALS cases
 EXTRA = {"family7": lambda: family_ideal(7),
          "family6": lambda: family_ideal(6),
          "evencycle7": lambda: random_shape_ideal("even-cycle", 7, seed=1),
+         "k5edge": lambda: _edge_ideal(5, itertools.combinations(range(5), 2)),
+         "c10edge": lambda: _edge_ideal(
+             10, [(v, (v + 1) % 10) for v in range(10)]),
          # the square beside the pentagon, and that pair twice over:
          # components of at most 5 vertices
          "union9": lambda: _union(villarreal_ideal(), pentagon_ideal()),
@@ -66,6 +77,9 @@ def cases() -> dict[str, list[list[str]]]:
     out = {"demo-villarreal": [["demo", "villarreal"]],
            "demo-pentagon": [["demo", "pentagon"]],
            "rt-family7": [["rt", "{family7}", "--s-max", "6"]],
+           # many disjoint pairs that no one-index swap settles
+           "rt-k5edge": [["rt", "{k5edge}", "--s-max", "5"]],
+           "rt-c10edge": [["rt", "{c10edge}", "--s-max", "5"]],
            # no bound applies: the Unknown verdict and its oracle hint
            "classify-evencycle7": [["classify", "{evencycle7}"],
                                    ["classify", "{evencycle7}", "--json"]],

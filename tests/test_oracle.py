@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import math
 import random
 import sys
 from collections import Counter
@@ -762,10 +763,12 @@ SWAP_IDEALS += [random_ideal(random.Random(k), 5, 8) for k in range(10)]
 
 def one_swap(ideal, alpha, beta):
     """oracle._one_swap asked as the sweep asks it."""
-    _, full, guards, gen = oracle._capacity(ideal, alpha, beta)
-    fa = sum(gen[i] for i in alpha)
-    return oracle._one_swap(full, guards, [fa - gen[i] for i in set(alpha)],
-                            {gen[j] for j in beta})
+    w = len(alpha).bit_length() + 1
+    gen, _, _, guards = ideal.layout(w)
+    fa, fb = sum(gen[i] for i in alpha), sum(gen[j] for j in beta)
+    return oracle._one_swap(oracle._ge(fa, fb, guards),
+                            {gen[i] << (w - 1) for i in alpha},
+                            {gen[j] << (w - 1) for j in beta})
 
 
 class TestOneSwap:
@@ -788,6 +791,77 @@ class TestOneSwap:
                     missed += joined and not expected
         # the test fires, and some pairs that reduce still need the fiber
         assert fired > 1000 and missed > 0, (fired, missed)
+
+
+def edge_ideal(vertices, edges):
+    return make_ideal([f"x{v}" for v in range(vertices)],
+                      [sorted(e) for e in edges])
+
+
+K5 = edge_ideal(5, itertools.combinations(range(5), 2))
+C8, C10 = (edge_ideal(n, [(v, (v + 1) % n) for v in range(n)])
+           for n in (8, 10))
+
+
+def capacity_lcm(a, b, w, guards):
+    ge = ((a | guards) - b) & guards
+    sel = ge - (ge >> (w - 1))
+    return (a & sel) | (b & ~sel) | guards
+
+
+def capacity_one_swap(full, guards, drops, adds):
+    for g in adds:
+        rest = full - g
+        for d in drops:
+            if (rest - d) & guards == guards:
+                return True
+    return False
+
+
+def capacity_sweep(ideal, s_max):
+    """The sweep as it was before its row table: f_alpha packed per alpha,
+    f_beta per pair, and every swap tested on the pair's whole capacity
+    (capacity_lcm, capacity_one_swap)."""
+    n = ideal.n
+    tallies, lower, witness = {}, 1, None
+    for s in range(2, s_max + 1):
+        w = s.bit_length() + 1
+        gen, _, _, guards = ideal.layout(w)
+        no, first_no = 0, None
+        for alpha in enumerate_sequences(n, s):
+            fa = sum(map(gen.__getitem__, alpha))
+            drops = [fa - gen[i] for i in set(alpha)]
+            rest = [a for a in range(alpha[0] + 1, n + 1) if a not in alpha]
+            for beta in itertools.combinations_with_replacement(rest, s):
+                full = capacity_lcm(fa, sum(map(gen.__getitem__, beta)), w,
+                                    guards)
+                if capacity_one_swap(full, guards, drops,
+                                     {gen[j] for j in beta}):
+                    continue
+                if not oracle._joined(oracle._fiber((s, full, guards, gen)),
+                                      alpha[0], beta[0]):
+                    no += 1
+                    if first_no is None:
+                        first_no = taylor_binomial(ideal, alpha, beta)
+        pairs = math.comb(math.comb(n + s - 1, s), 2)
+        tallies[s] = (pairs - no, no)
+        if no:
+            lower, witness = s, first_no
+    return oracle.RtReport(lower, witness, s_max, tallies)
+
+
+class TestRowTable:
+    def test_sweep_matches_the_capacity_sweep(self):
+        cases = [(family_ideal(n), 4) for n in (6, 7, 8)]
+        cases += [(C8, 4), (K5, 4), (K5, 5), (C10, 5)]
+        cases += [(random_ideal(random.Random(k), 5, 8), 4)
+                  for k in range(20)]
+        lowers = set()
+        for I, s_max in cases:
+            report = relation_type_estimate(I, s_max)
+            assert report == capacity_sweep(I, s_max), (I.supports, s_max)
+            lowers.add(report.certified_lower)
+        assert {1, 2, 5} <= lowers, lowers  # linear, K5 and C10 witnesses
 
 
 def path_sweep(ideal, s_max):
@@ -875,10 +949,21 @@ class TestEarlyStop:
             calls.append(args)
             return original(*args)
 
+        lcms = []
+        original_lcm = oracle._lcm
+
+        def counting_lcm(*args):
+            lcms.append(args)
+            return original_lcm(*args)
+
         monkeypatch.setattr(oracle, "_capacity", counting)
+        monkeypatch.setattr(oracle, "_lcm", counting_lcm)
         report = relation_type_estimate(pentagon_ideal(), 4)
         assert report.certified_lower == 3
         assert calls == []
+        # the swaps are tested on guard bits: a capacity is built only for
+        # the 16 pairs that no swap settles, one per fiber drawn
+        assert len(lcms) == 16
 
 
 class TestFiberWitness:
