@@ -26,7 +26,10 @@ alpha - {alpha_i} + {beta_j} divides M, as it shares s - 1 >= 1 indices
 with alpha and one with beta.  _one_swap reads that off the guard bits of
 the fields where f_alpha >= f_beta (_ge): the node divides M exactly when
 no variable of f_beta_j outside f_alpha_i is among them, as no other
-variable gains.  Only the pairs no swap settles build their capacity and
+variable gains.  Before its betas, alpha drops each j that, swapped for
+some alpha_i, gains only variables off supp(f_alpha): f_beta >= 1 on f_j,
+so that node divides M whatever the rest of beta is, and j settles every
+beta holding it.  Only the pairs no swap settles build their capacity and
 draw their fiber, only until the join, and only a layer's witness becomes
 a binomial.
 
@@ -50,8 +53,10 @@ the one proof format that verify_certificate replays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations, combinations_with_replacement
 from math import comb
+from operator import or_
 from typing import Hashable, Iterable, Mapping, Optional, Sequence as Seq
 
 from .monomials import SquareFreeIdeal
@@ -239,21 +244,25 @@ def _one_swap(z: int, outs: Iterable[int], ins: Iterable[int]) -> bool:
     return False
 
 
+def _check_bound(name: str, value: object, least: int) -> None:
+    """ValueError unless value is an int, not a bool, of at least least."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 def member_lower(ideal: SquareFreeIdeal, b: ReesBinomial, k: int,
                  cap: Optional[int] = None) -> Verdict:
     """Does the layer-s pair of b rewrite into one another modulo all
     relation layers of degree at most k?  Exact yes/no on the lcm fiber.
 
-    b's rows are checked first.  cap only refuses, with ValueError, a value
-    below the degree of the start monomial: no search is cut off by degree."""
+    b's rows are checked first, then k and cap, ints that are not bools: cap
+    only refuses a value below the degree of the start monomial."""
     check_rows(ideal, b.alpha, b.beta)
-    if k < 1:
-        raise ValueError("layer bound k must be at least 1")
+    _check_bound("layer bound k", k, 1)
     if cap is not None:
-        du = weighted_degree(ideal, b.terms()[0])
-        if cap < du:
-            raise ValueError(
-                f"cap {cap} below the degree {du} of the start monomial")
+        _check_bound("cap", cap, weighted_degree(ideal, b.terms()[0]))
 
     if multiset_distance(b.alpha, b.beta) <= k:
         return Verdict("yes", "single move", b, k, (b.alpha, b.beta))
@@ -299,11 +308,14 @@ def relation_type_estimate(ideal: SquareFreeIdeal, s_max: int) -> RtReport:
     joins them.  Each layer's rows are packed once, with their generators'
     guard masks; a swap fits exactly when f_alpha < f_beta on each variable
     of f_beta_j outside f_alpha_i (_one_swap), as no other variable gains.
-    Only if none fits is M's capacity built and the fiber drawn, until the
-    join.  Every verdict is exact, so all layers through s_max are verified.
+    So a generator j whose variables outside some f_alpha_i all lie off
+    supp(f_alpha) settles every beta holding it, as f_beta >= 1 on f_j:
+    once per alpha, the betas are built from the other generators only.
+    Only if no swap fits is M's capacity built and the fiber drawn, until
+    the join.  Every verdict is exact, so all layers through s_max are
+    verified.  s_max must be an int (not a bool) of at least 1.
     """
-    if s_max < 1:
-        raise ValueError(f"s_max must be at least 1, got {s_max}")
+    _check_bound("s_max", s_max, 1)
     n = ideal.n
     tallies: dict[int, tuple[int, int]] = {}
     certified_lower = 1
@@ -317,8 +329,11 @@ def relation_type_estimate(ideal: SquareFreeIdeal, s_max: int) -> RtReport:
         no = 0
         first_no: Optional[ReesBinomial] = None
         for alpha, (fa, outs) in rows.items():
-            # beta > alpha with rows disjoint from alpha's: beta[0] > alpha[0]
-            rest = [a for a in range(alpha[0] + 1, n + 1) if a not in alpha]
+            # beta > alpha with rows disjoint from alpha's: beta[0] > alpha[0];
+            # a j that swaps in off supp(f_alpha) settles each beta holding it
+            ua = reduce(or_, outs)
+            rest = [j for j in range(alpha[0] + 1, n + 1) if j not in alpha
+                    and not _one_swap(ua, outs, (top[j],))]
             for beta in combinations_with_replacement(rest, s):
                 fb, ins = rows[beta]
                 z = _ge(fa, fb, guards)

@@ -276,6 +276,31 @@ class TestCrossValidate:
             cross = cross_validate(I, s_max=3)
             assert cross.rt_report.certified_lower == 1
 
+    @pytest.mark.parametrize("s_max", [True, 2.5])
+    def test_refuses_a_bound_that_is_not_an_int(self, s_max):
+        # True would cross-check no layer and report no error
+        with pytest.raises(ValueError, match="s_max must be an int"):
+            cross_validate(pentagon_ideal(), s_max)
+
+    def test_wide_inputs_cross_validate_fast(self):
+        # shapes with n = 10 and square + pentagon + square (n = 13) at
+        # s_max 5: each layer's wide sweep settles most betas per alpha
+        cases = [(random_shape_ideal(shape, 10, seed=seed), expected)
+                 for shape, results in [
+                     ("forest", [("LinearType", 1)] * 2),
+                     ("odd-cycle", [("LinearType", 1)] * 2),
+                     ("even-cycle", [("Unknown", 5), ("Unknown", 3)])]
+                 for seed, expected in enumerate(results)]
+        cases.append((functools.reduce(_disjoint_union, [
+            villarreal_ideal(), pentagon_ideal(), villarreal_ideal()]),
+            ("RtAtMost(3)", 3)))
+        start = time.perf_counter()
+        for ideal, expected in cases:
+            cross = cross_validate(ideal, s_max=5)
+            assert (cross.classification.verdict,
+                    cross.rt_report.certified_lower) == expected
+        assert time.perf_counter() - start < 2.0
+
     def test_inconsistency_raises(self, monkeypatch):
         # feed cross_validate a cooked LinearType verdict for an ideal whose
         # oracle lower bound is 2: the contradiction must raise

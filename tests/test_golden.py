@@ -56,12 +56,15 @@ def _edge_ideal(vertices, edges):
 EXTRA = {"family7": lambda: family_ideal(7),
          "family6": lambda: family_ideal(6),
          "evencycle7": lambda: random_shape_ideal("even-cycle", 7, seed=1),
+         "evencycle10": lambda: random_shape_ideal("even-cycle", 10, seed=1),
          "k5edge": lambda: _edge_ideal(5, itertools.combinations(range(5), 2)),
          "c10edge": lambda: _edge_ideal(
              10, [(v, (v + 1) % 10) for v in range(10)]),
          # the square beside the pentagon, and that pair twice over:
          # components of at most 5 vertices
          "union9": lambda: _union(villarreal_ideal(), pentagon_ideal()),
+         "union13": lambda: _union(villarreal_ideal(), pentagon_ideal(),
+                                   villarreal_ideal()),
          "union18": lambda: _union(villarreal_ideal(), pentagon_ideal(),
                                    villarreal_ideal(), pentagon_ideal())}
 
@@ -80,6 +83,8 @@ def cases() -> dict[str, list[list[str]]]:
            # many disjoint pairs that no one-index swap settles
            "rt-k5edge": [["rt", "{k5edge}", "--s-max", "5"]],
            "rt-c10edge": [["rt", "{c10edge}", "--s-max", "5"]],
+           # wide layers that a generator settling its betas keeps cheap
+           "rt-evencycle10": [["rt", "{evencycle10}", "--s-max", "6"]],
            # no bound applies: the Unknown verdict and its oracle hint
            "classify-evencycle7": [["classify", "{evencycle7}"],
                                    ["classify", "{evencycle7}", "--json"]],
@@ -89,6 +94,8 @@ def cases() -> dict[str, list[list[str]]]:
                                 ["classify", "{union18}", "--json"]],
            "classify-oracle-union9": [
                ["classify", "{union9}", "--oracle", "--s-max", "3"]],
+           "classify-oracle-union13": [
+               ["classify", "{union13}", "--oracle", "--s-max", "5"]],
            # F is stuck, and no irredundancy pattern fits it
            "reduce-family6": [["reduce", "{family6}", "--alpha", "1,1,2,3,4",
                                "--beta", "5,5,5,6,6"]],

@@ -245,6 +245,19 @@ class TestMemberLower:
         with pytest.raises(ValueError, match="layer bound k must be at least 1"):
             member_lower(V, b, 0)
 
+    @pytest.mark.parametrize("k", [True, 1.5, 2.0])
+    def test_layer_bound_that_is_not_an_int_is_refused(self, k):
+        # True would be answered as k = 1, 1.5 would reach combinations()
+        b = taylor_binomial(pentagon_ideal(), (1, 1, 4), (2, 3, 5))
+        with pytest.raises(ValueError, match="layer bound k must be an int"):
+            member_lower(pentagon_ideal(), b, k)
+
+    @pytest.mark.parametrize("cap", [True, 100.0, 4.5])
+    def test_cap_that_is_not_an_int_is_refused(self, cap):
+        b = taylor_binomial(pentagon_ideal(), (1, 1, 4), (2, 3, 5))
+        with pytest.raises(ValueError, match="cap must be an int"):
+            member_lower(pentagon_ideal(), b, 2, cap)
+
     def test_villarreal_quadratic_is_new(self):
         V = villarreal_ideal()
         b = taylor_binomial(V, (1, 3), (2, 4))
@@ -712,6 +725,13 @@ class TestRelationTypeEstimate:
         with pytest.raises(ValueError):
             relation_type_estimate(villarreal_ideal(), 0)
 
+    @pytest.mark.parametrize("s_max", [True, False, 2.5, 1.5, 3.0, "3"])
+    def test_refuses_a_bound_that_is_not_an_int(self, s_max):
+        # True would sweep no layer and report verified_upper_through=True;
+        # a float would reach range() and raise TypeError there
+        with pytest.raises(ValueError, match="s_max must be an int"):
+            relation_type_estimate(pentagon_ideal(), s_max)
+
     def test_default_s_max(self):
         assert [default_s_max(n) for n in (1, 2, 3, 4, 7, 8, 20)] == \
             [2, 2, 2, 3, 6, 6, 6]
@@ -862,6 +882,74 @@ class TestRowTable:
             assert report == capacity_sweep(I, s_max), (I.supports, s_max)
             lowers.add(report.certified_lower)
         assert {1, 2, 5} <= lowers, lowers  # linear, K5 and C10 witnesses
+
+
+def row_sweep(ideal, s_max):
+    """The sweep as it was before a generator settled the betas holding
+    it: the row table, and every disjoint pair through the per-pair swap
+    test (oracle._ge, oracle._one_swap)."""
+    n = ideal.n
+    tallies, lower, witness = {}, 1, None
+    for s in range(2, s_max + 1):
+        w = s.bit_length() + 1
+        gen, _, _, guards = ideal.layout(w)
+        top = [g << (w - 1) for g in gen]
+        rows = {seq: (sum(map(gen.__getitem__, seq)), {top[j] for j in seq})
+                for seq in enumerate_sequences(n, s)}
+        no, first_no = 0, None
+        for alpha, (fa, outs) in rows.items():
+            rest = [a for a in range(alpha[0] + 1, n + 1) if a not in alpha]
+            for beta in itertools.combinations_with_replacement(rest, s):
+                fb, ins = rows[beta]
+                z = oracle._ge(fa, fb, guards)
+                if oracle._one_swap(z, outs, ins):
+                    continue
+                full = oracle._lcm(fa, fb, w, guards, z)
+                if not oracle._joined(oracle._fiber((s, full, guards, gen)),
+                                      alpha[0], beta[0]):
+                    no += 1
+                    if first_no is None:
+                        first_no = taylor_binomial(ideal, alpha, beta)
+        tallies[s] = (math.comb(len(rows), 2) - no, no)
+        if no:
+            lower, witness = s, first_no
+    return oracle.RtReport(lower, witness, s_max, tallies)
+
+
+class TestSettledGenerators:
+    def test_sweep_matches_the_row_sweep_on_wide_inputs(self):
+        cases = [(random_shape_ideal(shape, 8, seed=0), 5)
+                 for shape in ("forest", "odd-cycle", "even-cycle")]
+        cases += [(random_ideal(random.Random(k), 8, 10), 4)
+                  for k in range(3)]
+        cases += [(K5, 5), (C10, 5)]
+        lowers = set()
+        for I, s_max in cases:
+            report = relation_type_estimate(I, s_max)
+            assert report == row_sweep(I, s_max), (I.supports, s_max)
+            lowers.add(report.certified_lower)
+        assert len(lowers) > 2, lowers  # linear and nonlinear answers
+
+    @pytest.mark.parametrize("ideal, s_max, tested", [
+        (pentagon_ideal(), 4, 246),
+        (random_shape_ideal("forest", 10, seed=0), 5, 1_065),
+        (C10, 5, 4_506),
+    ], ids=["pentagon", "forest10", "C10"])
+    def test_pairs_that_reach_the_per_pair_test(self, monkeypatch, ideal,
+                                                s_max, tested):
+        # a generator that swaps in off supp(f_alpha) settles every beta
+        # holding it, so its pairs never reach the per-pair test; every
+        # disjoint pair reached it before (615, 453,831 and 453,831)
+        calls = []
+        original = oracle._ge
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(oracle, "_ge", counting)
+        relation_type_estimate(ideal, s_max)
+        assert len(calls) == tested
 
 
 def path_sweep(ideal, s_max):
