@@ -22,6 +22,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -102,24 +103,17 @@ def _parse_row(text: str) -> tuple[int, ...]:
 
 def _json_report(ideal: SquareFreeIdeal, report: ClassificationReport,
                  rt: Optional[RtReport]) -> dict:
-    graph = build_graph(ideal)
+    """The classify report as json reads it: tuples become arrays and int
+    keys strings."""
     out = {
         "ideal": {
-            "vars": list(ideal.table.names),
+            "vars": ideal.table.names,
             "gens": [render_monomial(g, ideal.table) for g in ideal.gens],
         },
         "graph": {
-            "edges": [list(e) for e in graph.edges],
-            "components": [list(c.vertices) for c in report.component_classes],
-            "classes": [
-                {
-                    "vertices": list(c.vertices),
-                    "kind": c.kind,
-                    "cycle": list(c.cycle) if c.cycle else None,
-                    "independent_cycles": c.independent_cycles,
-                }
-                for c in report.component_classes
-            ],
+            "edges": build_graph(ideal).edges,
+            "components": [c.vertices for c in report.component_classes],
+            "classes": [asdict(c) for c in report.component_classes],
         },
         "verdict": report.verdict,
         "justification": [
@@ -127,27 +121,23 @@ def _json_report(ideal: SquareFreeIdeal, report: ClassificationReport,
         ],
         "witnesses": [
             {
-                "alpha": list(ev.binomial.alpha),
-                "beta": list(ev.binomial.beta),
+                "alpha": ev.binomial.alpha,
+                "beta": ev.binomial.beta,
                 "binomial": render_binomial(ideal, ev.binomial),
-                "walk": list(ev.walk.vertices),
+                "walk": ev.walk.vertices,
             }
             for ev in report.witnesses
         ],
-        "oracle": None,
-        "versions": {"format": 2},
-    }
-    if rt is not None:
-        out["oracle"] = {
+        "oracle": None if rt is None else {
             "certified_lower": rt.certified_lower,
             "witness": (render_binomial(ideal, rt.witness)
                         if rt.witness else None),
             "verified_upper_through": rt.verified_upper_through,
-            "layers": {
-                str(s): {"yes": y, "no": no}
-                for s, (y, no) in sorted(rt.layer_tallies.items())
-            },
-        }
+            "layers": {s: {"yes": y, "no": no}
+                       for s, (y, no) in sorted(rt.layer_tallies.items())},
+        },
+        "versions": {"format": 2},
+    }
     if report.oracle_hint:
         out["oracle_hint"] = report.oracle_hint
     return out
@@ -188,7 +178,7 @@ def cmd_classify(args) -> int:
     rt = None
     if args.oracle:
         try:
-            cross = cross_validate(ideal, _s_max(args, ideal))
+            cross = _checked(cross_validate, ideal, _s_max(args, ideal))
         except Inconsistency as exc:
             print(f"INCONSISTENT: {exc}", file=sys.stderr)
             print(f"verdict: {exc.classification.verdict}", file=sys.stderr)
@@ -226,7 +216,7 @@ def cmd_taylor(args) -> int:
     layer = _checked(taylor_layer, ideal, args.degree)
     if args.json:
         print(json.dumps([
-            {"alpha": list(b.alpha), "beta": list(b.beta),
+            {"alpha": b.alpha, "beta": b.beta,
              "binomial": render_binomial(ideal, b)}
             for b in layer
         ], indent=2))
@@ -278,7 +268,7 @@ def cmd_reduce(args) -> int:
 def cmd_rt(args) -> int:
     ideal = _checked(load_ideal, args.ideal)
     s_max = _s_max(args, ideal)
-    rt = relation_type_estimate(ideal, s_max)
+    rt = _checked(relation_type_estimate, ideal, s_max)
     print(f"layers tested: 2..{s_max}")
     _print_rt(ideal, rt)
     return 0
@@ -312,8 +302,9 @@ def cmd_demo(args) -> int:
         print(f"distinguished pair: {render_binomial(ideal, b)}")
         print(f"  (negated: {render_binomial(ideal, swap_binomial(b))})")
         _print_witness(ideal, irredundancy_witness(ideal, alpha, beta))
-        verdict = member_lower(ideal, b, 2)
-        print(f"reduces modulo layers <= 2: {verdict.status}")
+        k = b.degree - 1
+        verdict = member_lower(ideal, b, k)
+        print(f"reduces modulo layers <= {k}: {verdict.status}")
         rt = relation_type_estimate(ideal, 3)
         print(f"certified relation type lower bound: {rt.certified_lower}; "
               f"verified upper through: {rt.verified_upper_through}")
@@ -325,7 +316,7 @@ def cmd_demo(args) -> int:
     f_binom = family_f_binomial(n)
     print(f"F (degree {f_binom.degree}): {render_binomial(ideal, f_binom)}")
     print(f"  substitutes to zero: {substitute_check(ideal, f_binom)}")
-    k = 2 * n - 8
+    k = f_binom.degree - 1
     verdict = member_lower(ideal, f_binom, k)
     print(f"  reduces modulo layers <= {k}: {verdict.status}")
     g_binom, audit = family_corrected_g(n)

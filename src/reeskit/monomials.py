@@ -175,7 +175,9 @@ class SquareFreeIdeal:
         unit in each field of supp(f_a), tunit[a] is T_a's unit (both 0 at
         a = 0), xunit[v] is v's unit, and guards holds each table field's
         top bit.  Every field position comes from here.  Widths up to
-        _CACHED_WIDTH are cached in packed, wider ones built per call."""
+        _CACHED_WIDTH are cached in packed, filled on first use; a wider
+        one, asked for only by a certificate with huge exponents, is built
+        per call."""
         if w in self.packed:
             return self.packed[w]
         nvars = len(self.table)

@@ -3,55 +3,23 @@
 A rewrite step replaces a whole-monomial occurrence of one term of a Taylor
 binomial inside a monomial by the other term.  For pure binomial ideals the
 difference of two monomials lies in the ideal of a set of binomials exactly
-when a chain of such steps connects them.
+when a chain of such steps connects them.  Every rewrite keeps the
+substituted monomial M t^s, M = lcm(f_alpha, f_beta), so every monomial
+reachable from (f_beta/g) T_alpha is (M / f_delta) T_delta for a node delta
+of the lcm fiber {delta : f_delta | M}: each answer is decided on that finite
+set, exactly, with no degree cap.
 
-member_lower decides whether a degree-s binomial pair reduces modulo all
-relation layers up to k without materializing those layers: every monomial
-reachable from (f_beta/g) T_alpha has the shape (M / f_delta) T_delta with
-M = lcm(f_alpha, f_beta) and f_delta dividing M, and a move between fiber
-nodes delta, delta' exists under some layer-<=k rule precisely when their
-multiset distance is at most k, that is, when they share a sub-multiset of
-size s - k.  One breadth-first search (_path), which opens each of those
-sub-multisets once, decides connectivity on the finite fiber universe
-{delta : f_delta | M} and returns a shortest path, which stays small even
-where the raw rule count is astronomical; the answer is exact: no degree
-cap is involved, because every rewrite keeps the substituted monomial
-M t^s.  relation_type_estimate and minimal_linear_generators need only a
-yes or a no, so they join index classes (_joined) instead.
-
-relation_type_estimate never builds a layer: it packs each row of a layer
-once, and modulo layer s - 1 a pair whose rows share an index is a single
-move, so it is only counted.  A disjoint pair reduces if a node
-alpha - {alpha_i} + {beta_j} divides M, as it shares s - 1 >= 1 indices
-with alpha and one with beta.  _one_swap reads that off the guard bits of
-the fields where f_alpha >= f_beta (_ge): the node divides M exactly when
-no variable of f_beta_j outside f_alpha_i is among them, as no other
-variable gains.  Before its betas, alpha drops each j that, swapped for
-some alpha_i, gains only variables off supp(f_alpha): f_beta >= 1 on f_j,
-so that node divides M whatever the rest of beta is, and j settles every
-beta holding it.  Only the pairs no swap settles build their capacity and
-draw their fiber, only until the join, and only a layer's witness becomes
-a binomial.
-
-The fiber is enumerated directly, never by filtering the whole layer: a
-depth-first search over non-decreasing index sequences tracks the capacity
-of M still free, one packed integer field per table variable in the ideal's
-layout at the pair's width (_capacity), which a whole sweep reuses.  Every
-generator is square-free, so picking index a subtracts its mask, a unit in
-each field of supp(f_a); generators reaching outside supp(M) never fit, and
-a prefix is cut as soon as the picks still possible cannot fill the slots
-left.  _fiber takes that capacity, not the pair, and yields the fiber
-lazily, in lex order.  The same capacity decides a single node (_in_fiber),
-the package's one fiber-membership test: a walk stays in the fiber exactly
-when its nodes do, so reduction.py tests nodes with it and its walks only
-compute, and minimal_linear_generators keeps a linear move when both its
-nodes pass it; every caller has checked the node's shape.  A yes verdict
-carries its path; reduction.fiber_certificate turns it into a Certificate,
-the one proof format that verify_certificate replays.
+Map: member_lower decides one pair and returns its fiber path (_path);
+relation_type_estimate sweeps whole layers for a yes or a no (_one_swap,
+then _joined); minimal_linear_generators prunes layer 1.  All three read the
+fiber through a pair's packed _capacity: _fiber enumerates it and _in_fiber,
+the package's one fiber-membership test, decides one node.
+reduction.fiber_certificate turns a yes path into a Certificate.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations, combinations_with_replacement
@@ -74,15 +42,13 @@ from .taylor import (
 
 @dataclass(frozen=True)
 class Verdict:
-    """An exact answer about the pair of b modulo layers <= k.  A yes
-    carries a shortest fiber path from alpha to beta ((alpha, beta) for a
-    single move), a no the empty path; chain lists the path's steps as
-    (delta, delta') pairs."""
+    """member_lower's exact answer for the pair of b modulo layers <= k.  A
+    yes carries a shortest fiber path from b.alpha to b.beta ((alpha, beta)
+    for a single move), a no the empty path; chain lists the path's steps
+    as (delta, delta') pairs."""
 
     status: str  # "yes" | "no"
     note: str = ""
-    b: Optional[ReesBinomial] = None
-    k: int = 0
     path: tuple[Sequence, ...] = ()
 
     @property
@@ -108,10 +74,13 @@ class Verdict:
 def _capacity(ideal: SquareFreeIdeal, alpha: Sequence, beta: Sequence
               ) -> tuple[int, int, int, list[int]]:
     """(s, full, guards, gen) for M = lcm(f_alpha, f_beta), s = len(alpha),
-    rows unchecked, in ideal.layout at width s.bit_length() + 1: full holds
-    each exponent of M (0 off supp(M)) under its guard bit (_lcm).  A field
-    starts at guard + e, guard > s >= e, so up to s subtractions borrow
-    across no field, and a guard bit stays set exactly while the picks fit."""
+    rows unchecked, in ideal.layout at width s.bit_length() + 1, so a whole
+    sweep reuses a few layouts: full holds each exponent of M (0 off
+    supp(M)) under its guard bit (_lcm).  A field starts at guard + e,
+    guard > s >= e, so up to s subtractions borrow across no field, and a
+    guard bit stays set exactly while the picks fit.  Every generator is
+    square-free, so picking index a subtracts gen[a], a unit in each field
+    of supp(f_a)."""
     s = len(alpha)
     w = s.bit_length() + 1
     gen, _, _, guards = ideal.layout(w)
@@ -134,7 +103,8 @@ def _lcm(a: int, b: int, w: int, guards: int, ge: int) -> int:
 
 
 def _in_fiber(capacity: tuple, node: Seq[int]) -> bool:
-    """Does f_node divide M?  node, in any order, must already be a length-s
+    """Does f_node divide M?  The package's one fiber-membership test, for
+    a pair's _capacity.  node, in any order, must already be a length-s
     sequence over 1..n, as check_sequence and check_rows make sure at every
     caller; a generator reaching outside supp(M) borrows a guard bit."""
     _, free, guards, gen = capacity
@@ -143,12 +113,16 @@ def _in_fiber(capacity: tuple, node: Seq[int]) -> bool:
 
 def _fiber(capacity: tuple) -> Iterable[Sequence]:
     """Yield {delta : f_delta | M} in lex order, lazily, for a pair's
-    _capacity (s, full, guards, gen), by a depth-first search over it and
-    the generators that fit in it once.  At every depth a child that picks
-    the j-th of them is bounded by _can_fill on tails[j], the masks from
-    j on; the suffix lists are built once per fiber, so no child copies a
-    list.  It keeps its own stack: the search is s picks deep, and a
-    recursive generator exceeds the default recursion limit at s = 1,200."""
+    _capacity (s, full, guards, gen), never by filtering the whole layer: a
+    depth-first search over non-decreasing index sequences subtracts each
+    pick from the capacity still free.  Generators reaching outside supp(M)
+    never fit, so only those that fit in M once are branched on.  At every
+    depth a child that picks the j-th of them is bounded by _can_fill on
+    tails[j], the masks from j on, and cut when the picks still possible
+    cannot fill the slots left; the suffix lists are built once per fiber,
+    so no child copies a list.  It keeps its own stack: the search is s
+    picks deep, and a recursive generator exceeds the default recursion
+    limit at s = 1,200."""
     s, full, guards, gen = capacity
     index = [a for a in range(1, len(gen))
              if (full - gen[a]) & guards == guards]
@@ -257,15 +231,21 @@ def member_lower(ideal: SquareFreeIdeal, b: ReesBinomial, k: int,
     """Does the layer-s pair of b rewrite into one another modulo all
     relation layers of degree at most k?  Exact yes/no on the lcm fiber.
 
-    b's rows are checked first, then k and cap, ints that are not bools: cap
-    only refuses a value below the degree of the start monomial."""
+    Under some layer-<=k rule two fiber nodes are one move apart exactly
+    when their multiset distance is at most k, that is, when they share a
+    sub-multiset of size s - k.  So one breadth-first search (_path), which
+    opens each of those sub-multisets once, decides connectivity on the
+    fiber and returns a shortest path, which stays small even where the raw
+    rule count is astronomical.  b's rows are checked first, then k and
+    cap, ints that are not bools: cap only refuses a value below the degree
+    of the start monomial."""
     check_rows(ideal, b.alpha, b.beta)
     _check_bound("layer bound k", k, 1)
     if cap is not None:
         _check_bound("cap", cap, weighted_degree(ideal, b.terms()[0]))
 
     if multiset_distance(b.alpha, b.beta) <= k:
-        return Verdict("yes", "single move", b, k, (b.alpha, b.beta))
+        return Verdict("yes", "single move", (b.alpha, b.beta))
 
     universe = list(_fiber(_capacity(ideal, b.alpha, b.beta)))
     note = f"fiber universe {len(universe)} nodes"
@@ -273,8 +253,8 @@ def member_lower(ideal: SquareFreeIdeal, b: ReesBinomial, k: int,
     path = _path({delta: set(combinations(delta, t)) for delta in universe},
                  b.alpha, b.beta)
     if path is None:
-        return Verdict("no", note, b, k)
-    return Verdict("yes", note, b, k, tuple(path))
+        return Verdict("no", note)
+    return Verdict("yes", note, tuple(path))
 
 
 # --- layered relation-type estimation --------------------------------------
@@ -297,26 +277,33 @@ def relation_type_estimate(ideal: SquareFreeIdeal, s_max: int) -> RtReport:
 
     layer_tallies maps each layer to its (reducing, new) pair counts.
     certified_lower starts at the vacuous floor 1 and becomes the largest
-    layer containing a pair that does not reduce (with a witness binomial,
-    the first such pair in taylor_layer order).  A pair whose rows share an
-    index is a single move modulo layer s - 1, so it reduces and is only
-    counted.  Modulo layer s - 1 two fiber nodes are adjacent exactly when
-    they share an index, and alpha and beta are nodes, so a pair with
-    disjoint rows reduces exactly when its lcm fiber's nodes, as blocks,
-    join alpha[0] and beta[0].  A node alpha - {alpha_i} + {beta_j} shares
+    layer containing a pair that does not reduce, with a witness binomial:
+    the first such pair in taylor_layer order, the only pair built as a
+    binomial.  Every verdict is exact, so all layers through s_max are
+    verified.  s_max must be an int (not a bool) of at least 1 whose top
+    layer holds at most sys.maxsize sequences, comb(n + s_max - 1, s_max),
+    the most entries a Python container can hold.
+
+    Modulo layer s - 1 two fiber nodes are adjacent exactly when they share
+    an index, and alpha and beta are nodes.  So a pair whose rows share an
+    index is a single move: it reduces and is only counted.  A pair with
+    disjoint rows reduces exactly when its fiber's nodes, as blocks, join
+    alpha[0] and beta[0].  A node alpha - {alpha_i} + {beta_j} shares
     s - 1 >= 1 indices with alpha and beta_j with beta, so one that fits
     joins them.  Each layer's rows are packed once, with their generators'
     guard masks; a swap fits exactly when f_alpha < f_beta on each variable
-    of f_beta_j outside f_alpha_i (_one_swap), as no other variable gains.
-    So a generator j whose variables outside some f_alpha_i all lie off
-    supp(f_alpha) settles every beta holding it, as f_beta >= 1 on f_j:
-    once per alpha, the betas are built from the other generators only.
-    Only if no swap fits is M's capacity built and the fiber drawn, until
-    the join.  Every verdict is exact, so all layers through s_max are
-    verified.  s_max must be an int (not a bool) of at least 1.
+    of f_beta_j outside f_alpha_i (_one_swap on the guard bits of _ge), as
+    no other variable gains.  So a generator j whose variables outside some
+    f_alpha_i all lie off supp(f_alpha) settles every beta holding it, as
+    f_beta >= 1 on f_j: once per alpha, the betas are built from the other
+    generators only.  Only if no swap fits is M's capacity built and the
+    fiber drawn, until the join (_joined); a no pair draws it whole.
     """
     _check_bound("s_max", s_max, 1)
     n = ideal.n
+    if comb(n + s_max - 1, s_max) > sys.maxsize:
+        raise ValueError(f"s_max {s_max} is too large: its layer holds more "
+                         f"than {sys.maxsize} sequences")
     tallies: dict[int, tuple[int, int]] = {}
     certified_lower = 1
     witness: Optional[ReesBinomial] = None
@@ -329,8 +316,7 @@ def relation_type_estimate(ideal: SquareFreeIdeal, s_max: int) -> RtReport:
         no = 0
         first_no: Optional[ReesBinomial] = None
         for alpha, (fa, outs) in rows.items():
-            # beta > alpha with rows disjoint from alpha's: beta[0] > alpha[0];
-            # a j that swaps in off supp(f_alpha) settles each beta holding it
+            # beta > alpha with rows disjoint from alpha's: beta[0] > alpha[0]
             ua = reduce(or_, outs)
             rest = [j for j in range(alpha[0] + 1, n + 1) if j not in alpha
                     and not _one_swap(ua, outs, (top[j],))]

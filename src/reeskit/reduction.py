@@ -4,45 +4,17 @@ A Certificate expresses a target binomial T_{alpha,beta} as an exact sum
 
     T_{alpha,beta} = sum_i  coef_i * T_{tfactor_i} * T_{alpha_i,beta_i}
 
-over lower-degree sub-binomials; verify_certificate replays the identity
-exactly on packed exponent vectors, where every coefficient is a monomial in
-the ideal's variables and a sub-binomial is genuine when its rows check and
-its coefficients are coprime with lhs f_alpha = rhs f_beta.
-Every certificate is a walk through the lcm fiber (the delta with
-f_delta | M = lcm(f_alpha, f_beta)), built by _walk: a step (c, d, d')
-moves the node c+d to c+d', and with u = M / f_delta at each node the steps
-telescope (Diaconis & Sturmfels, Ann. Statist. 26 (1998), Thm 3.1).  A
-step's cofactor M / (f_c lcm(f_d, f_d')) is a monomial exactly when both its
-nodes lie in the fiber.  That membership is one predicate, oracle._in_fiber,
-and _walk only computes: fiber_certificate tests its walk's nodes,
-rule_block_disjoint its partitions' inner nodes, and the other rules' walks
-stay in by construction.
-A split of aligned blocks, built by _split, swaps block i's alpha part for
-its beta part, one block at a time.  With P = f(alpha_{<i}), Q = f(beta_{>i}),
-g_i = gcd(f_{alpha_i}, f_{beta_i}) and g = gcd(f_alpha, f_beta), block i's
-cofactor is P*Q*g_i/g, and the split lemma's gcd hypothesis g | gcd(P, f_beta)
-* gcd(f(alpha_{>=i}), Q) * g_i holds exactly when g | P*Q*g_i, i.e. exactly
-when the node after swap i lies in the fiber.
+over lower-degree sub-binomials, every coefficient a monomial in the
+ideal's variables; verify_certificate replays that identity exactly.
 
-The named rules are sufficient conditions with documented search spaces.
-rule_block_disjoint tries every aligned two-block partition, which already
-covers the exchanged pair and every longer split; rule_constant_row peels
-the constant row, alpha's tried first; on beta it splits the pair through
-the peel's blocks reversed and exchanged, the exchanged pair's walk read
-from its other end.  The four shape rules of the theory (2x2, 3x2, a leaf
-of a tree, a segment of a unique odd cycle) are guards over
-rule_block_disjoint: the splits their proofs peel are among those it tries.
-The five share one entry, _guarded; each other public rule is its body on
-taylor_binomial of its rows, so every rule reads its rows once and returns
-a Certificate or None.  reduce_to_normal checks the top rows once and
-drives four of the eight rules in a fixed priority order: _dispatch chains
-their bodies, all taking (ideal, target), on checked targets (the shape
-rules cannot fire after rule_block_disjoint).  When no rule applies to the
-top pair it asks the oracle, and the pair is either reduced along its fiber
-path (fiber_certificate) or stuck, which then means it is a genuinely new
-generator in its degree, and reduce_to_normal looks for an irredundancy
-witness of that.  The witness's row conditions are _shape, for
-IrredundancyWitness.check and for each of _pattern's candidates.
+Map: every certificate is a walk through the lcm fiber (_walk), along an
+oracle path (fiber_certificate) or through aligned blocks (_split).  The
+eight named rules are sufficient conditions; each reads its rows once and
+returns a Certificate or None.  rule_block_disjoint and the four shape
+rules, guards over it, share one entry (_guarded); reduce_to_normal chains
+the other four bodies (_dispatch) and asks the oracle when none applies,
+so a pair it leaves stuck is a new generator in its degree.  An
+IrredundancyWitness, confirmed by the oracle (_confirmed), certifies that.
 """
 
 from __future__ import annotations
@@ -95,16 +67,20 @@ class Certificate:
 
 def verify_certificate(ideal: SquareFreeIdeal, cert: Certificate) -> bool:
     """Exact check that the target and each sub-binomial are genuine Taylor
-    binomials and that the identity holds in S[T]; anything malformed, such
-    as a T-factor that is not a sorted tuple over 1..n or a coefficient that
-    is not a monomial, gives False (a Laurent one lets any pair telescope
-    through nodes outside its fiber), and so does a coefficient variable
-    outside the ideal's table.  One scan finds top (largest exponent) and
-    L (longest T-factor plus row); each term is one int key per side in
+    binomials and that the identity holds in S[T].  Anything malformed gives
+    False, never an exception: a T-factor that is not a sorted tuple over
+    1..n, a coefficient variable outside the ideal's table, or a coefficient
+    that is not a monomial (a Laurent one lets any pair telescope through
+    nodes outside its fiber).  No sub-binomial is re-derived: it is genuine
+    when its rows check and its coefficients are coprime with lhs f_alpha =
+    rhs f_beta, as f_beta/g, f_alpha/g is the only such pair.  One scan
+    checks every item and finds top (largest exponent) and L (longest
+    T-factor plus row); each term is then one int key per side in
     ideal.layout at width (top + max(top, L)).bit_length(), so no sum
     carries: fields for the table variables, then T_1..T_n, each exponent
-    counted in its field's unit from the layout.  The keys must cancel.
-    Coprime lhs, rhs with lhs f_alpha = rhs f_beta are f_beta/g, f_alpha/g."""
+    counted in its field's unit from the layout.  The keys of the terms
+    minus the target must cancel.  Coprimality reads a field as non-zero,
+    which is sound as no exponent is negative."""
     try:
         items = [(Monomial.one(), (), cert.target, -1),
                  *((t.coef, t.tfactor, t.sub, 1) for t in cert.terms)]
@@ -163,10 +139,14 @@ def _walk(target: ReesBinomial, steps: Iterable[tuple[Sequence, ReesBinomial]]
     Each step (c, T_{d,d'}) moves the node c+d to c+d'.  u = M / f_delta
     starts at target.lhs_coef; a step's term is (u / lhs) * T_c * T_{d,d'},
     where T_{d,d'} = lhs T_d - rhs T_d', and the next node's u is that
-    cofactor times rhs.  u is one exponent dict for the whole walk.  The
-    walk only computes, one term per step: every node must lie in the
-    fiber, as the caller has made sure; a step whose lhs does not divide u
-    raises ValueError."""
+    cofactor times rhs, so the terms telescope to the target (Diaconis &
+    Sturmfels, Ann. Statist. 26 (1998), Thm 3.1).  u is one exponent dict
+    for the whole walk.  A step's cofactor M / (f_c lcm(f_d, f_d')) is a
+    monomial exactly when both its nodes lie in the fiber (oracle._in_fiber).
+    The walk only computes, one term per step, so the caller makes sure of
+    every node: fiber_certificate tests each, rule_block_disjoint its one
+    inner node, and the other rules' walks stay in by construction.  A step
+    whose lhs does not divide u raises ValueError."""
     u = dict(target.lhs_coef.exps)
     terms = []
     for c, sub in steps:
@@ -185,7 +165,13 @@ def _walk(target: ReesBinomial, steps: Iterable[tuple[Sequence, ReesBinomial]]
 def _split(ideal: SquareFreeIdeal, target: ReesBinomial,
            blocks: tuple[tuple[Sequence, Sequence], ...]) -> tuple[CertTerm, ...]:
     """The terms of the split of target's checked rows into sorted aligned
-    blocks whose swaps stay in the fiber; equal parts add no term."""
+    blocks, a walk that swaps block i's alpha part for its beta part, one
+    block at a time; equal parts add no term.  With P = f(alpha_{<i}),
+    Q = f(beta_{>i}), g_i = gcd(f_{alpha_i}, f_{beta_i}) and
+    g = gcd(f_alpha, f_beta), block i's cofactor is P*Q*g_i/g, and the split
+    lemma's gcd hypothesis g | gcd(P, f_beta) * gcd(f(alpha_{>=i}), Q) * g_i
+    holds exactly when g | P*Q*g_i, that is, exactly when the node after
+    swap i lies in the fiber, as the caller has made sure."""
     return _walk(target, [(tuple(sorted([c for _, b in blocks[:i] for c in b]
                                         + [c for a, _ in blocks[i + 1:]
                                            for c in a])),
@@ -309,7 +295,8 @@ def rule_block_disjoint(ideal: SquareFreeIdeal, alpha: Sequence,
     """Exhaustive aligned-partition search for disjoint rows.
 
     Tries every aligned two-block partition ((sub_a, sub_b), (rest_a,
-    rest_b)), both block orders, by the first block's size, then sub_a, then
+    rest_b)), both block orders (so the pair with alpha and beta exchanged
+    needs no search of its own), by the first block's size, then sub_a, then
     sub_b, and keeps the first whose gcd hypothesis holds: its walk has one
     inner node, sub_b + rest_a, so only that node is tested and only the
     kept partition is split.  Longer splits add nothing: a swap c+d -> c+d'
@@ -445,7 +432,8 @@ class IrredundancyWitness:
 
 def _shape(alpha: Sequence, beta: Sequence, avec: Sequence, b1: int, b2: int,
            swapped: bool) -> bool:
-    """The pattern's row conditions: the distinct row (beta when swapped)
+    """The pattern's row conditions, for IrredundancyWitness.check and each
+    of _pattern's candidates: the distinct row (beta when swapped)
     sorts to avec, s >= 2 pairwise distinct indices; the other row is
     (b1^{s-1}, b2) with b1 != b2; the two rows share no index."""
     distinct, special = (beta, alpha) if swapped else (alpha, beta)
@@ -528,19 +516,23 @@ def _pair_key(a: Sequence, b: Sequence):
 def _dispatch(ideal: SquareFreeIdeal,
               target: ReesBinomial) -> Optional[Certificate]:
     """The first of the shared-index, power-factor, constant-row and
-    block-disjoint bodies that applies to a checked target; only the first
-    compares the rows, and a shared index always fires."""
+    block-disjoint bodies, in that priority order, that applies to a checked
+    target; all four take (ideal, target).  Only the first compares the
+    rows, and a shared index always fires.  The shape rules are not chained:
+    they cannot fire after rule_block_disjoint."""
     return (_shared_index(ideal, target) or _power_factor(ideal, target)
             or _constant_row(ideal, target) or _block_disjoint(ideal, target))
 
 
 def reduce_to_normal(ideal: SquareFreeIdeal, alpha: Sequence,
                      beta: Sequence) -> ReductionOutcome:
-    """Drive the rules in priority order, recursing into every sub-binomial
-    of degree at least 2.  When no rule applies to the top pair, the oracle
-    decides it modulo all lower layers: a yes gives its fiber_certificate,
-    a no makes it stuck.  Inner pairs that no rule touches simply stay as
-    terminal leaves; only the top rows are checked."""
+    """Drive the rules in priority order (_dispatch), recursing into every
+    sub-binomial of degree at least 2.  When no rule applies to the top
+    pair, the oracle decides it modulo all lower layers: a yes gives its
+    fiber_certificate, a no makes it stuck, a genuinely new generator in its
+    degree, and the outcome carries the pair's irredundancy _pattern when
+    one fits.  Inner pairs that no rule touches simply stay as terminal
+    leaves; only the top rows are checked."""
     a, b = check_rows(ideal, alpha, beta)
     if len(a) == 1:
         return ReductionOutcome("reduced", (), terminal_degree=1)

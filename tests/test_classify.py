@@ -282,6 +282,12 @@ class TestCrossValidate:
         with pytest.raises(ValueError, match="s_max must be an int"):
             cross_validate(pentagon_ideal(), s_max)
 
+    def test_refuses_a_top_layer_beyond_sys_maxsize(self):
+        with pytest.raises(ValueError, match="s_max 10+ is too large"):
+            cross_validate(villarreal_ideal(), 10**20)
+        cross = cross_validate(villarreal_ideal(), 3)
+        assert cross.rt_report.verified_upper_through == 3
+
     def test_wide_inputs_cross_validate_fast(self):
         # shapes with n = 10 and square + pentagon + square (n = 13) at
         # s_max 5: each layer's wide sweep settles most betas per alpha

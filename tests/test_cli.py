@@ -214,6 +214,9 @@ BAD_INPUTS = [
     # 2**62: MemoryError, refused before anything is allocated
     ["taylor", "{file}", "--degree", "4611686018427387904"],
     ["demo", "family", "--n", "4611686018427387904"],
+    # a top layer of more than sys.maxsize sequences: refused before the sweep
+    ["rt", "{file}", "--s-max", "99999999999999999999"],
+    ["classify", "{file}", "--oracle", "--s-max", "99999999999999999999"],
     # a NUL byte in a path: open raises ValueError, not OSError
     ["rt", "{tmp}/a\0b"],
     ["classify", "{file}", "--dot", "{tmp}/g\0.dot"],

@@ -63,6 +63,9 @@ EXTRA = {"family7": lambda: family_ideal(7),
          # the square beside the pentagon, and that pair twice over:
          # components of at most 5 vertices
          "union9": lambda: _union(villarreal_ideal(), pentagon_ideal()),
+         # two trees beside an odd cycle: LinearType
+         "linear": lambda: _union(random_shape_ideal("forest", 4, seed=0),
+                                  random_shape_ideal("odd-cycle", 5, seed=0)),
          "union13": lambda: _union(villarreal_ideal(), pentagon_ideal(),
                                    villarreal_ideal()),
          "union18": lambda: _union(villarreal_ideal(), pentagon_ideal(),
@@ -90,6 +93,8 @@ def cases() -> dict[str, list[list[str]]]:
                                    ["classify", "{evencycle7}", "--json"]],
            # components of at most 5 vertices: relation type at most 3
            "classify-union9": [["classify", "{union9}"]],
+           # forest and unique_odd_cycle classes in JSON
+           "classify-json-linear": [["classify", "{linear}", "--json"]],
            "classify-union18": [["classify", "{union18}"],
                                 ["classify", "{union18}", "--json"]],
            "classify-oracle-union9": [

@@ -94,9 +94,10 @@ def replay_chain(u, chain):
     return u
 
 
-def certifies(ideal, verdict):
-    """Does the yes verdict's fiber path replay as an exact certificate?"""
-    cert = fiber_certificate(ideal, verdict.b, verdict.path)
+def certifies(ideal, b, verdict):
+    """Does the yes verdict's fiber path for b replay as an exact
+    certificate?"""
+    cert = fiber_certificate(ideal, b, verdict.path)
     return verify_certificate(ideal, cert)
 
 
@@ -194,7 +195,7 @@ class TestCongruence:
         verdict = member_lower(V, b, 1)
         assert verdict.is_yes
         assert len(verdict.chain) == 1
-        assert certifies(V, verdict)
+        assert certifies(V, b, verdict)
 
     def test_chain_replays_to_target(self):
         P = pentagon_ideal()
@@ -202,7 +203,7 @@ class TestCongruence:
         for b in taylor_layer(P, 3)[:60]:
             verdict = member_lower(P, b, 2)
             if verdict.is_yes:
-                assert certifies(P, verdict)
+                assert certifies(P, b, verdict)
                 multi_step += len(verdict.chain) > 1
         assert multi_step > 0
 
@@ -275,7 +276,7 @@ class TestMemberLower:
         b = taylor_binomial(V, (1, 2), (3, 4))
         verdict = member_lower(V, b, 1)
         assert verdict.is_yes
-        assert certifies(V, verdict)
+        assert certifies(V, b, verdict)
 
     def test_pentagon_triple_is_new_mod_quadratics(self):
         P = pentagon_ideal()
@@ -631,7 +632,7 @@ class TestLazyChain:
         assert len(verdict.chain) == steps
         assert verdict == member_lower(V, b, k)  # reading chain keeps ==
         if verdict.is_yes:
-            assert certifies(V, verdict)
+            assert certifies(V, b, verdict)
 
     def test_verdicts_with_different_answers_differ(self):
         V = villarreal_ideal()
@@ -681,7 +682,7 @@ class TestLazyChain:
         verdict = member_lower(V, b, 1)
         assert verdict.is_yes and verdict.note != "single move"
         assert len(verdict.path) == 3
-        assert certifies(V, verdict)
+        assert certifies(V, b, verdict)
         assert len(calls) == 1
 
 
@@ -731,6 +732,21 @@ class TestRelationTypeEstimate:
         # a float would reach range() and raise TypeError there
         with pytest.raises(ValueError, match="s_max must be an int"):
             relation_type_estimate(pentagon_ideal(), s_max)
+
+    def test_refuses_a_top_layer_beyond_sys_maxsize(self):
+        # comb(n + s_max - 1, s_max) sequences would have to be enumerated
+        V = villarreal_ideal()
+        with pytest.raises(ValueError, match="s_max 10+ is too large"):
+            relation_type_estimate(V, 10**20)
+        assert relation_type_estimate(V, 3).verified_upper_through == 3
+
+    def test_top_layer_bound_is_exact(self, monkeypatch):
+        # layer 3 of the square holds comb(6, 3) = 20 sequences, layer 4 35
+        monkeypatch.setattr(oracle.sys, "maxsize", 20)
+        V = villarreal_ideal()
+        assert relation_type_estimate(V, 3).verified_upper_through == 3
+        with pytest.raises(ValueError, match="more than 20 sequences"):
+            relation_type_estimate(V, 4)
 
     def test_default_s_max(self):
         assert [default_s_max(n) for n in (1, 2, 3, 4, 7, 8, 20)] == \
@@ -1114,4 +1130,4 @@ def test_member_lower_yes_chains_always_replay(seed):
     b = rng.choice(layer)
     verdict = member_lower(I, b, 1)
     if verdict.is_yes:
-        assert certifies(I, verdict)
+        assert certifies(I, b, verdict)
