@@ -175,12 +175,11 @@ class CrossReport:
 
 def cross_validate(ideal: SquareFreeIdeal,
                    s_max: Optional[int] = None) -> CrossReport:
-    """Run the classifier and the layered oracle side by side; raise
-    Inconsistency when a verdict contradicts a certified lower bound or a
-    reported witness reduces modulo lower layers."""
+    """Run the classifier and the layered oracle side by side, s_max passed
+    to relation_type_estimate as given; raise Inconsistency when a verdict
+    contradicts a certified lower bound or a reported witness reduces
+    modulo lower layers."""
     report = classify(ideal)
-    if s_max is None:
-        s_max = default_s_max(ideal.n)
     rt = relation_type_estimate(ideal, s_max)
     for ev in report.witnesses:
         b = ev.binomial

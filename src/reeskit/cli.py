@@ -47,7 +47,6 @@ from .ideal_io import load_ideal, render_ideal
 from .monomials import SquareFreeIdeal, render_monomial
 from .oracle import (
     RtReport,
-    default_s_max,
     fiber_witness,
     member_lower,
     minimal_linear_generators,
@@ -83,14 +82,6 @@ def _checked(call, *args):
         raise BadInput("too large to enumerate") from None
     except (ValueError, OverflowError, OSError) as exc:
         raise BadInput(exc) from None
-
-
-def _s_max(args, ideal: SquareFreeIdeal) -> int:
-    if args.s_max is None:
-        return default_s_max(ideal.n)
-    if args.s_max < 2:
-        raise BadInput(f"--s-max must be at least 2, got {args.s_max}")
-    return args.s_max
 
 
 def _parse_row(text: str) -> tuple[int, ...]:
@@ -178,7 +169,7 @@ def cmd_classify(args) -> int:
     rt = None
     if args.oracle:
         try:
-            cross = _checked(cross_validate, ideal, _s_max(args, ideal))
+            cross = _checked(cross_validate, ideal, args.s_max)
         except Inconsistency as exc:
             print(f"INCONSISTENT: {exc}", file=sys.stderr)
             print(f"verdict: {exc.classification.verdict}", file=sys.stderr)
@@ -267,9 +258,8 @@ def cmd_reduce(args) -> int:
 
 def cmd_rt(args) -> int:
     ideal = _checked(load_ideal, args.ideal)
-    s_max = _s_max(args, ideal)
-    rt = _checked(relation_type_estimate, ideal, s_max)
-    print(f"layers tested: 2..{s_max}")
+    rt = _checked(relation_type_estimate, ideal, args.s_max)
+    print(f"layers tested: 2..{rt.verified_upper_through}")
     _print_rt(ideal, rt)
     return 0
 

@@ -26,7 +26,7 @@ from .monomials import (
     SquareFreeIdeal,
     make_ideal,
 )
-from .taylor import ReesBinomial, substitute_check, taylor_binomial
+from .taylor import ReesBinomial, check_bound, substitute_check, taylor_binomial
 
 
 def villarreal_ideal() -> SquareFreeIdeal:
@@ -50,8 +50,7 @@ def triangle_ideal() -> SquareFreeIdeal:
 
 def path_ideal(edges: int = 4) -> SquareFreeIdeal:
     """Edge ideal of a path: f_i = x_i x_{i+1}."""
-    if edges < 2:
-        raise ValueError(f"a path needs at least 2 edges, got {edges}")
+    check_bound("a path's edges", edges, 2)
     return make_ideal(
         [f"x{i}" for i in range(1, edges + 2)],
         [[i, i + 1] for i in range(edges)])
@@ -65,8 +64,7 @@ def family_ideal(n: int) -> SquareFreeIdeal:
         f_{n-1} = x_2 ... x_{n-2} y
         f_n     = u_2 ... u_{n-2} z
     """
-    if n < 5:
-        raise ValueError(f"the family needs n >= 5, got {n}")
+    check_bound("the family's n", n, 5)
     mid = list(range(2, n - 1))
     names = ["y"] + [f"x{i}" for i in mid] + ["z"] + [f"u{i}" for i in mid]
     table = {name: pos for pos, name in enumerate(names)}
@@ -149,13 +147,15 @@ def family_corrected_g(n: int) -> tuple[ReesBinomial, dict]:
 # --- random generators -----------------------------------------------------
 
 _MAX_DRAWS = 2000
+# the fewest generators each random_shape_ideal shape can have
+_LEAST_GENERATORS = {"forest": 1, "odd-cycle": 3, "even-cycle": 4}
 
 
 def random_ideal(rng: random.Random, n: int, num_vars: int) -> SquareFreeIdeal:
     """A random valid square-free ideal with n generators over num_vars
     variables, generator supports of size 2..4."""
-    if n < 1 or num_vars < 3:
-        raise ValueError(f"need n >= 1 and num_vars >= 3, got {n}, {num_vars}")
+    check_bound("generator count n", n, 1)
+    check_bound("num_vars", num_vars, 3)
     names = [f"x{i}" for i in range(1, num_vars + 1)]
     for _ in range(_MAX_DRAWS):
         supports = []
@@ -180,20 +180,18 @@ def random_shape_ideal(shape: str, n: int, extra_vars: int = 0,
     shape is exact by construction.  extra_vars private variables are
     sprinkled over random generators on top.
     """
-    if extra_vars < 0:
-        raise ValueError(f"extra_vars must be at least 0, got {extra_vars}")
+    check_bound("extra_vars", extra_vars, 0)
+    if shape not in _LEAST_GENERATORS:
+        raise ValueError(f"unknown shape {shape!r}")
+    low = _LEAST_GENERATORS[shape]
+    check_bound(f"{shape} generator count n", n, low)
     rng = random.Random(seed)
     edges: list[tuple[int, int]] = []
     if shape == "forest":
-        if n < 1:
-            raise ValueError(f"a forest needs at least 1 generator, got {n}")
         for v in range(2, n + 1):
             if rng.random() < 0.8:
                 edges.append((rng.randint(1, v - 1), v))
-    elif shape in ("odd-cycle", "even-cycle"):
-        low = 3 if shape == "odd-cycle" else 4
-        if n < low:
-            raise ValueError(f"{shape} needs at least {low} generators")
+    else:
         choices = [c for c in range(low, n + 1) if c % 2 == low % 2]
         c = rng.choice(choices)
         for v in range(1, c):
@@ -201,8 +199,6 @@ def random_shape_ideal(shape: str, n: int, extra_vars: int = 0,
         edges.append((1, c))
         for v in range(c + 1, n + 1):
             edges.append((rng.randint(1, v - 1), v))
-    else:
-        raise ValueError(f"unknown shape {shape!r}")
 
     supports: dict[int, list[int]] = {i: [] for i in range(1, n + 1)}
     var = 0

@@ -19,7 +19,6 @@ reduction.fiber_certificate turns a yes path into a Certificate.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations, combinations_with_replacement
@@ -31,7 +30,9 @@ from .monomials import SquareFreeIdeal
 from .taylor import (
     ReesBinomial,
     Sequence,
+    check_bound,
     check_rows,
+    check_size,
     enumerate_sequences,
     multiset_distance,
     taylor_binomial,
@@ -218,14 +219,6 @@ def _one_swap(z: int, outs: Iterable[int], ins: Iterable[int]) -> bool:
     return False
 
 
-def _check_bound(name: str, value: object, least: int) -> None:
-    """ValueError unless value is an int, not a bool, of at least least."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be at least {least}, got {value}")
-
-
 def member_lower(ideal: SquareFreeIdeal, b: ReesBinomial, k: int,
                  cap: Optional[int] = None) -> Verdict:
     """Does the layer-s pair of b rewrite into one another modulo all
@@ -240,9 +233,9 @@ def member_lower(ideal: SquareFreeIdeal, b: ReesBinomial, k: int,
     cap, ints that are not bools: cap only refuses a value below the degree
     of the start monomial."""
     check_rows(ideal, b.alpha, b.beta)
-    _check_bound("layer bound k", k, 1)
+    check_bound("layer bound k", k, 1)
     if cap is not None:
-        _check_bound("cap", cap, weighted_degree(ideal, b.terms()[0]))
+        check_bound("cap", cap, weighted_degree(ideal, b.terms()[0]))
 
     if multiset_distance(b.alpha, b.beta) <= k:
         return Verdict("yes", "single move", (b.alpha, b.beta))
@@ -272,7 +265,8 @@ class RtReport:
     layer_tallies: dict[int, tuple[int, int]] = field(default_factory=dict)
 
 
-def relation_type_estimate(ideal: SquareFreeIdeal, s_max: int) -> RtReport:
+def relation_type_estimate(ideal: SquareFreeIdeal,
+                           s_max: Optional[int] = None) -> RtReport:
     """Test every layer 2..s_max against all strictly lower layers.
 
     layer_tallies maps each layer to its (reducing, new) pair counts.
@@ -280,9 +274,9 @@ def relation_type_estimate(ideal: SquareFreeIdeal, s_max: int) -> RtReport:
     layer containing a pair that does not reduce, with a witness binomial:
     the first such pair in taylor_layer order, the only pair built as a
     binomial.  Every verdict is exact, so all layers through s_max are
-    verified.  s_max must be an int (not a bool) of at least 1 whose top
-    layer holds at most sys.maxsize sequences, comb(n + s_max - 1, s_max),
-    the most entries a Python container can hold.
+    verified.  s_max defaults to default_s_max(n) and passes check_bound
+    at 2; its top layer's comb(n + s_max - 1, s_max) sequences and the
+    s_max - 1 layers to tally pass check_size before any layer is swept.
 
     Modulo layer s - 1 two fiber nodes are adjacent exactly when they share
     an index, and alpha and beta are nodes.  So a pair whose rows share an
@@ -299,11 +293,13 @@ def relation_type_estimate(ideal: SquareFreeIdeal, s_max: int) -> RtReport:
     generators only.  Only if no swap fits is M's capacity built and the
     fiber drawn, until the join (_joined); a no pair draws it whole.
     """
-    _check_bound("s_max", s_max, 1)
     n = ideal.n
-    if comb(n + s_max - 1, s_max) > sys.maxsize:
-        raise ValueError(f"s_max {s_max} is too large: its layer holds more "
-                         f"than {sys.maxsize} sequences")
+    if s_max is None:
+        s_max = default_s_max(n)
+    check_bound("s_max", s_max, 2)
+    check_size("s_max", s_max, comb(n + s_max - 1, s_max),
+               "sequences in its top layer")
+    check_size("s_max", s_max, s_max - 1, "layers to tally")
     tallies: dict[int, tuple[int, int]] = {}
     certified_lower = 1
     witness: Optional[ReesBinomial] = None

@@ -12,12 +12,19 @@ and negative parts of one exponent difference, f_alpha / f_beta.  The
 first term always carries alpha.
 
 An RTMonomial couples an x-coefficient with a T-multiset.
+
+check_bound is the package's one rule for an integer bound (a layer, a top
+layer, a generator count) and check_size its one rule for a size: a layer,
+a pair list or a tally that would hold more than sys.maxsize entries is
+refused before it is built.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Iterator
 
 from .monomials import (
@@ -29,6 +36,22 @@ from .monomials import (
 )
 
 Sequence = tuple[int, ...]
+
+
+def check_bound(name: str, value: object, least: int) -> None:
+    """ValueError unless value is an int, not a bool, of at least least."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
+def check_size(name: str, value: int, count: int, what: str) -> None:
+    """ValueError when the bound value asks a Python container to hold count
+    entries of what, more than sys.maxsize, the most one can hold."""
+    if count > sys.maxsize:
+        raise ValueError(f"{name} {value} is too large: more than "
+                         f"{sys.maxsize} {what}")
 
 
 def check_sequence(seq: Iterable[int], n: int) -> Sequence:
@@ -79,9 +102,12 @@ def multiset_distance(a: Sequence, b: Sequence) -> int:
 
 
 def enumerate_sequences(n: int, s: int) -> Iterator[Sequence]:
-    """All non-decreasing sequences of length s over 1..n, lex order."""
-    if s < 1 or n < 1:
-        raise ValueError(f"need s >= 1 and n >= 1, got s = {s}, n = {n}")
+    """All non-decreasing sequences of length s over 1..n, lex order: n and
+    s pass check_bound at 1, and the layer's comb(n + s - 1, s) sequences
+    check_size."""
+    check_bound("generator count n", n, 1)
+    check_bound("layer s", s, 1)
+    check_size("layer s", s, comb(n + s - 1, s), "sequences")
     return itertools.combinations_with_replacement(range(1, n + 1), s)
 
 
@@ -187,11 +213,11 @@ def substitute_check(ideal: SquareFreeIdeal, b: ReesBinomial) -> bool:
 
 
 def taylor_layer(ideal: SquareFreeIdeal, s: int) -> list[ReesBinomial]:
-    """All T_{alpha,beta} with alpha < beta lexicographically in layer s."""
-    if s < 1:
-        raise ValueError(f"layer must be at least 1, got {s}")
-    return [_binomial(ideal, a, b) for a, b
-            in itertools.combinations(enumerate_sequences(ideal.n, s), 2)]
+    """All T_{alpha,beta} with alpha < beta lexicographically in layer s,
+    whose pairs, comb(L, 2) for the layer's L sequences, check_size."""
+    seqs = enumerate_sequences(ideal.n, s)
+    check_size("layer s", s, comb(comb(ideal.n + s - 1, s), 2), "binomials")
+    return [_binomial(ideal, a, b) for a, b in itertools.combinations(seqs, 2)]
 
 
 # --- rendering ------------------------------------------------------------

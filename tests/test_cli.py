@@ -193,6 +193,18 @@ def test_rt_default_layers_for_two_generators(tmp_path, capsys):
     assert "layers tested: 2..2" in capsys.readouterr().out
 
 
+def test_rt_refuses_more_layers_than_sys_maxsize(tmp_path, capsys):
+    # one generator: every layer holds one sequence, so only the count of
+    # layers to tally refuses this s_max; it used to sweep until killed
+    path = tmp_path / "one.ideal"
+    path.write_text("vars: x y\nf1: x y\n")
+    assert main(["rt", str(path), "--s-max", "99999999999999999999"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: s_max 99999999999999999999 is too large: "
+                            f"more than {sys.maxsize} layers to tally\n")
+
+
 BAD_INPUTS = [
     ["taylor", "{file}", "--degree", "0"],
     ["rt", "{file}", "--s-max", "0"],
@@ -208,11 +220,14 @@ BAD_INPUTS = [
     ["demo", "villarreal", "--n", "7"],
     ["demo", "family", "--n", "4"],
     ["random", "--graph-shape", "forest", "--n", "3", "--vars", "-2"],
-    # too large to enumerate: OverflowError, not ValueError, in the library
+    # a layer of more than sys.maxsize sequences, or (at 10**6) a pair list
+    # of more than sys.maxsize binomials: refused before enumerating
     ["taylor", "{file}", "--degree", "99999999999999999999"],
+    ["taylor", "{file}", "--degree", "4611686018427387904"],
+    ["taylor", "{file}", "--degree", "1000000"],
+    # too large to enumerate: OverflowError, not ValueError, in the library
     ["demo", "family", "--n", "99999999999999999999"],
     # 2**62: MemoryError, refused before anything is allocated
-    ["taylor", "{file}", "--degree", "4611686018427387904"],
     ["demo", "family", "--n", "4611686018427387904"],
     # a top layer of more than sys.maxsize sequences: refused before the sweep
     ["rt", "{file}", "--s-max", "99999999999999999999"],

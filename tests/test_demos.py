@@ -38,7 +38,7 @@ def test_triangle_and_path():
     assert triangle_ideal().n == 3
     assert path_ideal(6).n == 6
     assert path_ideal(2).n == 2
-    with pytest.raises(ValueError, match="at least 2 edges"):
+    with pytest.raises(ValueError, match="a path's edges must be at least 2, got 1"):
         path_ideal(1)
 
 
@@ -146,10 +146,12 @@ class TestRandomGenerators:
             # variables do not exist
             random_ideal(rng, 11, 4)
 
-    @pytest.mark.parametrize("n, num_vars", [(0, 5), (3, 2)])
+    @pytest.mark.parametrize("n, num_vars, message", [
+        (0, 5, "generator count n must be at least 1, got 0"),
+        (3, 2, "num_vars must be at least 3, got 2")])
     def test_random_ideal_rejects_no_generators_or_few_variables(
-            self, n, num_vars):
-        with pytest.raises(ValueError, match="need n >= 1 and num_vars >= 3"):
+            self, n, num_vars, message):
+        with pytest.raises(ValueError, match=message):
             random_ideal(random.Random(0), n, num_vars)
 
     def test_shape_ideals_valid_and_deterministic(self):

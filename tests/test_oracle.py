@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reeskit import oracle, reduction
+from reeskit import oracle, reduction, taylor
 from reeskit.demos import (
     family_corrected_g,
     family_f_binomial,
@@ -742,7 +742,7 @@ class TestRelationTypeEstimate:
 
     def test_top_layer_bound_is_exact(self, monkeypatch):
         # layer 3 of the square holds comb(6, 3) = 20 sequences, layer 4 35
-        monkeypatch.setattr(oracle.sys, "maxsize", 20)
+        monkeypatch.setattr(taylor.sys, "maxsize", 20)
         V = villarreal_ideal()
         assert relation_type_estimate(V, 3).verified_upper_through == 3
         with pytest.raises(ValueError, match="more than 20 sequences"):
@@ -751,6 +751,18 @@ class TestRelationTypeEstimate:
     def test_default_s_max(self):
         assert [default_s_max(n) for n in (1, 2, 3, 4, 7, 8, 20)] == \
             [2, 2, 2, 3, 6, 6, 6]
+
+    @pytest.mark.parametrize("ideal", [villarreal_ideal(), pentagon_ideal(),
+                                       make_ideal(["a", "b"], [[0, 1]])],
+                             ids=["square", "pentagon", "one generator"])
+    def test_sweeps_through_default_s_max_when_none_is_given(self, ideal):
+        assert relation_type_estimate(ideal) == \
+            relation_type_estimate(ideal, default_s_max(ideal.n))
+
+    def test_refuses_a_sweep_below_layer_2(self):
+        # layer 2 is the first tested against lower layers, as in rt
+        with pytest.raises(ValueError, match="^s_max must be at least 2, got 1$"):
+            relation_type_estimate(villarreal_ideal(), 1)
 
     def test_matches_whole_layer_sweep(self):
 

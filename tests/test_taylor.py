@@ -1,13 +1,18 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reeskit import taylor
+from reeskit.classify import cross_validate
 from reeskit.demos import (
+    family_ideal,
     path_ideal,
     pentagon_ideal,
     random_ideal,
+    random_shape_ideal,
     villarreal_ideal,
 )
 from reeskit.monomials import (
@@ -16,6 +21,7 @@ from reeskit.monomials import (
     mono_gcd,
     mono_product,
 )
+from reeskit.oracle import member_lower, relation_type_estimate
 from reeskit.taylor import (
     ReesBinomial,
     RTMonomial,
@@ -146,9 +152,64 @@ def test_enumerate_sequences_count():
     assert len(list(enumerate_sequences(4, 3))) == 20
     for seq in enumerate_sequences(3, 2):
         check_sequence(seq, 3)
-    for n, s in ((3, 0), (0, 2)):
-        with pytest.raises(ValueError, match="need s >= 1 and n >= 1"):
+    for n, s, message in ((3, 0, "layer s must be at least 1, got 0"),
+                          (0, 2, "generator count n must be at least 1, got 0")):
+        with pytest.raises(ValueError, match=message):
             enumerate_sequences(n, s)
+
+
+def _square_pair():
+    return taylor_binomial(villarreal_ideal(), (1, 3), (2, 4))
+
+
+# (function, parameter name, call with the bound under test): every integer
+# bound goes through check_bound, so each refuses a bool and a float by name
+BOUNDS = [
+    ("enumerate_sequences", "generator count n",
+     lambda v: enumerate_sequences(v, 2)),
+    ("enumerate_sequences", "layer s", lambda v: enumerate_sequences(3, v)),
+    ("taylor_layer", "layer s", lambda v: taylor_layer(villarreal_ideal(), v)),
+    ("family_ideal", "the family's n", family_ideal),
+    ("path_ideal", "a path's edges", path_ideal),
+    ("random_ideal", "generator count n",
+     lambda v: random_ideal(random.Random(0), v, 5)),
+    ("random_ideal", "num_vars",
+     lambda v: random_ideal(random.Random(0), 2, v)),
+    ("random_shape_ideal", "forest generator count n",
+     lambda v: random_shape_ideal("forest", v)),
+    ("random_shape_ideal", "even-cycle generator count n",
+     lambda v: random_shape_ideal("even-cycle", v)),
+    ("random_shape_ideal", "extra_vars",
+     lambda v: random_shape_ideal("forest", 3, v)),
+    ("member_lower", "layer bound k",
+     lambda v: member_lower(villarreal_ideal(), _square_pair(), v)),
+    ("member_lower", "cap",
+     lambda v: member_lower(villarreal_ideal(), _square_pair(), 1, v)),
+    ("relation_type_estimate", "s_max",
+     lambda v: relation_type_estimate(villarreal_ideal(), v)),
+    ("cross_validate", "s_max",
+     lambda v: cross_validate(villarreal_ideal(), v)),
+]
+
+
+@pytest.mark.parametrize("value", [True, 2.0])
+@pytest.mark.parametrize("name, call", [b[1:] for b in BOUNDS],
+                         ids=[f"{f} {name}" for f, name, _ in BOUNDS])
+def test_every_bound_refuses_a_bool_or_a_float_by_name(name, call, value):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be an int, "
+                                         f"got {re.escape(repr(value))}$"):
+        call(value)
+
+
+def test_taylor_layer_size_bound_is_exact(monkeypatch):
+    # layer 1 of the square: 4 sequences, comb(4, 2) = 6 pairs
+    monkeypatch.setattr(taylor.sys, "maxsize", 6)
+    V = villarreal_ideal()
+    assert len(taylor_layer(V, 1)) == 6
+    monkeypatch.setattr(taylor.sys, "maxsize", 5)
+    with pytest.raises(ValueError,
+                       match="^layer s 1 is too large: more than 5 binomials$"):
+        taylor_layer(V, 1)
 
 
 def test_product_of():
