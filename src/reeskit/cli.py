@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 unreadable or invalid input or a malformed command
 line (one line on stderr, never a traceback), 3 classifier verdict
-contradicted by the oracle.  _checked is the one place that decides which
+contradicted by the oracle, 130 interrupted by Ctrl-C (one line on stderr,
+the shell's code for SIGINT).  _checked is the one place that decides which
 library errors on user input mean exit 2.  Every oracle answer is exact, so
 no search limit can be set.
 """
@@ -394,6 +395,9 @@ def main(argv=None) -> int:
     except BadInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     except BrokenPipeError:
         # the reader has gone: the rest of the output goes to devnull, so
         # the flush at exit raises nothing (Python's signal module docs)

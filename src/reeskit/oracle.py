@@ -13,7 +13,11 @@ Map: member_lower decides one pair and returns its fiber path (_path);
 relation_type_estimate sweeps whole layers for a yes or a no (_one_swap,
 then _joined); minimal_linear_generators prunes layer 1.  All three read the
 fiber through a pair's packed _capacity: _fiber enumerates it and _in_fiber,
-the package's one fiber-membership test, decides one node.
+the package's one fiber-membership test, decides one node.  _fiber routes
+to one of two exact searches: _index_fiber branches on generators in index
+order, lazily; _tight_fiber branches on variables, and takes the fibers of
+depth s >= _TIGHT_DEPTH whose waste budget (_waste) is at most 1, where the
+first grows with s while the fiber stays small.
 reduction.fiber_certificate turns a yes path into a Certificate.
 """
 
@@ -113,20 +117,51 @@ def _in_fiber(capacity: tuple, node: Seq[int]) -> bool:
 
 
 def _fiber(capacity: tuple) -> Iterable[Sequence]:
-    """Yield {delta : f_delta | M} in lex order, lazily, for a pair's
-    _capacity (s, full, guards, gen), never by filtering the whole layer: a
-    depth-first search over non-decreasing index sequences subtracts each
-    pick from the capacity still free.  Generators reaching outside supp(M)
-    never fit, so only those that fit in M once are branched on.  At every
-    depth a child that picks the j-th of them is bounded by _can_fill on
-    tails[j], the masks from j on, and cut when the picks still possible
-    cannot fill the slots left; the suffix lists are built once per fiber,
-    so no child copies a list.  It keeps its own stack: the search is s
-    picks deep, and a recursive generator exceeds the default recursion
-    limit at s = 1,200."""
+    """{delta : f_delta | M} in lex order for a pair's _capacity (s, full,
+    guards, gen), never by filtering the whole layer.  Generators reaching
+    outside supp(M) never fit, so index holds those that fit in M once, and
+    both searches pick only from it.  A fiber with waste budget _waste <= 1
+    and depth s >= _TIGHT_DEPTH is drawn whole by _tight_fiber, any other
+    lazily by _index_fiber.  Each search draws exactly the fiber, so the
+    switch moves only the time.  On sigma <= 1 fibers (family_ideal's F
+    and G, the odd and even edges of an even cycle, and random fibers of
+    equal-degree generators) the index-order search about doubles with each
+    step of s; the variable search was faster in each group from s = 8 on,
+    and at s = 7 slower by about a fifth on the random fibers."""
     s, full, guards, gen = capacity
     index = [a for a in range(1, len(gen))
              if (full - gen[a]) & guards == guards]
+    if s >= _TIGHT_DEPTH and _waste(capacity, index) <= 1:
+        return _tight_fiber(capacity, index)
+    return _index_fiber(capacity, index)
+
+
+_TIGHT_DEPTH = 8  # the least s at which _fiber draws sigma <= 1 by variables
+
+
+def _waste(capacity: tuple, index: Seq[int]) -> int:
+    """sigma = deg M - s * (least deg f_a, a in index), deg f_a being
+    gen[a].bit_count() and deg M the sum of full's fields: no node of the
+    fiber leaves more of M unused."""
+    s, full, guards, gen = capacity
+    w = (guards & -guards).bit_length()
+    low = (1 << (w - 1)) - 1
+    degree = sum(full >> at & low for at in range(0, guards.bit_length(), w))
+    return degree - s * min((gen[a].bit_count() for a in index), default=0)
+
+
+def _index_fiber(capacity: tuple, index: Seq[int]) -> Iterable[Sequence]:
+    """Yield the fiber in lex order, lazily: a depth-first search over
+    non-decreasing sequences from index subtracts each pick from the
+    capacity still free.  At every depth a child that picks the j-th of
+    them is bounded by _can_fill on tails[j], the masks from j on, and cut
+    when the picks still possible cannot fill the slots left; the suffix
+    lists are built once per fiber, so no child copies a list.  It keeps
+    its own stack: the search is s picks deep, and a recursive generator
+    exceeds the default recursion limit at s = 1,200.  The tree it walks
+    holds every prefix that _can_fill admits, so on a tight fiber it grows
+    with s even when the fiber holds two nodes."""
+    s, full, guards, gen = capacity
     masks = [gen[a] for a in index]
     tails = [masks[j:] for j in range(len(masks))]
     stack: list[tuple[Sequence, int, int]] = [((), full, 0)]
@@ -144,6 +179,87 @@ def _fiber(capacity: tuple) -> Iterable[Sequence]:
             elif _can_fill(rest, tails[j], guards, left):
                 kids.append((seq, rest, j))
         stack.extend(reversed(kids))
+
+
+def _tight_fiber(capacity: tuple, index: Seq[int]) -> list[Sequence]:
+    """The fiber in lex order, drawn by branching on variables: exact cover
+    with multiplicities under the fewest-options rule (Knuth, TAOCP 4B,
+    7.2.2.1, Algorithm M), for index the generators that fit in M once.
+
+    A state holds the capacity still free, the generators whose count is
+    settled, and the slots left.  A generator is live while it is unsettled
+    and fits once; a variable is open while a live generator holds it.
+    Every later pick takes a live generator: it uses one unit of each open
+    variable it holds and none of any other, at least `least` in all.  So
+    with room the free capacity on open variables, a state with slack =
+    room - slots * least < 0 has no completion, and on each open variable,
+    of free exponent c, the picks left take t units with c - slack <= t <=
+    min(c, slots); a state where some open c exceeds slots + slack is cut.
+    The search takes the open variable held by the fewest live generators,
+    gives each of them a count whose total t lies in that range and fits,
+    and settles them, which closes the variable.  A node is reached once,
+    along its own counts.  Both stacks are explicit: the search closes a
+    variable per level and settles a generator per inner step, so s sets
+    no depth.  With sigma <= 1 each range is one or two wide."""
+    s, full, guards, gen = capacity
+    w = (guards & -guards).bit_length()
+    low = (1 << (w - 1)) - 1
+    masks = [gen[a] for a in index]
+    degree = [mask.bit_count() for mask in masks]
+    shifts = range(0, guards.bit_length(), w)
+    # holders[k]: the generators holding the variable at shifts[k], as bits
+    holders = [sum(1 << j for j, mask in enumerate(masks) if mask >> at & 1)
+               for at in shifts]
+    nodes = []
+    stack = [(full, 0, s, ())]
+    while stack:
+        free, settled, slots, picks = stack.pop()
+        if not slots:
+            nodes.append(tuple(index[j] for j, x in sorted(picks)
+                               for _ in range(x)))
+            continue
+        live, least = 0, guards.bit_count()  # no degree exceeds it
+        for j, mask in enumerate(masks):
+            if not settled >> j & 1 and (free - mask) & guards == guards:
+                live |= 1 << j
+                least = min(least, degree[j])
+        room = top = 0  # the capacity on open variables, and its most
+        fewest = None
+        for at, bits in zip(shifts, holders):
+            k = (bits & live).bit_count()
+            if k:
+                c = free >> at & low
+                room += c
+                top = max(top, c)
+                if fewest is None or k < fewest[0]:
+                    fewest = (k, bits & live, c)
+        slack = room - slots * least
+        if fewest is None or slack < 0 or top - slack > slots:
+            continue
+        _, on, c = fewest
+        lo, hi = c - slack, min(c, slots)
+        done = settled | on
+        gens = [j for j in range(len(masks)) if on >> j & 1]
+        last = len(gens) - 1
+        # the counts of gens, one generator per step, totals within [lo, hi]
+        counts = [(0, free, 0, picks)]
+        while counts:
+            i, rest, t, got = counts.pop()
+            j = gens[i]
+            mask = masks[j]
+            x = 0
+            while True:
+                kid = got + ((j, x),) if x else got
+                if i < last:
+                    counts.append((i + 1, rest, t + x, kid))
+                elif t + x >= lo:
+                    stack.append((rest, done, slots - t - x, kid))
+                x += 1
+                rest -= mask
+                if t + x > hi or rest & guards != guards:
+                    break
+    nodes.sort()
+    return nodes
 
 
 def _can_fill(free: int, masks: Seq[int], guards: int, slots: int) -> bool:

@@ -2,8 +2,10 @@ import ast
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -399,6 +401,59 @@ def test_demo_family_large(n, capsys):
     assert f"  reduces modulo layers <= {2 * n - 8}: no\n" in out
     assert ("  fiber witness (new generator with non-unit coefficients): "
             "True\n") in out
+
+
+def test_demo_family_20_within_its_bound(capsys):
+    # F's and G's fibers at s = 33 and 32 are drawn by branching on
+    # variables; the index-order search took 110 s at n = 16 and grows
+    # about 4x per step of n
+    n = 20
+    start = time.perf_counter()
+    assert main(["demo", "family", "--n", str(n)]) == 0
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    mid = "*".join(f"T{i}" for i in range(2, n - 1))
+    assert (f"F (degree {2 * n - 7}): T1^{n - 4}*{mid} - "
+            f"T{n - 1}^{n - 3}*T{n}^{n - 4}\n") in out
+    assert f"  reduces modulo layers <= {2 * n - 8}: no\n" in out
+    assert (f"G (degree {2 * n - 8}): z*T1^{n - 5}*{mid} - "
+            f"y*T{n - 1}^{n - 4}*T{n}^{n - 4}\n") in out
+    assert ("  fiber witness (new generator with non-unit coefficients): "
+            "True\n") in out
+    assert elapsed < 2.0, f"demo family --n {n} took {elapsed:.2f}s"
+
+
+def test_ctrl_c_exits_130_with_one_line(monkeypatch, capsys):
+    def interrupted(args):
+        print("half a line", end="")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(reeskit.cli, "cmd_rt", interrupted)
+    assert main(["rt", "any.ideal"]) == 130
+    # what was printed before the interrupt stays, and no traceback follows
+    assert capsys.readouterr() == ("half a line", "error: interrupted\n")
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="POSIX signals")
+def test_sigint_mid_sweep_exits_130_without_a_traceback(tmp_path):
+    # rt on family_ideal(10) at 6 sweeps for several seconds and prints
+    # nothing before its last layer; SIGINT lands after one second
+    path = tmp_path / "family10.ideal"
+    path.write_text(render_ideal(family_ideal(10)))
+    src = str(Path(reeskit.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "reeskit.cli", "rt", str(path), "--s-max", "6"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=src))
+    try:
+        time.sleep(1)
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 130, err
+    assert out == ""
+    assert err.splitlines() == ["error: interrupted"]
 
 
 def test_demo_family_rejects_small_n(capsys):

@@ -117,7 +117,9 @@ def cases() -> dict[str, list[list[str]]]:
     for shape in ("forest", "odd-cycle", "even-cycle"):
         out[f"random-{shape}"] = [
             ["random", "--graph-shape", shape, "--n", "5", "--seed", "3"]]
-    for n in range(5, 12):
+    # n = 12..16 were first written by the index-order fiber search alone,
+    # so they pin the variable search's F and G against it
+    for n in range(5, 17):
         out[f"demo-family-n{n}"] = [["demo", "family", "--n", str(n)]]
     for name, make in IDEALS.items():
         path = "{" + name + "}"

@@ -506,6 +506,139 @@ class TestSuffixLists:
         assert checked == 6550
 
 
+def fitting(capacity):
+    """The generators that fit in M once: the index both searches use."""
+    s, full, guards, gen = capacity
+    return [a for a in range(1, len(gen)) if (full - gen[a]) & guards == guards]
+
+
+def waste(ideal, alpha, beta):
+    """sigma = deg M - s * (least degree of a generator dividing M), by the
+    Monomial formulas."""
+    big = mono_lcm(f_of(ideal, alpha), f_of(ideal, beta))
+    least = min(len(g.exps) for g in ideal.gens if mono_divides(g, big))
+    return sum(e for _, e in big.exps) - len(alpha) * least
+
+
+def tight_pairs():
+    """Deep pairs of waste at most 1 beyond the family and the cycles:
+    on random graphs' edge ideals, alpha of 6..10 edges against itself or
+    against alpha with one edge swapped for one that adds at most one
+    unit to f_alpha."""
+    rng = random.Random(3)
+    out = []
+    while len(out) < 60:
+        edges = rng.sample(list(itertools.combinations(range(7), 2)),
+                           rng.randint(6, 9))
+        ideal = edge_ideal(7, edges)
+        alpha = tuple(sorted(rng.choices(range(1, ideal.n + 1),
+                                         k=rng.randint(6, 10))))
+        beta = list(alpha)
+        beta[rng.randrange(len(beta))] = rng.randint(1, ideal.n)
+        beta = tuple(sorted(beta))
+        if waste(ideal, alpha, beta) > 1:
+            beta = alpha
+        out.append((ideal, alpha, beta))
+    return out
+
+
+def deep_pairs():
+    """Random pairs of layers 6..12 on seeded ideals, waste mostly large."""
+    rng = random.Random(0)
+    out = []
+    for k in range(150):
+        ideal = random_ideal(random.Random(k), 5, 8)
+        s = rng.randint(6, 12)
+        out.append((ideal, *(tuple(sorted(rng.choices(range(1, 6), k=s)))
+                             for _ in "ab")))
+    return out
+
+
+def family_pairs(ns):
+    return [(family_ideal(n), b.alpha, b.beta) for n in ns
+            for b in (family_f_binomial(n), family_corrected_g(n)[0])]
+
+
+def cycle_pairs():
+    """The odd against the even edges of C8..C20: f_alpha = f_beta."""
+    out = []
+    for k in range(4, 11):
+        ideal = edge_ideal(2 * k, [(v, (v + 1) % (2 * k))
+                                   for v in range(2 * k)])
+        out.append((ideal, tuple(range(1, 2 * k, 2)),
+                    tuple(range(2, 2 * k + 1, 2))))
+    return out
+
+
+class TestVariableSearch:
+    """_tight_fiber, called directly, against sliced_fiber: the same nodes
+    in the same order on every fiber, above and below _fiber's switch and
+    whatever its waste."""
+
+    def test_family_fibers_match_both_searches(self):
+        for ideal, alpha, beta in family_pairs(range(5, 13)):
+            capacity = oracle._capacity(ideal, alpha, beta)
+            expected = list(sliced_fiber(capacity))
+            assert expected == [alpha, beta]
+            assert oracle._tight_fiber(capacity, fitting(capacity)) == \
+                expected, (ideal.n, alpha)
+            assert list(oracle._index_fiber(capacity, fitting(capacity))) \
+                == expected, (ideal.n, alpha)
+
+    @pytest.mark.parametrize("corpus", [cycle_pairs, tight_pairs, deep_pairs])
+    def test_corpus_fibers_match_the_sliced_search(self, corpus):
+        for ideal, alpha, beta in corpus():
+            capacity = oracle._capacity(ideal, alpha, beta)
+            assert oracle._tight_fiber(capacity, fitting(capacity)) == \
+                list(sliced_fiber(capacity)), (alpha, beta)
+
+    def test_waste_is_the_budget_of_the_monomials(self):
+        for ideal, alpha, beta in (family_pairs(range(5, 9)) + cycle_pairs()
+                                   + tight_pairs() + deep_pairs()):
+            capacity = oracle._capacity(ideal, alpha, beta)
+            assert oracle._waste(capacity, fitting(capacity)) == \
+                waste(ideal, alpha, beta), (alpha, beta)
+
+    def test_fiber_takes_the_variable_search_exactly_at_the_switch(
+            self, monkeypatch):
+        calls = []
+        original = oracle._tight_fiber
+
+        def counting(capacity, index):
+            calls.append(capacity)
+            return original(capacity, index)
+
+        monkeypatch.setattr(oracle, "_tight_fiber", counting)
+        seen = Counter()
+        for ideal, alpha, beta in (family_pairs(range(5, 13)) + cycle_pairs()
+                                   + tight_pairs() + deep_pairs()):
+            capacity = oracle._capacity(ideal, alpha, beta)
+            before = len(calls)
+            assert list(oracle._fiber(capacity)) == \
+                list(sliced_fiber(capacity))
+            tight = waste(ideal, alpha, beta) <= 1
+            deep = len(alpha) >= oracle._TIGHT_DEPTH
+            assert len(calls) - before == (tight and deep), (alpha, beta)
+            seen[tight, deep] += 1
+        # each side of both conditions occurs
+        assert set(seen) == {(True, True), (True, False), (False, True),
+                             (False, False)}, seen
+
+    def test_family_f_at_30_needs_no_recursion(self):
+        # 53 picks, under a recursion limit 20 frames above this test: the
+        # variable search keeps both its stacks itself
+        b = family_f_binomial(30)
+        capacity = oracle._capacity(family_ideal(30), b.alpha, b.beta)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 20)
+        try:
+            fiber = list(oracle._fiber(capacity))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert b.degree == 53
+        assert fiber == [b.alpha, b.beta]
+
+
 class TestUnionFindDecision:
     def test_matches_reference_on_random_ideals(self):
         # every k in 1..s-1 on a stride through layers 2..4
