@@ -8,12 +8,14 @@ Subcommands:
   demo      built-in worked examples: villarreal, pentagon, family --n
   random    seed-deterministic random ideal in the file format
 
-Exit codes: 0 success, 2 unreadable or invalid input or a malformed command
-line (one line on stderr, never a traceback), 3 classifier verdict
-contradicted by the oracle, 130 interrupted by Ctrl-C (one line on stderr,
-the shell's code for SIGINT).  _checked is the one place that decides which
-library errors on user input mean exit 2.  Every oracle answer is exact, so
-no search limit can be set.
+Exit codes: 0 success, 1 stdout's reader has gone (a closed pipe, as under
+`| head`; the rest of the output is dropped, nothing on stderr), 2
+unreadable or invalid input or a malformed command line (one line on
+stderr, never a traceback), 3 classifier verdict contradicted by the
+oracle, 130 interrupted by Ctrl-C (one line on stderr, the shell's code for
+SIGINT).  _checked is the one place that decides which library errors on
+user input mean exit 2.  Every oracle answer is exact, so no search limit
+can be set.
 """
 
 from __future__ import annotations
@@ -60,12 +62,12 @@ from .reduction import (
     reduce_to_normal,
 )
 from .taylor import (
+    iter_taylor_layer,
     render_binomial,
     render_tpart,
     substitute_check,
     swap_binomial,
     taylor_binomial,
-    taylor_layer,
 )
 
 
@@ -205,7 +207,7 @@ def cmd_classify(args) -> int:
 
 def cmd_taylor(args) -> int:
     ideal = _checked(load_ideal, args.ideal)
-    layer = _checked(taylor_layer, ideal, args.degree)
+    layer = _checked(iter_taylor_layer, ideal, args.degree)
     if args.json:
         print(json.dumps([
             {"alpha": b.alpha, "beta": b.beta,

@@ -11,10 +11,12 @@ set, exactly, with no degree cap.
 
 Map: member_lower decides one pair and returns its fiber path (_path);
 relation_type_estimate sweeps whole layers for a yes or a no (_one_swap,
-then _joined); minimal_linear_generators prunes layer 1.  All three read the
-fiber through a pair's packed _capacity: _fiber enumerates it and _in_fiber,
-the package's one fiber-membership test, decides one node.  _fiber routes
-to one of two exact searches: _index_fiber branches on generators in index
+then _joined), growing each layer's packed rows from the layer below, each
+row pointing to its generator set's record (_generator_set);
+minimal_linear_generators prunes layer 1.  All three read the fiber
+through a pair's packed _capacity: _fiber enumerates it and _in_fiber, the
+package's one fiber-membership test, decides one node.  _fiber routes to
+one of two exact searches: _index_fiber branches on generators in index
 order, lazily; _tight_fiber branches on variables, and takes the fibers of
 depth s >= _TIGHT_DEPTH whose waste budget (_waste) is at most 1, where the
 first grows with s while the fiber stays small.
@@ -37,7 +39,6 @@ from .taylor import (
     check_bound,
     check_rows,
     check_size,
-    enumerate_sequences,
     multiset_distance,
     taylor_binomial,
     taylor_layer,
@@ -79,13 +80,14 @@ class Verdict:
 def _capacity(ideal: SquareFreeIdeal, alpha: Sequence, beta: Sequence
               ) -> tuple[int, int, int, list[int]]:
     """(s, full, guards, gen) for M = lcm(f_alpha, f_beta), s = len(alpha),
-    rows unchecked, in ideal.layout at width s.bit_length() + 1, so a whole
-    sweep reuses a few layouts: full holds each exponent of M (0 off
-    supp(M)) under its guard bit (_lcm).  A field starts at guard + e,
-    guard > s >= e, so up to s subtractions borrow across no field, and a
-    guard bit stays set exactly while the picks fit.  Every generator is
-    square-free, so picking index a subtracts gen[a], a unit in each field
-    of supp(f_a)."""
+    rows unchecked, in ideal.layout at width s.bit_length() + 1, the
+    narrowest whose guard exceeds s; any wider width serves as well, as
+    relation_type_estimate's one width for all its layers does: full holds
+    each exponent of M (0 off supp(M)) under its guard bit (_lcm).  A field
+    starts at guard + e, guard > s >= e, so up to s subtractions borrow
+    across no field, and a guard bit stays set exactly while the picks fit.
+    Every generator is square-free, so picking index a subtracts gen[a], a
+    unit in each field of supp(f_a)."""
     s = len(alpha)
     w = s.bit_length() + 1
     gen, _, _, guards = ideal.layout(w)
@@ -381,6 +383,28 @@ class RtReport:
     layer_tallies: dict[int, tuple[int, int]] = field(default_factory=dict)
 
 
+def _generator_set(held: int, top: Seq[int]
+                   ) -> tuple[int, list[int], list[int]]:
+    """(held, outs, rest) for the rows whose distinct generators are the
+    bits of held, top[j] being gen[j] on its guard bits.  outs holds their
+    guard masks, and rest the generators of the betas after such a row
+    alpha that share no index with it: those above alpha[0], the least bit
+    of held, and outside held, less each j that settles every beta holding
+    it.  A
+    swap fits exactly when f_alpha < f_beta on each variable of f_beta_j
+    outside f_alpha_i (_one_swap on the guard bits of _ge), as no other
+    variable gains; so j settles them when its variables outside some
+    f_alpha_i all lie off supp(f_alpha), the union of outs, as f_beta >= 1
+    on f_j."""
+    n = len(top) - 1
+    members = [j for j in range(1, n + 1) if held >> j & 1]
+    outs = [top[j] for j in members]
+    ua = reduce(or_, outs)
+    rest = [j for j in range(members[0] + 1, n + 1) if not held >> j & 1
+            and not _one_swap(ua, outs, (top[j],))]
+    return held, outs, rest
+
+
 def relation_type_estimate(ideal: SquareFreeIdeal,
                            s_max: Optional[int] = None) -> RtReport:
     """Test every layer 2..s_max against all strictly lower layers.
@@ -400,14 +424,16 @@ def relation_type_estimate(ideal: SquareFreeIdeal,
     disjoint rows reduces exactly when its fiber's nodes, as blocks, join
     alpha[0] and beta[0].  A node alpha - {alpha_i} + {beta_j} shares
     s - 1 >= 1 indices with alpha and beta_j with beta, so one that fits
-    joins them.  Each layer's rows are packed once, with their generators'
-    guard masks; a swap fits exactly when f_alpha < f_beta on each variable
-    of f_beta_j outside f_alpha_i (_one_swap on the guard bits of _ge), as
-    no other variable gains.  So a generator j whose variables outside some
-    f_alpha_i all lie off supp(f_alpha) settles every beta holding it, as
-    f_beta >= 1 on f_j: once per alpha, the betas are built from the other
-    generators only.  Only if no swap fits is M's capacity built and the
-    fiber drawn, until the join (_joined); a no pair draws it whole.
+    joins them: _one_swap decides it on the guard bits of _ge.
+
+    Layer s's rows grow from layer s - 1's, in lex order: row seq + (j,),
+    j >= seq[-1], packs f_seq + gen[j] at the one width s_max.bit_length()
+    + 1, whose guard exceeds s_max >= s (see _capacity), and points to the
+    record of its set of distinct generators, built once per set in a
+    sweep: the set's guard masks and its betas, less the generators that
+    settle every beta holding them (_generator_set).  Only if no swap fits
+    is M's capacity built and the fiber drawn, until the join (_joined); a
+    no pair draws it whole.
     """
     n = ideal.n
     if s_max is None:
@@ -416,24 +442,32 @@ def relation_type_estimate(ideal: SquareFreeIdeal,
     check_size("s_max", s_max, comb(n + s_max - 1, s_max),
                "sequences in its top layer")
     check_size("s_max", s_max, s_max - 1, "layers to tally")
+    w = s_max.bit_length() + 1
+    gen, _, _, guards = ideal.layout(w)
+    top = [g << (w - 1) for g in gen]
+    sets: dict[int, tuple[int, list[int], list[int]]] = {}
+    rows = {(j,): (gen[j], _generator_set(1 << j, top))
+            for j in range(1, n + 1)}
     tallies: dict[int, tuple[int, int]] = {}
     certified_lower = 1
     witness: Optional[ReesBinomial] = None
     for s in range(2, s_max + 1):
-        w = s.bit_length() + 1
-        gen, _, _, guards = ideal.layout(w)
-        top = [g << (w - 1) for g in gen]
-        rows = {seq: (sum(map(gen.__getitem__, seq)), {top[j] for j in seq})
-                for seq in enumerate_sequences(n, s)}
+        grown = {}
+        for seq, (f, record) in rows.items():
+            last = seq[-1]
+            grown[seq + (last,)] = (f + gen[last], record)
+            held = record[0]
+            for j in range(last + 1, n + 1):
+                bits = held | 1 << j
+                if bits not in sets:
+                    sets[bits] = _generator_set(bits, top)
+                grown[seq + (j,)] = (f + gen[j], sets[bits])
+        rows = grown
         no = 0
         first_no: Optional[ReesBinomial] = None
-        for alpha, (fa, outs) in rows.items():
-            # beta > alpha with rows disjoint from alpha's: beta[0] > alpha[0]
-            ua = reduce(or_, outs)
-            rest = [j for j in range(alpha[0] + 1, n + 1) if j not in alpha
-                    and not _one_swap(ua, outs, (top[j],))]
+        for alpha, (fa, (_, outs, rest)) in rows.items():
             for beta in combinations_with_replacement(rest, s):
-                fb, ins = rows[beta]
+                fb, (_, ins, _) = rows[beta]
                 z = _ge(fa, fb, guards)
                 if _one_swap(z, outs, ins):
                     continue
@@ -443,7 +477,7 @@ def relation_type_estimate(ideal: SquareFreeIdeal,
                     no += 1
                     if first_no is None:
                         first_no = taylor_binomial(ideal, alpha, beta)
-        tallies[s] = (comb(comb(n + s - 1, s), 2) - no, no)
+        tallies[s] = (comb(len(rows), 2) - no, no)
         if no > 0:
             certified_lower = s
             witness = first_no

@@ -212,12 +212,25 @@ def substitute_check(ideal: SquareFreeIdeal, b: ReesBinomial) -> bool:
     return lhs == rhs
 
 
+def iter_taylor_layer(ideal: SquareFreeIdeal,
+                      s: int) -> Iterator[ReesBinomial]:
+    """Each T_{alpha,beta} with alpha < beta lexicographically in layer s,
+    built as it is asked for.  The checks run at the call:
+    enumerate_sequences' on the layer's L sequences, and check_size on
+    their comb(L, 2) pairs.  No list of sequences is held: the betas of the
+    i-th alpha are the layer's sequences after its first i."""
+    n = ideal.n
+    seqs = enumerate_sequences(n, s)
+    check_size("layer s", s, comb(comb(n + s - 1, s), 2), "binomials")
+    pool = range(1, n + 1)
+    return (_binomial(ideal, a, b) for i, a in enumerate(seqs, 1)
+            for b in itertools.islice(
+                itertools.combinations_with_replacement(pool, s), i, None))
+
+
 def taylor_layer(ideal: SquareFreeIdeal, s: int) -> list[ReesBinomial]:
-    """All T_{alpha,beta} with alpha < beta lexicographically in layer s,
-    whose pairs, comb(L, 2) for the layer's L sequences, check_size."""
-    seqs = enumerate_sequences(ideal.n, s)
-    check_size("layer s", s, comb(comb(ideal.n + s - 1, s), 2), "binomials")
-    return [_binomial(ideal, a, b) for a, b in itertools.combinations(seqs, 2)]
+    """iter_taylor_layer's binomials as one list."""
+    return list(iter_taylor_layer(ideal, s))
 
 
 # --- rendering ------------------------------------------------------------

@@ -1,4 +1,5 @@
 import ast
+import io
 import json
 import os
 import random
@@ -13,6 +14,7 @@ import pytest
 import reeskit
 import reeskit.classify
 import reeskit.cli
+import reeskit.taylor
 from reeskit.cli import main
 from reeskit.demos import (
     family_ideal,
@@ -337,6 +339,36 @@ def test_a_closed_stdout_exits_1_without_a_traceback():
         os.close(write_end)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr, proc.stderr
+
+
+def test_taylor_prints_each_binomial_as_it_is_built(villarreal_file,
+                                                    monkeypatch):
+    # the reader leaves after the first line: only the binomial after it
+    # has been built, of the layer's 3,486
+    class Gone(Exception):
+        pass
+
+    class OneLine(io.StringIO):
+        def write(self, text):
+            if "\n" in self.getvalue():
+                raise Gone
+            return super().write(text)
+
+    built = []
+    original = reeskit.taylor._binomial
+
+    def counting(*args):
+        built.append(args[1:])
+        return original(*args)
+
+    monkeypatch.setattr(reeskit.taylor, "_binomial", counting)
+    out = OneLine()
+    monkeypatch.setattr(sys, "stdout", out)
+    with pytest.raises(Gone):
+        main(["taylor", villarreal_file, "--degree", "6"])
+    assert out.getvalue() == ("(1,1,1,1,1,1)|(1,1,1,1,1,2): "
+                              "x4*x5*T1^6 - x1*x3*T1^5*T2\n")
+    assert len(built) == 2
 
 
 def test_no_assert_statement_in_the_package():

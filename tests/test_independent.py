@@ -11,7 +11,13 @@ from hypothesis import example, given, settings, strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
-from reference import rt_tallies, supports_of  # noqa: E402
+from reference import (  # noqa: E402
+    FiberOracle,
+    is_taylor_binomial,
+    layer_pairs,
+    rt_tallies,
+    supports_of,
+)
 
 from reeskit.demos import pentagon_ideal, villarreal_ideal  # noqa: E402
 from reeskit.monomials import make_ideal  # noqa: E402
@@ -35,6 +41,22 @@ IDEALS = st.lists(
 @given(IDEALS, st.integers(min_value=2, max_value=4))
 @example(villarreal_ideal(), 3)  # a new pair in layer 2
 @example(pentagon_ideal(), 4)  # a new pair in layer 3
-def test_rt_tallies_match_the_reference(ideal, s_max):
+def test_rt_report_matches_the_reference(ideal, s_max):
+    # the tallies, the bounds they imply, and the witness: the lex-first
+    # pair of the top new layer that the reference does not reduce, as
+    # the Taylor binomial of its rows
+    supports = supports_of(ideal)
     report = relation_type_estimate(ideal, s_max)
-    assert report.layer_tallies == rt_tallies(supports_of(ideal), s_max)
+    tallies = rt_tallies(supports, s_max)
+    assert report.layer_tallies == tallies
+    lower = max((s for s, (_, no) in tallies.items() if no), default=1)
+    assert report.certified_lower == lower
+    assert report.verified_upper_through == s_max
+    if lower == 1:
+        assert report.witness is None
+        return
+    oracle = FiberOracle(supports)
+    first = next((a, b) for a, b in layer_pairs(len(supports), lower)
+                 if not oracle.reduces_below(a, b))
+    assert (report.witness.alpha, report.witness.beta) == first
+    assert is_taylor_binomial(supports, report.witness)

@@ -1,6 +1,8 @@
+import functools
 import inspect
 import itertools
 import math
+import operator
 import random
 import sys
 from collections import Counter
@@ -1111,6 +1113,80 @@ class TestSettledGenerators:
         monkeypatch.setattr(oracle, "_ge", counting)
         relation_type_estimate(ideal, s_max)
         assert len(calls) == tested
+
+
+def settled_sweep(ideal, s_max):
+    """The sweep as it was before each layer's rows grew from the layer
+    below: every layer's rows packed from enumerate_sequences at width
+    s.bit_length() + 1, and the guard masks and the settled-generator drop
+    recomputed per alpha."""
+    n = ideal.n
+    tallies, certified_lower, witness = {}, 1, None
+    for s in range(2, s_max + 1):
+        w = s.bit_length() + 1
+        gen, _, _, guards = ideal.layout(w)
+        top = [g << (w - 1) for g in gen]
+        rows = {seq: (sum(map(gen.__getitem__, seq)), {top[j] for j in seq})
+                for seq in enumerate_sequences(n, s)}
+        no = 0
+        first_no = None
+        for alpha, (fa, outs) in rows.items():
+            # beta > alpha with rows disjoint from alpha's: beta[0] > alpha[0]
+            ua = functools.reduce(operator.or_, outs)
+            rest = [j for j in range(alpha[0] + 1, n + 1) if j not in alpha
+                    and not oracle._one_swap(ua, outs, (top[j],))]
+            for beta in itertools.combinations_with_replacement(rest, s):
+                fb, ins = rows[beta]
+                z = oracle._ge(fa, fb, guards)
+                if oracle._one_swap(z, outs, ins):
+                    continue
+                full = oracle._lcm(fa, fb, w, guards, z)
+                if not oracle._joined(oracle._fiber((s, full, guards, gen)),
+                                      alpha[0], beta[0]):
+                    no += 1
+                    if first_no is None:
+                        first_no = taylor_binomial(ideal, alpha, beta)
+        tallies[s] = (math.comb(math.comb(n + s - 1, s), 2) - no, no)
+        if no > 0:
+            certified_lower = s
+            witness = first_no
+    return oracle.RtReport(certified_lower, witness, s_max, tallies)
+
+
+class TestGrownRows:
+    def test_sweep_matches_the_settled_sweep(self):
+        # TestRowTable's and TestSettledGenerators' inputs, then two wide
+        # sparse ones whose top layers hold 38,760 and 12,376 rows
+        cases = [(family_ideal(n), 4) for n in (6, 7, 8)]
+        cases += [(C8, 4), (K5, 4), (K5, 5), (C10, 5)]
+        cases += [(random_ideal(random.Random(k), 5, 8), 4)
+                  for k in range(20)]
+        cases += [(random_shape_ideal(shape, 8, seed=0), 5)
+                  for shape in ("forest", "odd-cycle", "even-cycle")]
+        cases += [(random_ideal(random.Random(k), 8, 10), 4)
+                  for k in range(3)]
+        cases += [(random_shape_ideal("forest", 15, seed=0), 6),
+                  (random_shape_ideal("even-cycle", 12, seed=0), 6)]
+        lowers = set()
+        for I, s_max in cases:
+            report = relation_type_estimate(I, s_max)
+            assert report == settled_sweep(I, s_max), (I.supports, s_max)
+            lowers.add(report.certified_lower)
+        assert {1, 2, 3, 5} <= lowers, lowers
+
+    def test_one_record_per_generator_set(self, monkeypatch):
+        # the rows of layers 1..4 over five generators hold 5 + 15 + 35 +
+        # 70 sequences but only the 30 sets of 1 to 4 generators
+        calls = []
+        original = oracle._generator_set
+
+        def counting(held, top):
+            calls.append(held)
+            return original(held, top)
+
+        monkeypatch.setattr(oracle, "_generator_set", counting)
+        relation_type_estimate(pentagon_ideal(), 4)
+        assert len(calls) == len(set(calls)) == 30
 
 
 def path_sweep(ideal, s_max):
